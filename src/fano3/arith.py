@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 __all__ = [
+    "InvariantViolation",
     "Rational",
     "INFINITY",
     "residue",
@@ -19,7 +20,18 @@ __all__ = [
     "p_adic_valuation",
     "indicator",
     "is_prime",
+    "prime_powers",
 ]
+
+
+class InvariantViolation(AssertionError):
+    """An internal invariant of the engine does not hold.
+
+    Raised explicitly rather than through ``assert`` so that the checks
+    survive ``python -O``; it subclasses AssertionError so callers that
+    treat a failed check as an assertion keep working.
+    """
+
 
 # Exact rationals.  fractions.Fraction already guarantees lowest terms and a
 # positive denominator, which is the invariant we need.
@@ -64,6 +76,23 @@ def is_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+def prime_powers(n: int) -> tuple:
+    """Sorted prime-power factorization, e.g. 84 -> (3, 4, 7)."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            pa = 1
+            while n % p == 0:
+                n //= p
+                pa *= p
+            out.append(pa)
+        p += 1
+    if n > 1:
+        out.append(n)
+    return tuple(sorted(out))
 
 
 def p_adic_valuation(x, p: int):

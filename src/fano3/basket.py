@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from .arith import p_adic_valuation
+from .arith import InvariantViolation, p_adic_valuation
 
 __all__ = [
     "OrbifoldPoint",
@@ -104,7 +104,8 @@ def rX_c2c1(R) -> int:
         raise ValueError(f"R={R} is not admissible (budget {total} >= {BUDGET})")
     r_x = lcm(*R) if R else 1
     value = r_x * (BUDGET - total)
-    assert value.denominator == 1 and value > 0
+    if value.denominator != 1 or value <= 0:
+        raise InvariantViolation(f"r_X c2c1 of R={R} is {value}, not a positive integer")
     return int(value)
 
 

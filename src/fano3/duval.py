@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .arith import InvariantViolation
+
 __all__ = [
     "DuValType",
     "WeilClass",
@@ -264,6 +266,7 @@ def _solve_integer(u, rhs):
     out = []
     for i in range(n):
         val = aug[i][n]
-        assert val.denominator == 1, "unimodular solve produced a fraction"
+        if val.denominator != 1:
+            raise InvariantViolation("unimodular solve produced a fraction")
         out.append(int(val))
     return out

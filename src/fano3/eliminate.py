@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
-from math import gcd, lcm
+from math import lcm
 
-from .arith import sigma_pair
+from .arith import InvariantViolation, prime_powers, sigma_pair
 from .basket import Basket, gorenstein_index
 from .certificates import CITED_LEMMA, MECHANICAL, EliminationCertificate, Verdict
 from .lb import LBContext, lb
@@ -32,12 +33,13 @@ from .rr import (
     CurveConfig,
     ResidueConstraintSystem,
     delta_lower_bound,
+    h0_sA,
+    km_bound,
     nabla,
     residue_term_builder,
 )
-from .search import Candidate, _prime_powers
+from .search import Candidate
 from .tables import (
-    GROUP_A,
     GROUP_B,
     GROUP_C_MINUS,
     GROUP_C_PLUS,
@@ -50,6 +52,7 @@ __all__ = [
     "DomainTooLarge",
     "Undetermined",
     "exists_integral_solution",
+    "integral_assignments",
     "determine_curves",
     "eliminate_group_a",
     "run_group_b_script",
@@ -84,111 +87,75 @@ class Undetermined:
 # Residue-system solver
 # ---------------------------------------------------------------------------
 
-def _term_tables(sys: ResidueConstraintSystem):
-    """Value table of every unknown term, as exact rationals."""
-    return [[t.value(u) for u in range(t.modulus)] for t in sys.unknown_terms]
+def _scaled(sys: ResidueConstraintSystem):
+    """The system in integer residues: ``(L, base, tables)``.
+
+    L is the lcm of every denominator in the system, ``base`` is the known
+    part of the total times L, and ``tables[i][u]`` is unknown i at
+    residue u times L, all reduced mod L.  The total is integral exactly
+    when the scaled sum is 0 mod L.
+    """
+    base = sys.constant + sum(sys.fixed_terms, Fraction(0))
+    values = [[t.value(u) for u in range(t.modulus)] for t in sys.unknown_terms]
+    big_l = lcm(base.denominator, *(v.denominator for tab in values for v in tab))
+    tables = [[int(v * big_l) % big_l for v in tab] for tab in values]
+    return big_l, int(base * big_l) % big_l, tables
 
 
-def exists_integral_solution(sys: ResidueConstraintSystem, cap: int = 10**9, force_product: bool = False):
+def _suffix_reach(tables, big_l: int):
+    """``reach[i]``: every sum mod L that unknowns i, i+1, ... can take."""
+    reach = [{0}]
+    for tab in reversed(tables):
+        reach.append({(a + r) % big_l for a in set(tab) for r in reach[-1]})
+    reach.reverse()
+    return reach
+
+
+def exists_integral_solution(sys: ResidueConstraintSystem, cap: int = 10**9):
     """Exhaustive solvability of ``sys`` over the product of residue ranges.
 
     Returns ``(True, {"witness": assignment})`` or
-    ``(False, {"exhausted": domain, "moduli": [...]})``.  Residue systems
-    split across primes (a term with denominator coprime to p contributes
-    nothing mod p), so when every unknown touches at most one prime the
-    components are solved independently and recombined; otherwise the full
-    product is enumerated.  Both paths agree; the certificate domain is
-    always the full logical product.
+    ``(False, {"exhausted": domain, "moduli": [...]})``.  Every term is
+    scaled once to an integer residue mod L, the lcm of all denominators.
+    Term by term from the last unknown, the sets of sums mod L that each
+    suffix of the unknowns can reach decide solvability; one forward walk
+    through them then picks, unknown by unknown, the least residue that
+    can still be completed.  That is the lexicographically least integral
+    assignment, the first one ``integral_assignments`` yields.  The work
+    grows with L times the moduli rather than with their product; the
+    certificate domain is always the full logical product.
     """
     domain = sys.domain_size
     if domain > cap:
         raise DomainTooLarge(
             f"residue domain {domain} exceeds cap {cap}; raise the cap explicitly"
         )
-    base = sys.constant + sum(sys.fixed_terms, Fraction(0))
-    tables = _term_tables(sys)
-
-    big_l = base.denominator
-    for tab in tables:
-        for v in tab:
-            big_l = lcm(big_l, v.denominator)
-
-    record = {"exhausted": domain, "moduli": [t.modulus for t in sys.unknown_terms]}
-
-    if not tables:
-        if base.denominator == 1:
-            return True, {"witness": ()}
-        return False, record
-
-    primes_per_term = []
-    for tab in tables:
-        d = 1
-        for v in tab:
-            d = lcm(d, v.denominator)
-        primes_per_term.append(frozenset(_prime_factors(d)))
-
-    if not force_product and all(len(ps) <= 1 for ps in primes_per_term):
-        witness = _solve_by_prime_components(base, tables, primes_per_term, big_l)
-    else:
-        witness = _solve_by_product(base, tables, big_l)
-
-    if witness is None:
-        return False, record
-    assert sys.total(witness).denominator == 1
+    big_l, base, tables = _scaled(sys)
+    reach = _suffix_reach(tables, big_l)
+    if -base % big_l not in reach[0]:
+        return False, {"exhausted": domain, "moduli": [t.modulus for t in sys.unknown_terms]}
+    witness, acc = [], base
+    for tab, rest in zip(tables, reach[1:]):
+        u = next(u for u, a in enumerate(tab) if -(acc + a) % big_l in rest)
+        witness.append(u)
+        acc += tab[u]
+    witness = tuple(witness)
+    if sys.total(witness).denominator != 1:
+        raise InvariantViolation(f"solver witness {witness} leaves {sys.total(witness)}")
     return True, {"witness": witness}
 
 
-def _prime_factors(n: int):
-    return tuple(_distinct_primes(n))
+def integral_assignments(sys: ResidueConstraintSystem):
+    """Every assignment making the total integral, in lexicographic order.
 
-
-def _distinct_primes(n: int):
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            yield p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        yield n
-
-
-def _solve_by_product(base: Fraction, tables, big_l: int):
-    base_res = int(base * big_l) % big_l
-    int_tables = [[int(v * big_l) % big_l for v in tab] for tab in tables]
-    for assign in iproduct(*(range(len(tab)) for tab in int_tables)):
-        total = base_res
-        for tab, u in zip(int_tables, assign):
-            total += tab[u]
-        if total % big_l == 0:
-            return tuple(assign)
-    return None
-
-
-def _solve_by_prime_components(base: Fraction, tables, primes_per_term, big_l: int):
-    """Solve prime-by-prime when each unknown touches a single prime."""
-    witness = [0] * len(tables)
-    for p in _distinct_primes(big_l):
-        pe = 1
-        while big_l % (pe * p) == 0:
-            pe *= p
-        members = [i for i, ps in enumerate(primes_per_term) if ps == frozenset({p})]
-        base_res = int(base * big_l) % pe
-        int_tabs = [[int(v * big_l) % pe for v in tables[i]] for i in members]
-        found = None
-        for assign in iproduct(*(range(len(t)) for t in int_tabs)):
-            total = base_res
-            for tab, u in zip(int_tabs, assign):
-                total += tab[u]
-            if total % pe == 0:
-                found = assign
-                break
-        if found is None:
-            return None
-        for i, u in zip(members, found):
-            witness[i] = u
-    return tuple(witness)
+    Brute force over the full product of residue ranges: the oracle that
+    the solver is tested against, and the enumerator for scripts that need
+    every solution rather than one.
+    """
+    big_l, base, tables = _scaled(sys)
+    for assign in iproduct(*(range(len(tab)) for tab in tables)):
+        if (base + sum(tab[u] for tab, u in zip(tables, assign))) % big_l == 0:
+            yield assign
 
 
 def _residues_admitting_completion(sys: ResidueConstraintSystem, label: str):
@@ -197,23 +164,9 @@ def _residues_admitting_completion(sys: ResidueConstraintSystem, label: str):
     if len(idx) != 1:
         raise ValueError(f"expected exactly one unknown labeled {label!r}")
     i = idx[0]
-    term = sys.unknown_terms[i]
-    rest = ResidueConstraintSystem(
-        constant=sys.constant,
-        fixed_terms=list(sys.fixed_terms),
-        unknown_terms=[t for j, t in enumerate(sys.unknown_terms) if j != i],
-    )
-    good = set()
-    for u in range(term.modulus):
-        probe = ResidueConstraintSystem(
-            constant=rest.constant + term.value(u),
-            fixed_terms=rest.fixed_terms,
-            unknown_terms=rest.unknown_terms,
-        )
-        ok, _ = exists_integral_solution(probe)
-        if ok:
-            good.add(u)
-    return good
+    big_l, base, tables = _scaled(sys)
+    others = _suffix_reach(tables[:i] + tables[i + 1:], big_l)[0]
+    return {u for u, a in enumerate(tables[i]) if -(base + a) % big_l in others}
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +189,11 @@ def determine_curves(c: Candidate):
         return CurveConfig((), x_A1=None, a1_allowed=True, a1_forced=True)
 
     ctx = LBContext(c.basket.R)
-    a0 = 0
-    rest = j_a
-    while rest % 2 == 0:
-        rest //= 2
-        a0 += 1
-    odd_pps = [pa for pa in _prime_powers(j_a) if pa % 2 == 1]
+    pps = prime_powers(j_a)
+    two_part = next((pa for pa in pps if pa % 2 == 0), 1)
+    odd_pps = [pa for pa in pps if pa % 2 == 1]
+    # the prime p of each prime power p^e
+    odd_primes = [next(p for p in range(3, pa + 1) if pa % p == 0) for pa in odd_pps]
     nab = c.nabla
 
     def cost(m: int) -> Fraction:
@@ -250,26 +202,26 @@ def determine_curves(c: Candidate):
     threshold = sum((cost(pa) for pa in odd_pps), Fraction(0))
     curves = [CrepantCurve(pa, lb(ctx, pa)) for pa in odd_pps]
 
-    if a0 <= 1:
+    if two_part <= 2:
         # doubling the cheapest odd-prime curve must already overshoot
-        p1 = min(_prime_factors(pa)[0] for pa in odd_pps)
+        p1 = min(odd_primes)
         threshold += cost(p1)
         if not nab < threshold:
             return Undetermined(
                 f"budget {nab} admits more curves than the forced set (threshold {threshold})"
             )
-        if a0 == 0:
+        if two_part == 1:
             return CurveConfig(tuple(curves), x_A1=0, a1_allowed=False)
         return CurveConfig(tuple(curves), x_A1=None, a1_allowed=True, a1_forced=True)
 
-    # even part 2^a0 >= 4 contributes its own curve
-    p_prime = min([4] + [_prime_factors(pa)[0] for pa in odd_pps])
-    threshold += cost(2**a0) + cost(p_prime)
+    # even part 2^a >= 4 contributes its own curve
+    p_prime = min([4] + odd_primes)
+    threshold += cost(two_part) + cost(p_prime)
     if not nab < threshold:
         return Undetermined(
             f"budget {nab} admits more curves than the forced set (threshold {threshold})"
         )
-    curves.append(CrepantCurve(2**a0, lb(ctx, 2**a0)))
+    curves.append(CrepantCurve(two_part, lb(ctx, two_part)))
     curves.sort(key=lambda cc: cc.j)
     return CurveConfig(tuple(curves), x_A1=None, a1_allowed=True, a1_forced=False)
 
@@ -283,7 +235,7 @@ def candidate_for_case(case_id: int) -> Candidate:
     r = row(case_id)
     basket = Basket(r.basket)
     ctx = LBContext(basket.R)
-    pas = _prime_powers(r.j_a)
+    pas = prime_powers(r.j_a)
     return Candidate(
         basket,
         r.q,
@@ -297,10 +249,13 @@ def candidate_for_case(case_id: int) -> Candidate:
 
 
 def _case_id_of(c: Candidate):
-    for r in TABLE_MAIN:
-        if r.key == c.key:
-            return r.no
-    return None
+    return next((r.no for r in TABLE_MAIN if r.key == c.key), None)
+
+
+def _inconclusive(cert, why: str) -> Verdict:
+    """Record why the route stalls and leave the candidate standing."""
+    cert.mechanical(why, "inconclusive")
+    return Verdict(False, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +272,7 @@ def eliminate_group_a(c: Candidate, case_id: int | None = None) -> Verdict:
 
     cfg = determine_curves(c)
     if isinstance(cfg, Undetermined):
-        cert.mechanical(
-            f"curve configuration not forced: {cfg.reason}", "inconclusive"
-        )
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"curve configuration not forced: {cfg.reason}")
     curve_desc = ", ".join(f"A_{cc.j - 1} deg {cc.degree_rXKC}" for cc in cfg.curves)
     cert.mechanical(
         f"forced curve configuration: {curve_desc}"
@@ -335,11 +287,9 @@ def eliminate_group_a(c: Candidate, case_id: int | None = None) -> Verdict:
     )
     solvable, info = exists_integral_solution(sys)
     if solvable:
-        cert.mechanical(
-            f"residue system (r'={2 * r_x}, D=2A) is solvable; witness {info['witness']}",
-            "inconclusive",
+        return _inconclusive(
+            cert, f"residue system (r'={2 * r_x}, D=2A) is solvable; witness {info['witness']}"
         )
-        return Verdict(False, cert)
     cert.mechanical(
         f"residue system (r'={2 * r_x}, D=2A) with constant {sys.constant} has no "
         f"integral assignment over moduli {info['moduli']}",
@@ -392,40 +342,40 @@ def _allowed_curve_orders(c: Candidate, cert) -> tuple:
     return tuple(allowed)
 
 
-def _x_a1_residues_over_s(c, cfg, r_prime, s_values, cert, label="x_A1"):
+def _x_a1_residues_over_s(c, cfg, r_prime, s_values, cert):
     """Intersection over s of the admissible aggregate-A_1 residues."""
-    sets = []
-    domain = 0
-    modulus = None
-    for s in s_values:
-        sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s)
-        good = _residues_admitting_completion(sys, label)
-        sets.append(good)
-        domain += sys.domain_size
-        term = next(t for t in sys.unknown_terms if t.label == label)
-        modulus = term.modulus
-    common = set.intersection(*sets)
+    systems = [residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s) for s in s_values]
+    common = set.intersection(*(_residues_admitting_completion(sys, "x_A1") for sys in systems))
+    modulus = next(t.modulus for t in systems[-1].unknown_terms if t.label == "x_A1")
     cert.mechanical(
         f"integrality for D=sA, s in {list(s_values)}, r'={r_prime} restricts the "
         f"A_1 aggregate degree to residues {sorted(common)} mod {modulus}",
         "narrowed",
-        domain_size=domain,
+        domain_size=sum(sys.domain_size for sys in systems),
     )
     return common, modulus
 
 
-def _budget_contradiction(c, cfg, cert, context: str) -> bool:
+def _refute(sys, cert, claim: str) -> Verdict:
+    """Contradiction ``claim`` when no residue assignment makes ``sys``
+    integral, with the exhausted domain as its size."""
+    solvable, info = exists_integral_solution(sys)
+    if solvable:
+        return _inconclusive(cert, "system unexpectedly solvable")
+    cert.mechanical(claim, "contradiction", domain_size=info["exhausted"])
+    return Verdict(True, cert)
+
+
+def _budget_verdict(c, cfg, cert, context: str) -> Verdict:
+    """Contradiction when the pinned curves demand more than the budget."""
     demand = delta_lower_bound(cfg)
-    if demand > c.nabla:
-        cert.mechanical(
-            f"{context}: total curve demand {demand} exceeds budget {c.nabla}",
-            "contradiction",
-        )
-        return True
+    if demand <= c.nabla:
+        return _inconclusive(cert, f"{context}: curve demand {demand} fits budget {c.nabla}")
     cert.mechanical(
-        f"{context}: curve demand {demand} fits budget {c.nabla}", "inconclusive"
+        f"{context}: total curve demand {demand} exceeds budget {c.nabla}",
+        "contradiction",
     )
-    return False
+    return Verdict(True, cert)
 
 
 def _case_20(c, cert) -> Verdict:
@@ -433,7 +383,8 @@ def _case_20(c, cert) -> Verdict:
     # codimension 2, so every curve correction vanishes and the basket terms
     # alone must balance the constant -- they cannot.
     cfg = determine_curves(c)
-    assert isinstance(cfg, Undetermined)
+    if not isinstance(cfg, Undetermined):
+        raise InvariantViolation(f"case 20 expects an unforced curve configuration, got {cfg}")
     cert.mechanical(
         f"curve configuration not forced ({cfg.reason}); using D = {c.j_a}A, "
         "Cartier in codimension 2, so curve corrections vanish",
@@ -443,24 +394,18 @@ def _case_20(c, cert) -> Verdict:
         c.q, c.rXc13, c.basket, CurveConfig((), x_A1=None), r_prime=1, s=c.j_a,
         cartier_codim2=True,
     )
-    solvable, info = exists_integral_solution(sys)
-    if solvable:
-        cert.mechanical("system unexpectedly solvable", "inconclusive")
-        return Verdict(False, cert)
-    cert.mechanical(
+    return _refute(
+        sys,
+        cert,
         f"residue system (r'=1, D={c.j_a}A) with constant {sys.constant} has no "
-        f"integral assignment over moduli {info['moduli']}",
-        "contradiction",
-        domain_size=info["exhausted"],
+        f"integral assignment over moduli {[t.modulus for t in sys.unknown_terms]}",
     )
-    return Verdict(True, cert)
 
 
 def _case_23(c, cert) -> Verdict:
     cfg = determine_curves(c)
     if isinstance(cfg, Undetermined):
-        cert.mechanical(cfg.reason, "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, cfg.reason)
     cert.mechanical(
         "forced curves: A_2 and A_3, each of degree 14; A_1 aggregate possible",
         "determined",
@@ -469,25 +414,19 @@ def _case_23(c, cert) -> Verdict:
     sys = residue_term_builder(
         c.q, c.rXc13, c.basket, CurveConfig(cfg.curves, x_A1=None), r_prime, s=1
     )
-    solvable, info = exists_integral_solution(sys)
-    if solvable:
-        cert.mechanical("system unexpectedly solvable", "inconclusive")
-        return Verdict(False, cert)
-    cert.mechanical(
+    return _refute(
+        sys,
+        cert,
         f"r'={r_prime} makes every curve and basket term vanish, leaving the "
         f"non-integral constant {sys.constant}",
-        "contradiction",
-        domain_size=info["exhausted"],
     )
-    return Verdict(True, cert)
 
 
 def _case_36(c, cert) -> Verdict:
     ctx = LBContext(c.basket.R)
     allowed = _allowed_curve_orders(c, cert)
     if allowed != (2, 5, 7):
-        cert.mechanical(f"unexpected allowed orders {allowed}", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"unexpected allowed orders {allowed}")
     # each prime power in J_A forces a curve of the matching order
     lb5, lb7 = lb(ctx, 5), lb(ctx, 7)
     floor_rest = Fraction(24, 5) * lb5 + Fraction(3, 2)
@@ -500,8 +439,7 @@ def _case_36(c, cert) -> Verdict:
         "determined",
     )
     if degrees != [lb7]:
-        cert.mechanical("A_6 degree not pinned", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "A_6 degree not pinned")
     r_prime = 120  # kills the A_4 terms (5 | 20 deg), the A_1 terms, and the basket
     cfg = CurveConfig((CrepantCurve(7, lb7),), x_A1=None, a1_allowed=True)
     cert.mechanical(
@@ -510,24 +448,18 @@ def _case_36(c, cert) -> Verdict:
         "narrowed",
     )
     sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s=1)
-    solvable, info = exists_integral_solution(sys)
-    if solvable:
-        cert.mechanical("system unexpectedly solvable", "inconclusive")
-        return Verdict(False, cert)
-    cert.mechanical(
+    return _refute(
+        sys,
+        cert,
         f"residue system (r'={r_prime}, D=A) with constant {sys.constant} has no "
         "integral assignment over the A_6 class residues",
-        "contradiction",
-        domain_size=info["exhausted"],
     )
-    return Verdict(True, cert)
 
 
 def _case_10(c, cert) -> Verdict:
     cfg = determine_curves(c)
     if isinstance(cfg, Undetermined):
-        cert.mechanical(cfg.reason, "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, cfg.reason)
     cert.mechanical(
         "forced curves: one A_4 of degree 18; at least one A_1 (the even part "
         "of J_A forces one)",
@@ -535,23 +467,19 @@ def _case_10(c, cert) -> Verdict:
     )
     good, modulus = _x_a1_residues_over_s(c, cfg, r_prime=40, s_values=(1, 3), cert=cert)
     if good != {0}:
-        cert.mechanical(f"A_1 residues {sorted(good)} not pinned to 0", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"A_1 residues {sorted(good)} not pinned to 0")
     x_min = modulus  # positive multiple of the modulus
     pinned = CurveConfig(cfg.curves, x_A1=x_min)
-    if _budget_contradiction(
+    return _budget_verdict(
         c, pinned, cert, f"x_A1 is a positive multiple of {modulus}, so x_A1 >= {x_min}"
-    ):
-        return Verdict(True, cert)
-    return Verdict(False, cert)
+    )
 
 
 def _case_32_33(c, cert) -> Verdict:
     ctx = LBContext(c.basket.R)
     allowed = _allowed_curve_orders(c, cert)
     if allowed != (2, 3):
-        cert.mechanical(f"unexpected allowed orders {allowed}", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"unexpected allowed orders {allowed}")
     lb3 = lb(ctx, 3)
     cert.mechanical(
         f"both primes of J_A force a curve: at least one A_2 (total degree 35y, "
@@ -572,26 +500,21 @@ def _case_32_33(c, cert) -> Verdict:
         domain_size=3,
     )
     if y_sols != [2]:
-        cert.mechanical("y residue not pinned", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "y residue not pinned")
     cfg = CurveConfig((CrepantCurve(3, lb3, 1),), x_A1=None, a1_allowed=True)
     good, modulus = _x_a1_residues_over_s(c, cfg, r_prime=18, s_values=(1, 3, 5), cert=cert)
     if any(u % 35 for u in good):
-        cert.mechanical(f"A_1 residues {sorted(good)} not multiples of 35", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"A_1 residues {sorted(good)} not multiples of 35")
     cert.mechanical("the A_1 aggregate degree is a positive multiple of 35", "narrowed")
     pinned = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=35)
-    if _budget_contradiction(c, pinned, cert, "x_A1 >= 35 with y >= 2"):
-        return Verdict(True, cert)
-    return Verdict(False, cert)
+    return _budget_verdict(c, pinned, cert, "x_A1 >= 35 with y >= 2")
 
 
 def _case_24(c, cert) -> Verdict:
     ctx = LBContext(c.basket.R)
     allowed = _allowed_curve_orders(c, cert)
     if allowed != (2, 3, 4):
-        cert.mechanical(f"unexpected allowed orders {allowed}", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"unexpected allowed orders {allowed}")
     lb3, lb4 = lb(ctx, 3), lb(ctx, 4)
     cert.mechanical(
         f"each prime power of J_A forces a curve: at least one A_2 (total degree "
@@ -605,19 +528,17 @@ def _case_24(c, cert) -> Verdict:
         f"budget bounds: x_A1 <= {x_max} and y4 <= {y4_max}", "narrowed"
     )
 
-    # r' = 9, s odd: s^2/40 - 3 x/20 - 9 y4/8 - 9 a(5-a)/10 must be integral
+    # r' = 9, s odd: the A_2 term and the order-3 points drop, leaving
+    # s^2/40 - 3 x/20 - 9 y4/8 - 9 a(5-a)/10, which must be integral
     def sol_set(s):
         out = set()
         for x, y4 in iproduct(range(x_max + 1), range(1, y4_max + 1)):
-            base = (
-                Fraction(9 * s * s, 2) * Fraction(c.rXc13, 15 * c.q * c.q)
-                - Fraction(9 * x, 4 * 15)
-                - Fraction(9 * lb4 * y4, 15 * 8) * 3  # A_3 curve: F_4(odd) = 3/8
+            cfg = CurveConfig(
+                (CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=x
             )
-            for a in range(5):
-                if (base - 9 * sigma_pair(a, 5)).denominator == 1:
-                    out.add((x, y4))
-                    break
+            sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
+            if exists_integral_solution(sys)[0]:
+                out.add((x, y4))
         return out
 
     sols = sol_set(1) & sol_set(3)
@@ -627,36 +548,22 @@ def _case_24(c, cert) -> Verdict:
         domain_size=2 * (x_max + 1) * y4_max * 5,
     )
     if sols != {(10, 1)}:
-        cert.mechanical("joint residue solution not unique", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "joint residue solution not unique")
     x_a1, y4 = 10, 1
     y3_max = int((nab - Fraction(3, 2) * x_a1 - Fraction(15, 4) * lb4 * y4) / (Fraction(8, 3) * lb3))
     cert.mechanical(f"budget then forces y3 = 1 (y3 <= {y3_max})", "narrowed")
     if y3_max != 1:
-        cert.mechanical("y3 not pinned", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "y3 not pinned")
 
-    # full h^0 formula with one A_2 and one A_3 curve of degree 5 and x_A1 = 10
+    # full h^0 formula with one A_2 and one A_3 curve of degree 5 and x_A1 = 10,
+    # over every choice of local indices at the basket points
+    cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4, 1)), x_A1=x_a1)
+    a2mk = Fraction(c.rXc13, gorenstein_index(c.basket) * c.q * c.q)
+    local = list(iproduct(*(range(p.r) for p in c.basket)))
+
     def h0_values(s):
-        base = (
-            Fraction(s * s, 2) * Fraction(c.rXc13, 15 * c.q * c.q)
-            + 2
-            - Fraction(x_a1 * (s % 2), 4 * 15)
-            - Fraction(lb3, 15) * sigma_pair(s, 3)
-            - Fraction(lb4, 15) * sigma_pair(s, 4)
-        )
-        vals = set()
-        for a, b1, b2, b3 in iproduct(range(5), range(3), range(3), range(3)):
-            v = (
-                base
-                - sigma_pair(a, 5)
-                - sigma_pair(b1, 3)
-                - sigma_pair(b2, 3)
-                - sigma_pair(b3, 3)
-            )
-            if v.denominator == 1:
-                vals.add(int(v))
-        return vals
+        vals = (h0_sA(c.q, a2mk, cfg, c.basket, idx, s) for idx in local)
+        return {int(v) for v in vals if v.denominator == 1}
 
     expected = {2: 1, 3: 1, 6: 1, 30: 4, 31: 3}
     computed = {s: h0_values(s) for s in expected}
@@ -666,8 +573,7 @@ def _case_24(c, cert) -> Verdict:
         domain_size=5 * 135,
     )
     if any(v != {expected[s]} for s, v in computed.items()):
-        cert.mechanical("h^0 values not unique", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "h^0 values not unique")
     cert.mechanical(
         "h^0(2A) = h^0(3A) = h^0(6A) = 1 forces a section of A (the unique cubic "
         "of the degree-2 element equals the unique square of the degree-3 element), "
@@ -681,8 +587,7 @@ def _case_27(c, cert) -> Verdict:
     ctx = LBContext(c.basket.R)
     allowed = _allowed_curve_orders(c, cert)
     if allowed != (3,):
-        cert.mechanical(f"unexpected allowed orders {allowed}", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"unexpected allowed orders {allowed}")
     lb3 = lb(ctx, 3)
     y_max = int(c.nabla / (Fraction(8, 3) * lb3))
     cert.mechanical(
@@ -702,8 +607,7 @@ def _case_27(c, cert) -> Verdict:
         domain_size=y_max,
     )
     if y_sols != [2]:
-        cert.mechanical("y not pinned", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "y not pinned")
     cert.mechanical(
         "two cases: a single A_2 curve of degree 140, or two A_2 curves of degree "
         "70 each",
@@ -714,12 +618,10 @@ def _case_27(c, cert) -> Verdict:
     def index_sets(s):
         cfg = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=0, a1_allowed=False)
         sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=70, s=s)
-        assert [t.modulus for t in sys.unknown_terms] == [3, 6]
-        pairs = set()
-        for i3, i6 in iproduct(range(3), range(6)):
-            if sys.total((i3, i6)).denominator == 1:
-                pairs.add((i3, i6))
-        return pairs
+        moduli = [t.modulus for t in sys.unknown_terms]
+        if moduli != [3, 6]:
+            raise InvariantViolation(f"case 27 expects unknowns mod [3, 6], got {moduli}")
+        return set(integral_assignments(sys))
 
     pairs2, pairs4 = index_sets(2), index_sets(4)
     i3_2 = {p[0] for p in pairs2}
@@ -733,8 +635,7 @@ def _case_27(c, cert) -> Verdict:
         domain_size=2 * 18,
     )
     if not (pairs2 == set(iproduct(i3_2, i6_2)) and pairs4 == set(iproduct(i3_4, i6_4))):
-        cert.mechanical("index sets are not products", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "index sets are not products")
 
     cert.cite(
         "crepant-point-classification",
@@ -749,11 +650,9 @@ def _case_27(c, cert) -> Verdict:
     g3 = {(a - 2 * b) % 3 for a in i3_4 for b in i3_2}
     g6 = {(a - 2 * b) % 6 for a in i6_4 for b in i6_2}
     if 0 in g3 or 0 in g6:
-        cert.mechanical(
-            f"difference indices {sorted(g3)} mod 3, {sorted(g6)} mod 6 allow 0",
-            "inconclusive",
+        return _inconclusive(
+            cert, f"difference indices {sorted(g3)} mod 3, {sorted(g6)} mod 6 allow 0"
         )
-        return Verdict(False, cert)
     cert.mechanical(
         f"the difference divisor has order-3 index in {sorted(g3)} and order-6 "
         f"index in {sorted(g6)}; exceptional divisors over the single-curve case "
@@ -768,8 +667,7 @@ def _case_27(c, cert) -> Verdict:
 def _case_35(c, cert) -> Verdict:
     cfg = determine_curves(c)
     if isinstance(cfg, Undetermined):
-        cert.mechanical(cfg.reason, "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, cfg.reason)
     cert.mechanical(
         "forced curves: one A_3 of degree 35; A_1 aggregate possible", "determined"
     )
@@ -780,12 +678,10 @@ def _case_35(c, cert) -> Verdict:
         c, cfg_unit, r_prime=1, s_values=(1, 3, 5), cert=cert
     )
     if any(u % 35 for u in good):
-        cert.mechanical(f"A_1 residues {sorted(good)} not multiples of 35", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"A_1 residues {sorted(good)} not multiples of 35")
     pinned = CurveConfig(cfg_unit.curves, x_A1=35)
     if delta_lower_bound(pinned) <= c.nabla:
-        cert.mechanical("x_A1 = 35 fits the budget", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "x_A1 = 35 fits the budget")
     cert.mechanical(
         f"a positive multiple of 35 would cost {delta_lower_bound(pinned)} > "
         f"{c.nabla}, so x_A1 = 0",
@@ -800,11 +696,9 @@ def _case_35(c, cert) -> Verdict:
             r_prime=1, s=s,
         )
         half = [i for i, t in enumerate(sys.unknown_terms) if t.modulus == 2]
-        assert len(half) == 4
-        out = set()
-        for assign in iproduct(*(range(t.modulus) for t in sys.unknown_terms)):
-            if sys.total(assign).denominator == 1:
-                out.add(tuple(assign[i] for i in half))
+        if len(half) != 4:
+            raise InvariantViolation(f"case 35 expects four half-points, got {len(half)}")
+        out = {tuple(a[i] for i in half) for a in integral_assignments(sys)}
         return out, sys.domain_size
 
     p1, d1 = parity_sets(1)
@@ -819,8 +713,7 @@ def _case_35(c, cert) -> Verdict:
         domain_size=d1 + d4 + d5,
     )
     if not (p1 == two_two and p4 <= all_equal and p5 <= all_equal):
-        cert.mechanical("parity patterns do not match", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "parity patterns do not match")
     cert.cite(
         "weil-pullback-additivity",
         "the defect divisor of pulling back 5A versus A + 4A is exceptional over "
@@ -841,8 +734,7 @@ def _case_35(c, cert) -> Verdict:
         if (a_parity,) * 4 in two_two:
             consistent = True
     if consistent:
-        cert.mechanical("parity algebra admits a consistent pattern", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "parity algebra admits a consistent pattern")
     cert.mechanical(
         "the D=A parities equal the componentwise difference of three all-equal "
         "patterns, hence are all equal -- but exactly two must be odd",
@@ -856,20 +748,25 @@ def _case_35(c, cert) -> Verdict:
 # Group C: closed form, residue derivation, movable set
 # ---------------------------------------------------------------------------
 
+# Every Group C candidate shares the h^0 of P(5,6,22,33): index 66, basket
+# {(2,1),(3,1),(5,2),(11,2)}, -A^2.K = 1/330 and no crepant curves.
+_GROUP_C_BASKET = Basket({(2, 1), (3, 1), (5, 2), (11, 2)})
+_NO_CURVES = CurveConfig((), x_A1=0, a1_allowed=False)
+
+
+@cache  # every Group C case replays the same derivation
+def _group_c_h0(idx: tuple, s: int) -> Fraction:
+    return h0_sA(66, Fraction(1, 330), _NO_CURVES, _GROUP_C_BASKET, idx, s)
+
+
 def group_c_closed_form(s: int) -> int:
-    """Shared h^0(sA) of every Group C candidate, 0 < s < 66."""
+    """Shared h^0(sA) of every Group C candidate, 0 < s < 66: the local
+    index of sA is s at every basket point."""
     if not 0 < s < 66:
         raise ValueError(f"need 0 < s < 66, got {s}")
-    val = (
-        Fraction(s * s, 660)
-        + 2
-        - sigma_pair(s, 2)
-        - sigma_pair(s, 3)
-        - sigma_pair(2 * s, 5)
-        - sigma_pair(2 * s, 11)
-    )
+    val = _group_c_h0((s,) * len(_GROUP_C_BASKET), s)
     if val.denominator != 1:
-        raise AssertionError(f"closed form not integral at s={s}: {val}")
+        raise InvariantViolation(f"closed form not integral at s={s}: {val}")
     return int(val)
 
 
@@ -896,21 +793,14 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
         raise ValueError("candidate is not in Group C")
     steps = []
 
-    def F(r, x):
-        return sigma_pair(x, r)
-
+    # a point (r, b) with local index i contributes F_r(i b)
     sols = set()
-    for x2, x3, x5, x11 in iproduct(range(2), range(3), range(5), range(11)):
-        v = Fraction(4, 660) + 2 - F(2, x2) - F(3, x3) - F(5, x5) - F(11, x11)
+    for idx in iproduct(*(range(p.r) for p in _GROUP_C_BASKET)):
+        v = _group_c_h0(idx, 2)
         if v.denominator == 1:
-            sols.add((x2, x3, x5, x11, int(v)))
-    even = {
-        2: sorted({s[0] for s in sols}),
-        3: sorted({s[1] for s in sols}),
-        5: sorted({s[2] for s in sols}),
-        11: sorted({s[3] for s in sols}),
-    }
-    h0_2a_vals = {s[4] for s in sols}
+            sols.add((tuple(i * p.b % p.r for i, p in zip(idx, _GROUP_C_BASKET)), int(v)))
+    even = {p.r: sorted({x[k] for x, _ in sols}) for k, p in enumerate(_GROUP_C_BASKET)}
+    h0_2a_vals = {v for _, v in sols}
     steps.append(
         (
             MECHANICAL,
@@ -920,25 +810,21 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
             2 * 3 * 5 * 11,
         )
     )
-    assert even == {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]}
-    assert h0_2a_vals == {0}
+    if even != {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]} or h0_2a_vals != {0}:
+        raise InvariantViolation(f"unexpected h^0(2A) residues {even} or values {h0_2a_vals}")
 
     # canonical sign choice: 0, 2, 4, 4
     odd_sols = set()
     for y3, y5, y11 in iproduct(range(3), range(5), range(11)):
         v = (
             -Fraction(2, 165)
-            - F(3, y3) + F(3, 2 + y3)
-            - F(5, y5) + F(5, 4 + y5)
-            - F(11, y11) + F(11, 4 + y11)
+            - sigma_pair(y3, 3) + sigma_pair(2 + y3, 3)
+            - sigma_pair(y5, 5) + sigma_pair(4 + y5, 5)
+            - sigma_pair(y11, 11) + sigma_pair(4 + y11, 11)
         )
         if v.denominator == 1:
             odd_sols.add((y3, y5, y11))
-    odd = {
-        3: sorted({s[0] for s in odd_sols}),
-        5: sorted({s[1] for s in odd_sols}),
-        11: sorted({s[2] for s in odd_sols}),
-    }
+    odd = {r: sorted({y[k] for y in odd_sols}) for k, r in enumerate((3, 5, 11))}
     steps.append(
         (
             MECHANICAL,
@@ -947,12 +833,15 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
             3 * 5 * 11,
         )
     )
-    assert odd == {3: [1], 5: [2], 11: [2]}
+    if odd != {3: [1], 5: [2], 11: [2]}:
+        raise InvariantViolation(f"unexpected odd-correction residues {odd}")
 
     r_x = gorenstein_index(c.basket)
-    # h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = 1/4
-    residual = Fraction(1, 660) + 2 - F(3, 1) - F(5, 2) - F(11, 2)
-    assert residual == Fraction(1, 4)
+    # h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = 1/4; the residual is h^0(A)
+    # with the odd corrections above (local index 1) and none at the half-point
+    residual = _group_c_h0((0, 1, 1, 1), 1)
+    if residual != Fraction(1, 4):
+        raise InvariantViolation(f"h^0(A) residual is {residual}, not 1/4")
     if r_x % 2 == 1:
         x_a1 = r_x
         why = "r_X is odd, so the half-point correction is absent and x_A1 = r_X"
@@ -963,7 +852,7 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
             "curve exists and the half-point correction absorbs the 1/4"
         )
     else:
-        raise AssertionError("unreachable for the Group C table")
+        raise InvariantViolation("unreachable for the Group C table")
     steps.append(
         (
             MECHANICAL,
@@ -1027,7 +916,7 @@ def foliation_bounds(c: Candidate, delta: Fraction) -> int:
     the Harder-Narasimhan filtration confines p to (2q/3, q).
     """
     q = c.q
-    if not c.rXc2c1 - Fraction(5, 16) * c.rXc13 < delta:
+    if not c.rXc2c1 - c.rXc13 / km_bound(2, 1) < delta:
         raise ValueError(
             "16/5 precondition fails: the candidate would satisfy the stronger "
             "slope bound and no rank-2 foliation is forced"
@@ -1035,16 +924,21 @@ def foliation_bounds(c: Candidate, delta: Fraction) -> int:
     for p in range(2 * q // 3 + 1, q):
         if 3 * p <= 2 * q:
             continue
-        if c.rXc2c1 - Fraction(-4 * p * p + 6 * p * q - q * q, 4 * q * q) * c.rXc13 >= delta:
+        if c.rXc2c1 - c.rXc13 / km_bound(3, 1, p, q) >= delta:
             return p
     raise ValueError("no admissible foliation index below q")
 
 
-def _group_c_config(c: Candidate, x_a1: int):
+def _group_c_curves(c: Candidate, cert):
+    """Replay the shared residue derivation into ``cert``; the forced curves
+    with the x_A1 it pins, or Undetermined."""
+    res = solve_group_c_residues(c)
+    for kind, desc, outcome, dom in res.steps:
+        cert.add(kind, desc, outcome, dom)
     cfg = determine_curves(c)
     if isinstance(cfg, Undetermined):
         return cfg
-    return CurveConfig(cfg.curves, x_A1=x_a1, a1_allowed=cfg.a1_allowed)
+    return CurveConfig(cfg.curves, x_A1=res.x_A1, a1_allowed=cfg.a1_allowed)
 
 
 def eliminate_group_c_minus(case_id: int, candidate: Candidate | None = None) -> Verdict:
@@ -1052,22 +946,15 @@ def eliminate_group_c_minus(case_id: int, candidate: Candidate | None = None) ->
         raise ValueError(f"case {case_id} is not a Group C- case")
     c = candidate if candidate is not None else candidate_for_case(case_id)
     cert = EliminationCertificate(case_id)
-    res = solve_group_c_residues(c)
-    for kind, desc, outcome, dom in res.steps:
-        cert.add(kind, desc, outcome, dom)
-    cfg = _group_c_config(c, res.x_A1)
+    cfg = _group_c_curves(c, cert)
     if isinstance(cfg, Undetermined):
-        cert.mechanical(cfg.reason, "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, cfg.reason)
     demand = delta_lower_bound(cfg)
     if demand <= c.nabla:
-        cert.mechanical(
-            f"curve demand {demand} fits budget {c.nabla}", "inconclusive"
-        )
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"curve demand {demand} fits budget {c.nabla}")
     r0 = cfg.curves[0].j if cfg.curves else 1
     cert.mechanical(
-        f"x_A1 = {res.x_A1} plus the forced curve (order r0 = {r0}) demands "
+        f"x_A1 = {cfg.x_A1} plus the forced curve (order r0 = {r0}) demands "
         f"{demand} > budget {c.nabla}",
         "contradiction",
     )
@@ -1080,14 +967,9 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
     c = candidate if candidate is not None else candidate_for_case(case_id)
     cert = EliminationCertificate(case_id)
     q = c.q
-
-    res = solve_group_c_residues(c)
-    for kind, desc, outcome, dom in res.steps:
-        cert.add(kind, desc, outcome, dom)
-    cfg = _group_c_config(c, res.x_A1)
+    cfg = _group_c_curves(c, cert)
     if isinstance(cfg, Undetermined):
-        cert.mechanical(cfg.reason, "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, cfg.reason)
     delta = delta_lower_bound(cfg)
     cert.mechanical(f"total crepant-curve demand delta = {delta}", "determined")
 
@@ -1099,8 +981,7 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
         domain_size=34,
     )
     if movable != {0, 22, 30, 33}:
-        cert.mechanical("movable set unexpected", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "movable set unexpected")
 
     cert.cite(
         "rank2-foliation-exists",
@@ -1110,8 +991,7 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
     try:
         p_min = foliation_bounds(c, delta)
     except ValueError as exc:
-        cert.mechanical(str(exc), "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, str(exc))
     d_max = q - p_min
     cert.mechanical(
         f"foliation index p lies in [{p_min}, {q - 1}] (16/5 precondition checked; "
@@ -1120,8 +1000,7 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
         domain_size=q - 1 - 2 * q // 3,
     )
     if not (1 <= d_max <= 10 and 6 * p_min > 5 * q):
-        cert.mechanical("index window outside the decision tree's reach", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, "index window outside the decision tree's reach")
 
     cert.cite(
         "rational-connectedness",
@@ -1190,8 +1069,7 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
     )
     worst = f"{60 * p_min * p_min}/{330 * q}"
     if not all(Fraction(60 * p * p, 330 * q) > 8 for p in range(p_min, q)):
-        cert.mechanical(f"leaf square {worst} does not exceed 8", "inconclusive")
-        return Verdict(False, cert)
+        return _inconclusive(cert, f"leaf square {worst} does not exceed 8")
     cert.mechanical(
         f"for every feasible p the leaf square 60 p^2/(330 q) >= {worst} > 8, "
         "exceeding the Hirzebruch anticanonical square",
@@ -1279,11 +1157,15 @@ def run_full_pipeline(workers: int = 1) -> PipelineReport:
 
     candidates = run_search(66, "greater", workers)
     by_key = {r.key: r for r in TABLE_MAIN}
-    assert len(candidates) == len(TABLE_MAIN)
+    if len(candidates) != len(TABLE_MAIN):
+        raise InvariantViolation(
+            f"search found {len(candidates)} candidates, the table has {len(TABLE_MAIN)}"
+        )
     verdicts = []
     for cand in candidates:
         table_row = by_key.get(cand.key)
-        assert table_row is not None, f"candidate {cand} missing from the frozen table"
+        if table_row is None:
+            raise InvariantViolation(f"candidate {cand} missing from the frozen table")
         verdicts.append((table_row.no, eliminate_candidate(table_row.no, cand)))
     verdicts.sort(key=lambda pair: pair[0])
 

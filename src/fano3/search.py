@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .arith import InvariantViolation, prime_powers
 from .basket import Basket, enumerate_R, enumerate_baskets, gorenstein_index, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb
 from .rr import nabla
@@ -148,27 +149,10 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
                 yield basket, q, j_a, rXc13
 
 
-def _prime_powers(n: int):
-    """Sorted prime-power factorization, e.g. 84 -> (3, 4, 7)."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            pa = 1
-            while n % p == 0:
-                n //= p
-                pa *= p
-            out.append(pa)
-        p += 1
-    if n > 1:
-        out.append(n)
-    return tuple(sorted(out))
-
-
 def step3(basket: Basket, q: int, j_a: int, rXc13: int, rXc2c1: int):
     """Attach prime powers, degree bounds and nabla; filter by the budget."""
     ctx = LBContext(basket.R)
-    pas = _prime_powers(j_a)
+    pas = prime_powers(j_a)
     lbs = tuple(lb(ctx, pa) for pa in pas)
     nab = nabla(q, rXc13, rXc2c1)
     demand = sum((Fraction(pa * pa - 1, pa) * val for pa, val in zip(pas, lbs)), Fraction(0))
@@ -204,28 +188,36 @@ def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
             for part in pool.map(_process_units, [(q_min, mode, c) for c in chunks]):
                 results.extend(part)
     results.sort(key=lambda c: c.key)
-    assert len({c.key for c in results}) == len(results), "duplicate candidates"
+    if len({c.key for c in results}) != len(results):
+        raise InvariantViolation("duplicate candidates")
     for cand in results:
         verify_candidate(cand, q_min, mode)
     return results
 
 
 def verify_candidate(c: Candidate, q_min: int, mode: str = GREATER) -> None:
-    """Independent re-check of every Candidate invariant (raises on failure)."""
-    r_x = c.r_x
-    assert c.q > q_min if mode == GREATER else c.q == q_min
-    assert c.q % c.j_a == 0, "J_A must divide q"
-    assert (c.j_a * c.rXc13) % (c.q * c.q) == 0, "q^2 must divide J_A * rXc13"
-    assert rr_fano_integral(c.basket, Fraction(c.rXc13, r_x)), "RR integrality"
-    assert c.q <= c.rXc13, "index bounds degree"
-    assert (c.q * c.q + 2 * c.q - 4) * c.rXc13 <= 4 * c.q * c.q * c.rXc2c1, "test inequality"
-    assert c.rXc2c1 == rX_c2c1(c.basket.R)
-    assert c.prime_powers == _prime_powers(c.j_a)
+    """Independent re-check of every Candidate invariant.
+
+    Raises InvariantViolation naming the first invariant that fails.
+    """
     ctx = LBContext(c.basket.R)
-    assert c.lb_values == tuple(lb(ctx, pa) for pa in c.prime_powers)
-    assert c.nabla == nabla(c.q, c.rXc13, c.rXc2c1)
     demand = sum(
         (Fraction(pa * pa - 1, pa) * val for pa, val in zip(c.prime_powers, c.lb_values)),
         Fraction(0),
     )
-    assert c.nabla >= demand, "budget inequality"
+    checks = (
+        (c.q > q_min if mode == GREATER else c.q == q_min, f"index outside the {mode} range"),
+        (c.q % c.j_a == 0, "J_A must divide q"),
+        ((c.j_a * c.rXc13) % (c.q * c.q) == 0, "q^2 must divide J_A * rXc13"),
+        (rr_fano_integral(c.basket, Fraction(c.rXc13, c.r_x)), "RR integrality"),
+        (c.q <= c.rXc13, "index bounds degree"),
+        ((c.q * c.q + 2 * c.q - 4) * c.rXc13 <= 4 * c.q * c.q * c.rXc2c1, "test inequality"),
+        (c.rXc2c1 == rX_c2c1(c.basket.R), "rXc2c1 matches R"),
+        (c.prime_powers == prime_powers(c.j_a), "prime powers of J_A"),
+        (c.lb_values == tuple(lb(ctx, pa) for pa in c.prime_powers), "degree lower bounds"),
+        (c.nabla == nabla(c.q, c.rXc13, c.rXc2c1), "nabla"),
+        (c.nabla >= demand, "budget inequality"),
+    )
+    for holds, what in checks:
+        if not holds:
+            raise InvariantViolation(f"{c}: {what}")

@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fano3.arith import INFINITY, indicator, is_prime, p_adic_valuation, residue, sigma_pair
+from fano3.arith import (
+    INFINITY,
+    indicator,
+    is_prime,
+    p_adic_valuation,
+    prime_powers,
+    residue,
+    sigma_pair,
+)
 
 
 def test_residue_basics():
@@ -57,3 +65,20 @@ def test_is_prime_small():
 def test_indicator():
     assert indicator(True) == 1
     assert indicator(False) == 0
+
+
+def test_prime_powers():
+    assert prime_powers(84) == (3, 4, 7)
+    assert prime_powers(1) == ()
+    assert prime_powers(66) == (2, 3, 11)
+    assert prime_powers(2 ** 5 * 3 ** 2) == (9, 32)
+
+
+@given(st.integers(1, 10**5))
+def test_prime_powers_multiply_back(n):
+    product = 1
+    for pa in prime_powers(n):
+        p = next(d for d in range(2, pa + 1) if pa % d == 0)
+        assert is_prime(p) and pa == p ** p_adic_valuation(n, p)
+        product *= pa
+    assert product == n

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -7,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from fano3.certificates import CITED_LEMMA, MECHANICAL
+from fano3.certificates import CITED_LEMMA, MECHANICAL, certificate_to_dict
 from fano3.eliminate import (
     DomainTooLarge,
     Undetermined,
+    _residues_admitting_completion,
     candidate_for_case,
     decompose,
     determine_curves,
@@ -21,6 +23,7 @@ from fano3.eliminate import (
     exists_integral_solution,
     foliation_bounds,
     group_c_closed_form,
+    integral_assignments,
     movable_thresholds,
     run_group_b_script,
     solve_group_c_residues,
@@ -73,15 +76,19 @@ def test_solver_matches_reference_on_random_systems():
             assert record["exhausted"] == sys.domain_size
 
 
-def test_solver_prime_split_agrees_with_product_path():
+def test_solver_witness_and_completions_match_oracle():
     rng = random.Random(31415)
-    compared = 0
-    while compared < 200:
+    for trial in range(200):
         sys = _random_system(rng)
-        auto, _ = exists_integral_solution(sys)
-        forced, _ = exists_integral_solution(sys, force_product=True)
-        assert auto == forced
-        compared += 1
+        solutions = list(integral_assignments(sys))
+        ok, record = exists_integral_solution(sys)
+        assert ok == bool(solutions), trial
+        if ok:
+            # the least integral assignment in lexicographic order
+            assert record["witness"] == solutions[0], trial
+        for i, term in enumerate(sys.unknown_terms):
+            completions = _residues_admitting_completion(sys, term.label)
+            assert completions == {a[i] for a in solutions}, (trial, term.label)
 
 
 def test_solver_trivial_systems():
@@ -152,6 +159,33 @@ def test_group_a_all_eliminated_mechanically():
 # ---------------------------------------------------------------------------
 # Group B
 # ---------------------------------------------------------------------------
+
+# sha256 of the 36 certificates as compact JSON lines in case order, as
+# `fano3 eliminate --case N` serialises them
+CERTIFICATES_SHA256 = "d8e96ae2b03480abd53a481d2f467db7429a07db8dc0fb83638babefe41f88ff"
+
+
+def test_certificates_byte_identical():
+    text = "".join(
+        json.dumps(certificate_to_dict(eliminate_candidate(n, candidate_for_case(n)).certificate))
+        + "\n"
+        for n in range(1, 37)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATES_SHA256
+
+
+def test_group_a_negative_control(candidates_equal):
+    """On the q = 66 rows Group A kills only two baskets; the realised
+    P(5,6,22,33) row must survive."""
+    assert len(candidates_equal) == 7
+    verdicts = {c.basket.as_tuples(): (c, eliminate_group_a(c)) for c in candidates_equal}
+    eliminated = {key for key, (_, v) in verdicts.items() if v.eliminated}
+    assert eliminated == {((2, 1), (2, 1), (5, 1)), ((7, 2),)}
+    realised, verdict = verdicts[((5, 2),)]
+    assert (realised.q, realised.rXc13) == (66, 66)
+    assert not verdict.eliminated
+    assert not verdict.certificate.has_contradiction
+
 
 def test_group_b_mechanical_cases():
     for cid in (10, 20, 23, 24, 32, 33, 36):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,30 @@ def test_verify_candidate_rejects_tampering(candidates_greater):
     bad = replace(good, rXc2c1=good.rXc2c1 + 1)
     with pytest.raises(AssertionError):
         verify_candidate(bad, 66, "greater")
+
+
+def test_verify_candidate_rejects_tampering_under_optimize():
+    """The invariant checks are explicit raises, so `python -O` keeps them."""
+    code = (
+        "from dataclasses import replace\n"
+        "from fano3.arith import InvariantViolation\n"
+        "from fano3.eliminate import candidate_for_case\n"
+        "from fano3.search import verify_candidate\n"
+        "c = candidate_for_case(1)\n"
+        "verify_candidate(c, 66)\n"
+        "try:\n"
+        "    verify_candidate(replace(c, q=c.q + 1), 66)\n"
+        "except InvariantViolation:\n"
+        "    print(__debug__, 'rejected')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "rejected"]
 
 
 def test_bad_mode_rejected():
