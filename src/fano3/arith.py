@@ -13,9 +13,7 @@ from fractions import Fraction
 
 __all__ = [
     "InvariantViolation",
-    "Rational",
     "INFINITY",
-    "residue",
     "sigma_pair",
     "p_adic_valuation",
     "indicator",
@@ -33,19 +31,8 @@ class InvariantViolation(AssertionError):
     """
 
 
-# Exact rationals.  fractions.Fraction already guarantees lowest terms and a
-# positive denominator, which is the invariant we need.
-Rational = Fraction
-
 #: Sentinel for the valuation of 0.
 INFINITY = math.inf
-
-
-def residue(a: int, r: int) -> int:
-    """Smallest non-negative residue of ``a`` modulo ``r``."""
-    if r <= 0:
-        raise ValueError(f"modulus must be a positive integer, got {r}")
-    return a % r
 
 
 def sigma_pair(x: int, r: int) -> Fraction:

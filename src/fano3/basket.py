@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from .arith import InvariantViolation, p_adic_valuation
+from .arith import InvariantViolation, p_adic_valuation, sigma_pair
 
 __all__ = [
     "OrbifoldPoint",
@@ -121,11 +121,12 @@ def enumerate_R(max_r: int = 24):
     at most 24 because r - 1/r < 24 already fails at r = 25.
     """
     budget = Fraction(BUDGET)
+    costs = {r: r_budget((r,)) for r in range(2, max_r + 1)}
 
     def rec(prefix, low, remaining):
         yield tuple(prefix)
         for r in range(low, max_r + 1):
-            cost = Fraction(r * r - 1, r)
+            cost = costs[r]
             if cost < remaining:
                 prefix.append(r)
                 yield from rec(prefix, r, remaining - cost)
@@ -171,5 +172,5 @@ def rr_fano_integral(B: Basket, c1cubed) -> bool:
     """
     chi = Fraction(c1cubed) / 2 + 3
     for p in B:
-        chi -= Fraction(p.b * (p.r - p.b), 2 * p.r)
+        chi -= sigma_pair(p.b, p.r)
     return chi.denominator == 1

@@ -12,13 +12,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .basket import Basket, gorenstein_index
 from .certificates import certificate_to_dict
 from .duval import DuValType, class_group, invariants
 from .eliminate import eliminate_candidate, candidate_for_case, run_full_pipeline, group_c_closed_form
 from .lb import LBContext, lb
-from .search import ceil_display, run_search
-from .tables import TABLE_MAIN, row
+from .search import run_search
 from .wps import WeightedP3, h0 as wps_h0
 
 SCHEMA_VERSION = "1"

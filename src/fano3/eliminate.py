@@ -32,13 +32,14 @@ from .rr import (
     CrepantCurve,
     CurveConfig,
     ResidueConstraintSystem,
+    a2mk,
+    curve_cost,
     delta_lower_bound,
     h0_sA,
     km_bound,
-    nabla,
     residue_term_builder,
 )
-from .search import Candidate
+from .search import Candidate, step3
 from .tables import (
     GROUP_B,
     GROUP_C_MINUS,
@@ -197,7 +198,7 @@ def determine_curves(c: Candidate):
     nab = c.nabla
 
     def cost(m: int) -> Fraction:
-        return Fraction(m * m - 1, m) * lb(ctx, m)
+        return curve_cost(m, lb(ctx, m))
 
     threshold = sum((cost(pa) for pa in odd_pps), Fraction(0))
     curves = [CrepantCurve(pa, lb(ctx, pa)) for pa in odd_pps]
@@ -233,19 +234,10 @@ def determine_curves(c: Candidate):
 def candidate_for_case(case_id: int) -> Candidate:
     """Rebuild the search candidate from the frozen table row."""
     r = row(case_id)
-    basket = Basket(r.basket)
-    ctx = LBContext(basket.R)
-    pas = prime_powers(r.j_a)
-    return Candidate(
-        basket,
-        r.q,
-        r.j_a,
-        r.rXc13,
-        r.rXc2c1,
-        pas,
-        tuple(lb(ctx, pa) for pa in pas),
-        nabla(r.q, r.rXc13, r.rXc2c1),
-    )
+    cand = step3(Basket(r.basket), r.q, r.j_a, r.rXc13, r.rXc2c1)
+    if cand is None:
+        raise InvariantViolation(f"table row {case_id} fails the budget inequality")
+    return cand
 
 
 def _case_id_of(c: Candidate):
@@ -329,7 +321,7 @@ def _allowed_curve_orders(c: Candidate, cert) -> tuple:
     for j in range(2, c.j_a + 1):
         if c.j_a % j:
             continue
-        if Fraction(j * j - 1, j) * lb(ctx, j) <= c.nabla:
+        if curve_cost(j, lb(ctx, j)) <= c.nabla:
             allowed.append(j)
         else:
             excluded.append(j)
@@ -429,8 +421,8 @@ def _case_36(c, cert) -> Verdict:
         return _inconclusive(cert, f"unexpected allowed orders {allowed}")
     # each prime power in J_A forces a curve of the matching order
     lb5, lb7 = lb(ctx, 5), lb(ctx, 7)
-    floor_rest = Fraction(24, 5) * lb5 + Fraction(3, 2)
-    d_max = (c.nabla - floor_rest) / Fraction(48, 7)
+    floor_rest = curve_cost(5, lb5) + curve_cost(2, 1)
+    d_max = (c.nabla - floor_rest) / curve_cost(7, 1)
     degrees = [d for d in range(lb7, int(d_max) + 1, lb7)]
     cert.mechanical(
         f"forced: one A_6 (degree a multiple of {lb7}), one A_4 (degree a multiple "
@@ -488,7 +480,7 @@ def _case_32_33(c, cert) -> Verdict:
     )
     # canonical-part integrality for D = 2A: 2/3 - 70y/3 must be an integer
     r_x = gorenstein_index(c.basket)
-    const = Fraction(2 * r_x * 4, 2) * Fraction(c.rXc13, r_x * c.q * c.q)
+    const = Fraction(2 * r_x * 4, 2) * a2mk(c.q, c.rXc13, r_x)
     y_sols = [
         y for y in range(3)
         if (const - Fraction(2 * lb3 * y, 3)).denominator == 1
@@ -522,8 +514,8 @@ def _case_24(c, cert) -> Verdict:
         "determined",
     )
     nab = c.nabla
-    x_max = int((nab - Fraction(8, 3) * lb3 - Fraction(15, 4) * lb4) / Fraction(3, 2))
-    y4_max = int((nab - Fraction(8, 3) * lb3) / (Fraction(15, 4) * lb4))
+    x_max = int((nab - curve_cost(3, lb3) - curve_cost(4, lb4)) / curve_cost(2, 1))
+    y4_max = int((nab - curve_cost(3, lb3)) / curve_cost(4, lb4))
     cert.mechanical(
         f"budget bounds: x_A1 <= {x_max} and y4 <= {y4_max}", "narrowed"
     )
@@ -550,7 +542,7 @@ def _case_24(c, cert) -> Verdict:
     if sols != {(10, 1)}:
         return _inconclusive(cert, "joint residue solution not unique")
     x_a1, y4 = 10, 1
-    y3_max = int((nab - Fraction(3, 2) * x_a1 - Fraction(15, 4) * lb4 * y4) / (Fraction(8, 3) * lb3))
+    y3_max = int((nab - curve_cost(2, x_a1) - curve_cost(4, lb4 * y4)) / curve_cost(3, lb3))
     cert.mechanical(f"budget then forces y3 = 1 (y3 <= {y3_max})", "narrowed")
     if y3_max != 1:
         return _inconclusive(cert, "y3 not pinned")
@@ -558,11 +550,11 @@ def _case_24(c, cert) -> Verdict:
     # full h^0 formula with one A_2 and one A_3 curve of degree 5 and x_A1 = 10,
     # over every choice of local indices at the basket points
     cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4, 1)), x_A1=x_a1)
-    a2mk = Fraction(c.rXc13, gorenstein_index(c.basket) * c.q * c.q)
+    minus_a2k = a2mk(c.q, c.rXc13, gorenstein_index(c.basket))
     local = list(iproduct(*(range(p.r) for p in c.basket)))
 
     def h0_values(s):
-        vals = (h0_sA(c.q, a2mk, cfg, c.basket, idx, s) for idx in local)
+        vals = (h0_sA(c.q, minus_a2k, cfg, c.basket, idx, s) for idx in local)
         return {int(v) for v in vals if v.denominator == 1}
 
     expected = {2: 1, 3: 1, 6: 1, 30: 4, 31: 3}
@@ -589,13 +581,13 @@ def _case_27(c, cert) -> Verdict:
     if allowed != (3,):
         return _inconclusive(cert, f"unexpected allowed orders {allowed}")
     lb3 = lb(ctx, 3)
-    y_max = int(c.nabla / (Fraction(8, 3) * lb3))
+    y_max = int(c.nabla / curve_cost(3, lb3))
     cert.mechanical(
         f"every crepant curve is an A_2; total degree {lb3}y with 1 <= y <= {y_max}",
         "determined",
     )
     r_x = gorenstein_index(c.basket)
-    const = Fraction(r_x, 1) * Fraction(c.rXc13, r_x * c.q * c.q)
+    const = r_x * a2mk(c.q, c.rXc13, r_x)
     y_sols = [
         y for y in range(1, y_max + 1)
         if (const - Fraction(2 * lb3 * y, 3)).denominator == 1

@@ -26,6 +26,8 @@ __all__ = [
     "residue_term_builder",
     "km_bound",
     "nabla",
+    "a2mk",
+    "curve_cost",
     "delta_lower_bound",
 ]
 
@@ -101,7 +103,7 @@ def c_curve(j: int, unit: int, s: int) -> Fraction:
 def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
     """Exact h^0(sA) for 0 < s < q, given full local data.
 
-    ``A2mK`` is the exact value -A^2.K = r_Xc1^3 / (r_X q^2); ``idx`` maps
+    ``A2mK`` is the exact value -A^2.K, see ``a2mk``; ``idx`` maps
     basket position -> local index i at that point.  The result is an
     integer whenever the inputs describe a genuine variety, but the
     function does not assume it.
@@ -116,7 +118,7 @@ def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
         val += Fraction(c.degree_rXKC, r_x) * c_curve(c.j, c.generator_unit, s)
     if cfg.x_A1 is None:
         raise ValueError("h0_sA needs a concrete x_A1")
-    val -= Fraction(cfg.x_A1 * (s % 2), 4 * r_x)
+    val += Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
     for pos, p in enumerate(B):
         i = idx.get(pos, 0) if hasattr(idx, "get") else idx[pos]
         val -= sigma_pair(i * p.b, p.r)
@@ -127,7 +129,7 @@ def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
 class UnknownTerm:
     """One unknown residue in a constraint system.
 
-    shape "quadratic": value(u) = coeff * u(m-u)/(2m)  (orbifold/curve term)
+    shape "quadratic": value(u) = coeff * sigma_pair(u, m)  (orbifold/curve term)
     shape "linear":    value(u) = coeff * u            (aggregated degree)
     In both shapes u ranges over [0, m).
     """
@@ -139,7 +141,7 @@ class UnknownTerm:
 
     def value(self, u: int) -> Fraction:
         if self.shape == "quadratic":
-            return self.coeff * Fraction(u * (self.modulus - u), 2 * self.modulus)
+            return self.coeff * sigma_pair(u, self.modulus)
         return self.coeff * u
 
 
@@ -189,7 +191,7 @@ def residue_term_builder(
     """
     r_x = gorenstein_index(B)
     sys = ResidueConstraintSystem(
-        constant=Fraction(r_prime * s * s, 2) * Fraction(rXc13, r_x * q * q)
+        constant=Fraction(r_prime * s * s, 2) * a2mk(q, rXc13, r_x)
     )
     if cartier_codim2:
         sys.notes.append("curve corrections vanish: divisor Cartier in codimension 2")
@@ -200,13 +202,13 @@ def residue_term_builder(
                 sys.notes.append(f"A_{c.j - 1} term drops: degree {deg} kills the correction")
                 continue
             if c.generator_unit is not None:
-                sys.fixed_terms.append(-deg * sigma_pair(s * c.generator_unit, c.j))
+                sys.fixed_terms.append(deg * c_curve(c.j, c.generator_unit, s))
             else:
                 sys.unknown_terms.append(
                     UnknownTerm(-deg, c.j, "quadratic", f"A_{c.j - 1} class")
                 )
         if cfg.a1_allowed and s % 2 == 1:
-            coeff = -Fraction(r_prime, 4 * r_x)
+            coeff = Fraction(r_prime, r_x) * c_curve(2, 1, s)
             if cfg.x_A1 is not None:
                 sys.fixed_terms.append(coeff * cfg.x_A1)
             elif coeff.denominator == 1:
@@ -260,12 +262,23 @@ def nabla(q: int, rXc13, rXc2c1) -> Fraction:
     return Fraction(rXc2c1) - Fraction(q * q + 2 * q - 4, 4 * q * q) * Fraction(rXc13)
 
 
+def a2mk(q: int, rXc13: int, r_x: int) -> Fraction:
+    """-A^2.K = r_Xc1^3 / (r_X q^2) for the polarization A = -K/q."""
+    return Fraction(rXc13, r_x * q * q)
+
+
+def curve_cost(j: int, degree) -> Fraction:
+    """Budget cost (j - 1/j) * degree of crepant A_{j-1} curves of total
+    degree ``degree``; the A_1 aggregate x_A1 costs curve_cost(2, x_A1)."""
+    return Fraction(j * j - 1, j) * degree
+
+
 def delta_lower_bound(cfg: CurveConfig) -> Fraction:
-    """Total crepant-curve contribution sum (j - 1/j) * degree, with the
-    A_1 aggregate contributing (3/2) x_A1.  Needs all degrees known."""
+    """Total crepant-curve demand: the curve_cost of every curve and of the
+    A_1 aggregate.  Needs all degrees known."""
     if cfg.x_A1 is None:
         raise ValueError("x_A1 still symbolic; pin it before bounding")
-    total = Fraction(3, 2) * cfg.x_A1
+    total = curve_cost(2, cfg.x_A1)
     for c in cfg.curves:
-        total += Fraction(c.j * c.j - 1, c.j) * c.degree_rXKC
+        total += curve_cost(c.j, c.degree_rXKC)
     return total

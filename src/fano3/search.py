@@ -18,7 +18,7 @@ from functools import lru_cache
 from .arith import InvariantViolation, prime_powers
 from .basket import Basket, enumerate_R, enumerate_baskets, gorenstein_index, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb
-from .rr import nabla
+from .rr import curve_cost, nabla
 
 __all__ = [
     "Candidate",
@@ -149,14 +149,18 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
                 yield basket, q, j_a, rXc13
 
 
+def _demand(pas, lbs) -> Fraction:
+    """Curve cost of one curve per prime power, each of its least degree."""
+    return sum((curve_cost(pa, val) for pa, val in zip(pas, lbs)), Fraction(0))
+
+
 def step3(basket: Basket, q: int, j_a: int, rXc13: int, rXc2c1: int):
     """Attach prime powers, degree bounds and nabla; filter by the budget."""
     ctx = LBContext(basket.R)
     pas = prime_powers(j_a)
     lbs = tuple(lb(ctx, pa) for pa in pas)
     nab = nabla(q, rXc13, rXc2c1)
-    demand = sum((Fraction(pa * pa - 1, pa) * val for pa, val in zip(pas, lbs)), Fraction(0))
-    if nab < demand:
+    if nab < _demand(pas, lbs):
         return None
     return Candidate(basket, q, j_a, rXc13, rXc2c1, pas, lbs, nab)
 
@@ -201,10 +205,6 @@ def verify_candidate(c: Candidate, q_min: int, mode: str = GREATER) -> None:
     Raises InvariantViolation naming the first invariant that fails.
     """
     ctx = LBContext(c.basket.R)
-    demand = sum(
-        (Fraction(pa * pa - 1, pa) * val for pa, val in zip(c.prime_powers, c.lb_values)),
-        Fraction(0),
-    )
     checks = (
         (c.q > q_min if mode == GREATER else c.q == q_min, f"index outside the {mode} range"),
         (c.q % c.j_a == 0, "J_A must divide q"),
@@ -216,7 +216,7 @@ def verify_candidate(c: Candidate, q_min: int, mode: str = GREATER) -> None:
         (c.prime_powers == prime_powers(c.j_a), "prime powers of J_A"),
         (c.lb_values == tuple(lb(ctx, pa) for pa in c.prime_powers), "degree lower bounds"),
         (c.nabla == nabla(c.q, c.rXc13, c.rXc2c1), "nabla"),
-        (c.nabla >= demand, "budget inequality"),
+        (c.nabla >= _demand(c.prime_powers, c.lb_values), "budget inequality"),
     )
     for holds, what in checks:
         if not holds:

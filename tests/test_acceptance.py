@@ -2,7 +2,6 @@
 
 import json
 import random
-import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +22,6 @@ from fano3.eliminate import (
 )
 from fano3.lb import LBContext, lb
 from fano3.rr import c_orbifold, delta_lower_bound
-from fano3.search import run_search
 from fano3.tables import GROUP_A, GROUP_C_PLUS, TABLE_EQ66, TABLE_MAIN
 from fano3.wps import WeightedP3, anticanonical_degree, anticanonical_volume, h0 as wps_h0
 
@@ -37,16 +35,12 @@ from test_eliminate import (
 GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
 
 
-def test_criterion_1_main_table(candidates_greater):
-    start = time.monotonic()
-    fresh = run_search(66, "greater", 8)
-    elapsed_8 = time.monotonic() - start
-    assert elapsed_8 < 300
-    assert fresh == candidates_greater
+def test_criterion_1_main_table(candidates_greater, candidates_greater_w8):
+    from conftest import SEARCH_SECONDS
 
-    from conftest import SINGLE_THREAD_SECONDS
-
-    assert SINGLE_THREAD_SECONDS["greater"] < 1800
+    assert SEARCH_SECONDS[8] < 300
+    assert candidates_greater_w8 == candidates_greater
+    assert SEARCH_SECONDS[1] < 1800
 
     assert len(candidates_greater) == 36
     expected = {
@@ -148,7 +142,7 @@ def test_criterion_8_full_pipeline(pipeline_report):
     assert Fraction(194940, 22110) > 8
 
 
-def test_criterion_9_property_suites(candidates_greater):
+def test_criterion_9_property_suites(candidates_greater, candidates_greater_w4):
     from fano3.arith import sigma_pair
     from fano3.duval import DuValType, class_group, invariants
 
@@ -180,7 +174,7 @@ def test_criterion_9_property_suites(candidates_greater):
             series[d] += series[d - weight]
     assert [wps_h0(w, s) for s in range(201)] == series
     # worker determinism
-    assert run_search(66, "greater", 4) == candidates_greater
+    assert candidates_greater_w4 == candidates_greater
 
 
 def test_criterion_10_solver_oracle():

@@ -9,17 +9,8 @@ from fano3.arith import (
     is_prime,
     p_adic_valuation,
     prime_powers,
-    residue,
     sigma_pair,
 )
-
-
-def test_residue_basics():
-    assert residue(7, 5) == 2
-    assert residue(-1, 5) == 4
-    assert residue(0, 3) == 0
-    with pytest.raises(ValueError):
-        residue(1, 0)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 500))

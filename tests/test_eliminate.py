@@ -29,7 +29,7 @@ from fano3.eliminate import (
     solve_group_c_residues,
 )
 from fano3.rr import ResidueConstraintSystem, UnknownTerm, delta_lower_bound
-from fano3.tables import GROUP_A, GROUP_B, GROUP_C_MINUS, GROUP_C_PLUS, group_of, row
+from fano3.tables import GROUP_A, GROUP_B, GROUP_C_MINUS, GROUP_C_PLUS, TABLE_MAIN, group_of, row
 from fano3.wps import WeightedP3, h0 as wps_h0
 
 GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
@@ -37,9 +37,10 @@ GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
 
 def reference_solve(sys):
     """Direct enumerator with a deliberately different iteration order."""
-    ranges = [list(reversed(range(t.modulus))) for t in sys.unknown_terms]
-    for assign in product(*ranges):
-        if sys.total(assign).denominator == 1:
+    base = sys.constant + sum(sys.fixed_terms, Fraction(0))
+    tables = [[t.value(u) for u in reversed(range(t.modulus))] for t in sys.unknown_terms]
+    for values in product(*tables):
+        if (base + sum(values)).denominator == 1:
             return True
     return False
 
@@ -103,6 +104,12 @@ def test_solver_cap():
     sys = ResidueConstraintSystem(Fraction(1, 3), [], terms)
     with pytest.raises(DomainTooLarge):
         exists_integral_solution(sys, cap=10**6)
+
+
+def test_candidate_for_case_matches_search(candidates_greater):
+    by_key = {c.key: c for c in candidates_greater}
+    for r in TABLE_MAIN:
+        assert candidate_for_case(r.no) == by_key[r.key], r.no
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,44 @@
+"""Every module-level import in the package is used or re-exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fano3"
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by module-level imports that the module never reads and
+    does not list in ``__all__`` (``from __future__`` excepted)."""
+    tree = ast.parse(source)
+    imported = []
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in read and name not in exported]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_detection():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, json as j\n"
+        "from math import gcd, lcm\n"
+        "__all__ = ['lcm']\n"
+        "def f():\n"
+        "    return os.sep + j.dumps(1)\n"
+    )
+    assert unused_imports(source) == ["gcd"]

@@ -66,9 +66,9 @@ def test_table_eq66_regression(candidates_equal):
         assert cand.nabla_display == row.nabla_display
 
 
-def test_worker_determinism(candidates_greater):
-    assert run_search(66, "greater", 4) == candidates_greater
-    assert run_search(66, "greater", 8) == candidates_greater
+def test_worker_determinism(candidates_greater, candidates_greater_w4, candidates_greater_w8):
+    assert candidates_greater_w4 == candidates_greater
+    assert candidates_greater_w8 == candidates_greater
 
 
 def test_verify_candidate_rejects_tampering(candidates_greater):
