@@ -8,16 +8,13 @@ rounding happens only in the CLI.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 __all__ = [
     "InvariantViolation",
-    "INFINITY",
     "sigma_pair",
-    "p_adic_valuation",
+    "sigma_numerator",
     "indicator",
-    "is_prime",
     "prime_powers",
 ]
 
@@ -31,10 +28,6 @@ class InvariantViolation(AssertionError):
     """
 
 
-#: Sentinel for the valuation of 0.
-INFINITY = math.inf
-
-
 def sigma_pair(x: int, r: int) -> Fraction:
     """The even periodic correction term x-bar * (-x)-bar / (2r).
 
@@ -43,26 +36,16 @@ def sigma_pair(x: int, r: int) -> Fraction:
     it vanishes exactly when r | x and satisfies
     sum over a period = (r^2 - 1)/12.
     """
+    return Fraction(sigma_numerator(x, r), 2 * r)
+
+
+def sigma_numerator(x: int, r: int) -> int:
+    """The integer 2r * sigma_pair(x, r) = x-bar * (r - x-bar); sums of
+    corrections over a common denominator add these instead of Fractions."""
     if r <= 0:
         raise ValueError(f"modulus must be a positive integer, got {r}")
     u = x % r
-    return Fraction(u * (r - u), 2 * r)
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic primality test for the small integers used here."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return u * (r - u)
 
 
 def prime_powers(n: int) -> tuple:
@@ -80,25 +63,6 @@ def prime_powers(n: int) -> tuple:
     if n > 1:
         out.append(n)
     return tuple(sorted(out))
-
-
-def p_adic_valuation(x, p: int):
-    """p-adic valuation of a rational number; +infinity for x = 0."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
-    if x == 0:
-        return INFINITY
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
 
 
 def indicator(statement: bool) -> int:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from .arith import InvariantViolation, p_adic_valuation, sigma_pair
+from .arith import InvariantViolation, sigma_pair
 
 __all__ = [
     "OrbifoldPoint",
@@ -22,7 +22,6 @@ __all__ = [
     "BUDGET",
     "gorenstein_index",
     "rX_c2c1",
-    "n_count",
     "enumerate_R",
     "enumerate_baskets",
     "rr_fano_integral",
@@ -90,7 +89,7 @@ def r_budget(R) -> Fraction:
 
 def gorenstein_index(B: Basket) -> int:
     """lcm of the local indices; 1 for the empty basket."""
-    return lcm(*B.R) if len(B) else 1
+    return lcm(*B.R)
 
 
 def rX_c2c1(R) -> int:
@@ -102,16 +101,11 @@ def rX_c2c1(R) -> int:
     total = r_budget(R)
     if total >= BUDGET:
         raise ValueError(f"R={R} is not admissible (budget {total} >= {BUDGET})")
-    r_x = lcm(*R) if R else 1
+    r_x = lcm(*R)
     value = r_x * (BUDGET - total)
     if value.denominator != 1 or value <= 0:
         raise InvariantViolation(f"r_X c2c1 of R={R} is {value}, not a positive integer")
     return int(value)
-
-
-def n_count(R, p: int, e: int) -> int:
-    """Number of elements of R (with multiplicity) of exact p-valuation e."""
-    return sum(1 for r in R if p_adic_valuation(r, p) == e)
 
 
 def enumerate_R(max_r: int = 24):

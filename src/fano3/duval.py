@@ -205,16 +205,11 @@ def class_group(t: DuValType):
     return [d for d in diag if d > 1]
 
 
-def _solve_multiplicities(t: DuValType, c: WeilClass):
-    """Fractional multiplicities a with -Cartan * a = pairing (exact)."""
-    n = t.rank
-    if len(c.pairing) != n:
-        raise ValueError("pairing vector length does not match rank")
-    # Gaussian elimination over Q on [-Cartan | pairing]
-    aug = [
-        [Fraction(-x) for x in row] + [Fraction(c.pairing[i])]
-        for i, row in enumerate(cartan_matrix(t))
-    ]
+def _solve_exact(matrix, rhs):
+    """Solve matrix * x = rhs over Q for an invertible square matrix."""
+    n = len(matrix)
+    # Gauss-Jordan elimination on [matrix | rhs]
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -225,6 +220,14 @@ def _solve_multiplicities(t: DuValType, c: WeilClass):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+def _solve_multiplicities(t: DuValType, c: WeilClass):
+    """Fractional multiplicities a with -Cartan * a = pairing (exact)."""
+    if len(c.pairing) != t.rank:
+        raise ValueError("pairing vector length does not match rank")
+    neg_cartan = [[-x for x in row] for row in cartan_matrix(t)]
+    return _solve_exact(neg_cartan, c.pairing)
 
 
 def has_integral_multiplicity(t: DuValType, c: WeilClass) -> bool:
@@ -240,7 +243,6 @@ def has_integral_multiplicity(t: DuValType, c: WeilClass) -> bool:
 def class_representatives(t: DuValType):
     """One pairing vector per divisor class (the zero class included)."""
     diag, u, _ = smith_normal_form(cartan_matrix(t))
-    n = t.rank
     # cokernel coordinates c (0 <= c_i < d_i) map back via p = U^{-1} c;
     # since U is unimodular, solving U p = c over Z gives representatives.
     reps = []
@@ -252,21 +254,7 @@ def class_representatives(t: DuValType):
 
 def _solve_integer(u, rhs):
     """Solve U x = rhs for unimodular integer U (exact, via fractions)."""
-    n = len(u)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(u)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        val = aug[i][n]
-        if val.denominator != 1:
-            raise InvariantViolation("unimodular solve produced a fraction")
-        out.append(int(val))
-    return out
+    out = _solve_exact(u, rhs)
+    if any(val.denominator != 1 for val in out):
+        raise InvariantViolation("unimodular solve produced a fraction")
+    return [int(val) for val in out]

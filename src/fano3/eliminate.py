@@ -24,7 +24,7 @@ from functools import cache
 from itertools import product as iproduct
 from math import lcm
 
-from .arith import InvariantViolation, prime_powers, sigma_pair
+from .arith import InvariantViolation, prime_powers
 from .basket import Basket, gorenstein_index
 from .certificates import CITED_LEMMA, MECHANICAL, EliminationCertificate, Verdict
 from .lb import LBContext, lb
@@ -82,6 +82,10 @@ class Undetermined:
     pin the configuration instead."""
 
     reason: str
+
+
+#: No crepant curves at all, the A_1 aggregate included.
+_NO_CURVES = CurveConfig((), x_A1=0, a1_allowed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +189,9 @@ def determine_curves(c: Candidate):
     """
     j_a = c.j_a
     if j_a == 1:
-        return CurveConfig((), x_A1=0, a1_allowed=False)
+        return _NO_CURVES
     if j_a == 2:
-        return CurveConfig((), x_A1=None, a1_allowed=True, a1_forced=True)
+        return CurveConfig((), x_A1=None, a1_allowed=True)
 
     ctx = LBContext(c.basket.R)
     pps = prime_powers(j_a)
@@ -213,7 +217,7 @@ def determine_curves(c: Candidate):
             )
         if two_part == 1:
             return CurveConfig(tuple(curves), x_A1=0, a1_allowed=False)
-        return CurveConfig(tuple(curves), x_A1=None, a1_allowed=True, a1_forced=True)
+        return CurveConfig(tuple(curves), x_A1=None, a1_allowed=True)
 
     # even part 2^a >= 4 contributes its own curve
     p_prime = min([4] + odd_primes)
@@ -224,7 +228,7 @@ def determine_curves(c: Candidate):
         )
     curves.append(CrepantCurve(two_part, lb(ctx, two_part)))
     curves.sort(key=lambda cc: cc.j)
-    return CurveConfig(tuple(curves), x_A1=None, a1_allowed=True, a1_forced=False)
+    return CurveConfig(tuple(curves), x_A1=None, a1_allowed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +276,7 @@ def eliminate_group_a(c: Candidate, case_id: int | None = None) -> Verdict:
         "determined",
     )
 
-    r_x = gorenstein_index(c.basket)
+    r_x = c.r_x
     free_cfg = CurveConfig(cfg.curves, x_A1=None, a1_allowed=cfg.a1_allowed)
     sys = residue_term_builder(
         c.q, c.rXc13, c.basket, free_cfg, r_prime=2 * r_x, s=2, drop_curve_terms=False
@@ -382,10 +386,7 @@ def _case_20(c, cert) -> Verdict:
         "Cartier in codimension 2, so curve corrections vanish",
         "determined",
     )
-    sys = residue_term_builder(
-        c.q, c.rXc13, c.basket, CurveConfig((), x_A1=None), r_prime=1, s=c.j_a,
-        cartier_codim2=True,
-    )
+    sys = residue_term_builder(c.q, c.rXc13, c.basket, _NO_CURVES, r_prime=1, s=c.j_a)
     return _refute(
         sys,
         cert,
@@ -402,7 +403,7 @@ def _case_23(c, cert) -> Verdict:
         "forced curves: A_2 and A_3, each of degree 14; A_1 aggregate possible",
         "determined",
     )
-    r_prime = gorenstein_index(c.basket) * c.j_a  # 336: every term vanishes
+    r_prime = c.r_x * c.j_a  # 336: every term vanishes
     sys = residue_term_builder(
         c.q, c.rXc13, c.basket, CurveConfig(cfg.curves, x_A1=None), r_prime, s=1
     )
@@ -479,7 +480,7 @@ def _case_32_33(c, cert) -> Verdict:
         "determined",
     )
     # canonical-part integrality for D = 2A: 2/3 - 70y/3 must be an integer
-    r_x = gorenstein_index(c.basket)
+    r_x = c.r_x
     const = Fraction(2 * r_x * 4, 2) * a2mk(c.q, c.rXc13, r_x)
     y_sols = [
         y for y in range(3)
@@ -550,7 +551,7 @@ def _case_24(c, cert) -> Verdict:
     # full h^0 formula with one A_2 and one A_3 curve of degree 5 and x_A1 = 10,
     # over every choice of local indices at the basket points
     cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4, 1)), x_A1=x_a1)
-    minus_a2k = a2mk(c.q, c.rXc13, gorenstein_index(c.basket))
+    minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
     local = list(iproduct(*(range(p.r) for p in c.basket)))
 
     def h0_values(s):
@@ -586,7 +587,7 @@ def _case_27(c, cert) -> Verdict:
         f"every crepant curve is an A_2; total degree {lb3}y with 1 <= y <= {y_max}",
         "determined",
     )
-    r_x = gorenstein_index(c.basket)
+    r_x = c.r_x
     const = r_x * a2mk(c.q, c.rXc13, r_x)
     y_sols = [
         y for y in range(1, y_max + 1)
@@ -741,14 +742,21 @@ def _case_35(c, cert) -> Verdict:
 # ---------------------------------------------------------------------------
 
 # Every Group C candidate shares the h^0 of P(5,6,22,33): index 66, basket
-# {(2,1),(3,1),(5,2),(11,2)}, -A^2.K = 1/330 and no crepant curves.
+# {(2,1),(3,1),(5,2),(11,2)}, r_X(-K)^3 = 330 * 66^3 / (5*6*22*33) = 4356
+# and no crepant curves.
 _GROUP_C_BASKET = Basket({(2, 1), (3, 1), (5, 2), (11, 2)})
-_NO_CURVES = CurveConfig((), x_A1=0, a1_allowed=False)
+_GROUP_C_A2MK = a2mk(66, 4356, gorenstein_index(_GROUP_C_BASKET))
 
 
 @cache  # every Group C case replays the same derivation
 def _group_c_h0(idx: tuple, s: int) -> Fraction:
-    return h0_sA(66, Fraction(1, 330), _NO_CURVES, _GROUP_C_BASKET, idx, s)
+    return h0_sA(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, idx, s)
+
+
+def _group_c_index(residues) -> tuple:
+    """Local indices y * b^-1 mod r at which the Group C points take the
+    given residues y."""
+    return tuple(y * pow(p.b, -1, p.r) % p.r for y, p in zip(residues, _GROUP_C_BASKET))
 
 
 def group_c_closed_form(s: int) -> int:
@@ -805,15 +813,12 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
     if even != {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]} or h0_2a_vals != {0}:
         raise InvariantViolation(f"unexpected h^0(2A) residues {even} or values {h0_2a_vals}")
 
-    # canonical sign choice: 0, 2, 4, 4
+    # canonical sign choice: 0, 2, 4, 4; the half-point residue stays 0
     odd_sols = set()
     for y3, y5, y11 in iproduct(range(3), range(5), range(11)):
-        v = (
-            -Fraction(2, 165)
-            - sigma_pair(y3, 3) + sigma_pair(2 + y3, 3)
-            - sigma_pair(y5, 5) + sigma_pair(4 + y5, 5)
-            - sigma_pair(y11, 11) + sigma_pair(4 + y11, 11)
-        )
+        idx_a = _group_c_index((0, y3, y5, y11))
+        idx_3a = _group_c_index((0, y3 + 2, y5 + 4, y11 + 4))
+        v = _group_c_h0(idx_a, 1) - _group_c_h0(idx_3a, 3)
         if v.denominator == 1:
             odd_sols.add((y3, y5, y11))
     odd = {r: sorted({y[k] for y in odd_sols}) for k, r in enumerate((3, 5, 11))}
@@ -828,7 +833,7 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
     if odd != {3: [1], 5: [2], 11: [2]}:
         raise InvariantViolation(f"unexpected odd-correction residues {odd}")
 
-    r_x = gorenstein_index(c.basket)
+    r_x = c.r_x
     # h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = 1/4; the residual is h^0(A)
     # with the odd corrections above (local index 1) and none at the half-point
     residual = _group_c_h0((0, 1, 1, 1), 1)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import lcm
 
 from .arith import indicator
-from .basket import n_count
 
 __all__ = ["LBContext", "f_p", "lb", "SMALL_PRIMES"]
 
@@ -26,13 +25,19 @@ class LBContext:
     R: tuple
 
     def __init__(self, R):
-        object.__setattr__(self, "R", tuple(sorted(R)))
-        counts = {}
-        for p in SMALL_PRIMES:
-            e = 1
-            while p**e <= 24:
-                counts[(p, e)] = n_count(self.R, p, e)
-                e += 1
+        R = tuple(sorted(R))
+        if R and R[0] < 2:
+            raise ValueError(f"basket indices must be at least 2, got R={R}")
+        counts = {}  # (p, e) -> number of r in R with exact p-valuation e >= 1
+        for r in R:
+            for p in SMALL_PRIMES:
+                e = 0
+                while r % p == 0:
+                    r //= p
+                    e += 1
+                if e:
+                    counts[p, e] = counts.get((p, e), 0) + 1
+        object.__setattr__(self, "R", R)
         object.__setattr__(self, "_counts", counts)
 
     def n(self, p: int, e: int) -> int:
@@ -41,7 +46,7 @@ class LBContext:
 
     @property
     def r_x(self) -> int:
-        return lcm(*self.R) if self.R else 1
+        return lcm(*self.R)
 
 
 def f_p(ctx: LBContext, p: int, N: int) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import sigma_pair
+from .arith import sigma_numerator, sigma_pair
 from .basket import Basket, gorenstein_index
 
 __all__ = [
@@ -63,8 +63,6 @@ class CurveConfig:
     x_A1: int | None = 0
     # a_1 curves allowed at all (False forces x_A1 = 0)
     a1_allowed: bool = True
-    # at least one A_1 curve must exist (so x_A1 > 0)
-    a1_forced: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
@@ -103,26 +101,28 @@ def c_curve(j: int, unit: int, s: int) -> Fraction:
 def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
     """Exact h^0(sA) for 0 < s < q, given full local data.
 
-    ``A2mK`` is the exact value -A^2.K, see ``a2mk``; ``idx`` maps
-    basket position -> local index i at that point.  The result is an
-    integer whenever the inputs describe a genuine variety, but the
+    ``A2mK`` is the exact value -A^2.K, see ``a2mk``; ``idx`` lists the
+    local index i at each basket point, in basket order.  The result is
+    an integer whenever the inputs describe a genuine variety, but the
     function does not assume it.
     """
     if not 0 < s < q:
         raise ValueError(f"need 0 < s < q, got s={s}, q={q}")
+    if cfg.x_A1 is None:
+        raise ValueError("h0_sA needs a concrete x_A1")
     r_x = gorenstein_index(B)
     val = Fraction(s * s, 2) * Fraction(A2mK) + 2
     for c in cfg.curves:
         if c.generator_unit is None:
             raise ValueError("h0_sA needs concrete generator units")
         val += Fraction(c.degree_rXKC, r_x) * c_curve(c.j, c.generator_unit, s)
-    if cfg.x_A1 is None:
-        raise ValueError("h0_sA needs a concrete x_A1")
-    val += Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
-    for pos, p in enumerate(B):
-        i = idx.get(pos, 0) if hasattr(idx, "get") else idx[pos]
-        val -= sigma_pair(i * p.b, p.r)
-    return val
+    if cfg.x_A1:
+        val += Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
+    # the orbifold corrections sigma_pair(i b, r), summed over 2 r_X
+    orbifold = sum(
+        sigma_numerator(i * p.b, p.r) * (r_x // p.r) for i, p in zip(idx, B, strict=True)
+    )
+    return val - Fraction(orbifold, 2 * r_x)
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,6 @@ def residue_term_builder(
     cfg: CurveConfig,
     r_prime: int,
     s: int,
-    cartier_codim2: bool = False,
     drop_curve_terms: bool = True,
 ) -> ResidueConstraintSystem:
     """Instantiate the general integrality constraint for D = sA and a
@@ -184,8 +183,8 @@ def residue_term_builder(
     The constraint says -(r'/2) D^2.K + sum (-r'K.C) c_C(D) - sum of
     orbifold corrections is an integer; terms that are integral for every
     residue choice are dropped (and noted), the rest become unknowns.
-    With ``cartier_codim2`` the divisor is Cartier in codimension 2 and all
-    curve corrections vanish identically.  ``drop_curve_terms=False`` keeps
+    A divisor that is Cartier in codimension 2 has no curve corrections;
+    pass a config without curves.  ``drop_curve_terms=False`` keeps
     curve unknowns even when the vanishing rule applies, so a certificate
     can exhaust the full published residue domain.
     """
@@ -193,32 +192,29 @@ def residue_term_builder(
     sys = ResidueConstraintSystem(
         constant=Fraction(r_prime * s * s, 2) * a2mk(q, rXc13, r_x)
     )
-    if cartier_codim2:
-        sys.notes.append("curve corrections vanish: divisor Cartier in codimension 2")
-    else:
-        for c in cfg.curves:
-            deg = Fraction(r_prime * c.degree_rXKC, r_x)
-            if drop_curve_terms and deg.denominator == 1 and _curve_term_integral(c.j, int(deg)):
-                sys.notes.append(f"A_{c.j - 1} term drops: degree {deg} kills the correction")
-                continue
-            if c.generator_unit is not None:
-                sys.fixed_terms.append(deg * c_curve(c.j, c.generator_unit, s))
-            else:
-                sys.unknown_terms.append(
-                    UnknownTerm(-deg, c.j, "quadratic", f"A_{c.j - 1} class")
-                )
-        if cfg.a1_allowed and s % 2 == 1:
-            coeff = Fraction(r_prime, r_x) * c_curve(2, 1, s)
-            if cfg.x_A1 is not None:
-                sys.fixed_terms.append(coeff * cfg.x_A1)
-            elif coeff.denominator == 1:
-                sys.notes.append("A_1 aggregate drops: coefficient integral")
-            else:
-                sys.unknown_terms.append(
-                    UnknownTerm(coeff, coeff.denominator, "linear", "x_A1")
-                )
-        elif cfg.a1_allowed:
-            sys.notes.append("A_1 aggregate drops: even multiple of the polarization")
+    for c in cfg.curves:
+        deg = Fraction(r_prime * c.degree_rXKC, r_x)
+        if drop_curve_terms and deg.denominator == 1 and _curve_term_integral(c.j, int(deg)):
+            sys.notes.append(f"A_{c.j - 1} term drops: degree {deg} kills the correction")
+            continue
+        if c.generator_unit is not None:
+            sys.fixed_terms.append(deg * c_curve(c.j, c.generator_unit, s))
+        else:
+            sys.unknown_terms.append(
+                UnknownTerm(-deg, c.j, "quadratic", f"A_{c.j - 1} class")
+            )
+    if cfg.a1_allowed and s % 2 == 1:
+        coeff = Fraction(r_prime, r_x) * c_curve(2, 1, s)
+        if cfg.x_A1 is not None:
+            sys.fixed_terms.append(coeff * cfg.x_A1)
+        elif coeff.denominator == 1:
+            sys.notes.append("A_1 aggregate drops: coefficient integral")
+        else:
+            sys.unknown_terms.append(
+                UnknownTerm(coeff, coeff.denominator, "linear", "x_A1")
+            )
+    elif cfg.a1_allowed:
+        sys.notes.append("A_1 aggregate drops: even multiple of the polarization")
     for p in B:
         if (p.r % 2 == 1 and r_prime % p.r == 0) or (
             p.r % 2 == 0 and r_prime % (2 * p.r) == 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import InvariantViolation, prime_powers
+from .arith import InvariantViolation, prime_powers, sigma_numerator
 from .basket import Basket, enumerate_R, enumerate_baskets, gorenstein_index, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb
 from .rr import curve_cost, nabla
@@ -142,7 +142,7 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
     for basket in enumerate_baskets(R):
         r_x = gorenstein_index(basket)
         # chi(-K) in Z  <=>  rXc13 = sum b(r-b) r_X/r  (mod 2 r_X)
-        offset = sum(p.b * (p.r - p.b) * (r_x // p.r) for p in basket)
+        offset = sum(sigma_numerator(p.b, p.r) * (r_x // p.r) for p in basket)
         modulus = 2 * r_x
         for q, j_a, rXc13 in triples:
             if (rXc13 - offset) % modulus == 0:

@@ -9,7 +9,6 @@ from fano3.basket import (
     enumerate_R,
     enumerate_baskets,
     gorenstein_index,
-    n_count,
     r_budget,
     rX_c2c1,
     rr_fano_integral,
@@ -44,12 +43,6 @@ def test_rX_c2c1_always_positive_integer():
     for R in enumerate_R():
         v = rX_c2c1(R)
         assert isinstance(v, int) and v > 0
-
-
-def test_n_count():
-    assert n_count((2, 4, 4, 7), 2, 2) == 2
-    assert n_count((2, 4, 4, 7), 2, 1) == 1
-    assert n_count((9, 3), 3, 2) == 1
 
 
 def test_enumerate_R_membership():

@@ -77,6 +77,7 @@ def test_bad_flags_exit_2(capsys):
     assert main(["h0", "--s", "0..70"]) == 2
     assert main(["wps", "--weights", "1,2", "--smax", "5"]) == 2
     assert main(["duval", "--type", "Z9"]) == 2
+    assert main(["lb", "--R", "0,3", "--N", "3"]) == 2
 
 
 def test_h0_values(capsys):

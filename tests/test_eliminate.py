@@ -123,7 +123,7 @@ def test_determine_curves_trivial_j_a():
 
     c12 = candidate_for_case(12)  # J_A = 2
     cfg = determine_curves(c12)
-    assert cfg.curves == () and cfg.x_A1 is None and cfg.a1_forced
+    assert cfg.curves == () and cfg.x_A1 is None and cfg.a1_allowed
 
 
 def test_determine_curves_case_1():

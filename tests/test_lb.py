@@ -1,9 +1,28 @@
 import random
 from math import gcd
 
-from fano3.basket import r_budget
-from fano3.lb import LBContext, f_p, lb
+import pytest
+
+from fano3.basket import enumerate_R, r_budget
+from fano3.lb import SMALL_PRIMES, LBContext, f_p, lb
 from fano3.tables import TABLE_MAIN
+
+
+def test_n_counts_exact_valuations():
+    # n(p, e) counts the r in R that p^e divides and p^(e+1) does not
+    for R in enumerate_R():
+        ctx = LBContext(R)
+        for p in SMALL_PRIMES:
+            for e in range(1, 6):
+                expected = sum(1 for r in R if r % p**e == 0 and r % p ** (e + 1))
+                assert ctx.n(p, e) == expected, (R, p, e)
+
+
+def test_context_rejects_indices_below_two():
+    with pytest.raises(ValueError):
+        LBContext((0, 3))
+    with pytest.raises(ValueError):
+        LBContext((1,))
 
 
 def test_f_p_examples():

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from fano3.arith import sigma_pair
 from fano3.basket import Basket
 from fano3.rr import (
     CrepantCurve,
@@ -10,6 +13,7 @@ from fano3.rr import (
     c_curve,
     c_orbifold,
     delta_lower_bound,
+    h0_sA,
     km_bound,
     nabla,
     residue_term_builder,
@@ -42,6 +46,40 @@ def test_c_curve():
     assert c_curve(4, 3, 2) == c_curve(4, 1, 2)
     with pytest.raises(ValueError):
         c_curve(4, 2, 1)
+
+
+def test_h0_sA_matches_term_by_term_sum():
+    # oracle: every correction added as its own Fraction
+    rng = random.Random(5522)
+    baskets = [
+        Basket([(2, 1), (3, 1), (5, 2), (11, 2)]),
+        Basket([(4, 1), (7, 3), (7, 2)]),
+        Basket([(8, 3), (9, 4)]),
+    ]
+    for _ in range(300):
+        B = rng.choice(baskets)
+        r_x = lcm(*B.R)
+        curves = []
+        for j in rng.sample(range(3, 9), rng.randint(0, 2)):
+            unit = rng.choice([u for u in range(1, j) if gcd(u, j) == 1])
+            curves.append(CrepantCurve(j, rng.randint(1, 40), unit))
+        cfg = CurveConfig(tuple(curves), x_A1=rng.randint(0, 20))
+        idx = tuple(rng.randrange(3 * p.r) for p in B)
+        q, s = 70, rng.randint(1, 69)
+        a2mk_value = Fraction(rng.randint(1, 500), r_x * q * q)
+        expected = Fraction(s * s, 2) * a2mk_value + 2
+        for c in curves:
+            expected += Fraction(c.degree_rXKC, r_x) * c_curve(c.j, c.generator_unit, s)
+        expected += Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
+        for i, p in zip(idx, B):
+            expected -= sigma_pair(i * p.b, p.r)
+        assert h0_sA(q, a2mk_value, cfg, B, idx, s) == expected
+
+
+def test_h0_sA_needs_one_index_per_point():
+    B = Basket([(2, 1), (3, 1)])
+    with pytest.raises(ValueError):
+        h0_sA(66, Fraction(1, 66), CurveConfig(), B, (1,), 1)
 
 
 def test_nabla():
@@ -100,11 +138,12 @@ def test_builder_keep_curve_terms_flag():
 
 
 def test_builder_cartier_codim2():
+    # Cartier in codimension 2: no curve corrections, only the basket terms
     basket = Basket([(2, 1), (3, 1)])
-    cfg = CurveConfig((CrepantCurve(3, 6),), x_A1=None, a1_allowed=True)
-    sys = residue_term_builder(66, 66, basket, cfg, r_prime=1, s=6, cartier_codim2=True)
-    assert all(not t.label.startswith("A_") for t in sys.unknown_terms)
-    assert all(t.label != "x_A1" for t in sys.unknown_terms)
+    cfg = CurveConfig((), x_A1=0, a1_allowed=False)
+    sys = residue_term_builder(66, 66, basket, cfg, r_prime=1, s=6)
+    assert sys.fixed_terms == []
+    assert [t.label for t in sys.unknown_terms] == ["point (2,1)", "point (3,1)"]
 
 
 def test_builder_even_multiple_drops_a1():
