@@ -1,0 +1,7 @@
+"""``python -m fano3``: the command-line interface."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

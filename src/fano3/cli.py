@@ -150,11 +150,7 @@ def cmd_eliminate(args) -> int:
             print(f"survivors remain: {report.survivors}", file=sys.stderr)
             return 1
     else:
-        try:
-            candidate = candidate_for_case(args.case)
-        except KeyError:
-            raise UsageError(f"unknown case id {args.case}")
-        verdict = eliminate_candidate(args.case, candidate)
+        verdict = eliminate_candidate(args.case, candidate_for_case(args.case))
         payload = [certificate_to_dict(verdict.certificate)]
         summary = {"eliminated": verdict.eliminated}
         if not verdict.eliminated:

@@ -13,7 +13,9 @@ Every candidate that survives the search is killed by one of four routes:
   and the final inequality 60 p^2/(330 q) > 8 against the Hirzebruch
   anticanonical square.
 
-All arithmetic is exact; each step lands in an EliminationCertificate.
+All arithmetic is exact; each step lands in an EliminationCertificate.  A
+route whose argument does not fit the candidate stalls: its certificate
+ends in one inconclusive step and the candidate stands.
 """
 
 from __future__ import annotations
@@ -248,10 +250,54 @@ def _case_id_of(c: Candidate):
     return next((r.no for r in TABLE_MAIN if r.key == c.key), None)
 
 
-def _inconclusive(cert, why: str) -> Verdict:
-    """Record why the route stalls and leave the candidate standing."""
-    cert.mechanical(why, "inconclusive")
-    return Verdict(False, cert)
+class _Stall(Exception):
+    """A route's argument does not fit the candidate, which stays standing."""
+
+
+def _expect(holds: bool, why: str) -> None:
+    """Stall the route with ``why`` unless ``holds``."""
+    if not holds:
+        raise _Stall(why)
+
+
+def _run_route(case_id: int, candidate: Candidate | None, route) -> Verdict:
+    """Run ``route(c, cert)`` on the candidate (by default the table row).
+    A route that finishes has recorded its contradiction; a stall becomes
+    one inconclusive step and leaves the candidate standing."""
+    c = candidate if candidate is not None else candidate_for_case(case_id)
+    cert = EliminationCertificate(case_id)
+    try:
+        route(c, cert)
+    except _Stall as stall:
+        cert.mechanical(str(stall), "inconclusive")
+        return Verdict(False, cert)
+    return Verdict(True, cert)
+
+
+def _forced(c: Candidate) -> CurveConfig:
+    """The curve configuration the budget forces; stalls when it is open."""
+    cfg = determine_curves(c)
+    if isinstance(cfg, Undetermined):
+        raise _Stall(f"curve configuration not forced: {cfg.reason}")
+    return cfg
+
+
+def _refute(sys, cert, claim: str) -> None:
+    """Contradiction ``claim`` when no residue assignment makes ``sys``
+    integral, with the exhausted domain as its size."""
+    solvable, info = exists_integral_solution(sys)
+    _expect(not solvable, f"residue system is solvable; witness {info.get('witness')}")
+    cert.mechanical(claim, "contradiction", domain_size=info["exhausted"])
+
+
+def _refute_budget(c, cfg, cert, context: str) -> None:
+    """Contradiction when the pinned curves demand more than the budget."""
+    demand = delta_lower_bound(cfg)
+    _expect(demand > c.nabla, f"{context}: curve demand {demand} fits budget {c.nabla}")
+    cert.mechanical(
+        f"{context}: total curve demand {demand} exceeds budget {c.nabla}",
+        "contradiction",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -264,35 +310,28 @@ def eliminate_group_a(c: Candidate, case_id: int | None = None) -> Verdict:
     curve-class residues; no assignment makes the total integral."""
     if case_id is None:
         case_id = _case_id_of(c)
-    cert = EliminationCertificate(case_id if case_id is not None else -1)
+    return _run_route(case_id if case_id is not None else -1, c, _group_a)
 
-    cfg = determine_curves(c)
-    if isinstance(cfg, Undetermined):
-        return _inconclusive(cert, f"curve configuration not forced: {cfg.reason}")
+
+def _group_a(c, cert) -> None:
+    cfg = _forced(c)
     curve_desc = ", ".join(f"A_{cc.j - 1} deg {cc.degree_rXKC}" for cc in cfg.curves)
     cert.mechanical(
         f"forced curve configuration: {curve_desc}"
         + ("; A_1 aggregate possible" if cfg.a1_allowed else "; no A_1 curves"),
         "determined",
     )
-
-    r_x = c.r_x
+    r_prime = 2 * c.r_x
     free_cfg = CurveConfig(cfg.curves, x_A1=None, a1_allowed=cfg.a1_allowed)
     sys = residue_term_builder(
-        c.q, c.rXc13, c.basket, free_cfg, r_prime=2 * r_x, s=2, drop_curve_terms=False
+        c.q, c.rXc13, c.basket, free_cfg, r_prime=r_prime, s=2, drop_curve_terms=False
     )
-    solvable, info = exists_integral_solution(sys)
-    if solvable:
-        return _inconclusive(
-            cert, f"residue system (r'={2 * r_x}, D=2A) is solvable; witness {info['witness']}"
-        )
-    cert.mechanical(
-        f"residue system (r'={2 * r_x}, D=2A) with constant {sys.constant} has no "
-        f"integral assignment over moduli {info['moduli']}",
-        "contradiction",
-        domain_size=info["exhausted"],
+    _refute(
+        sys,
+        cert,
+        f"residue system (r'={r_prime}, D=2A) with constant {sys.constant} has no "
+        f"integral assignment over moduli {[t.modulus for t in sys.unknown_terms]}",
     )
-    return Verdict(True, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -302,92 +341,83 @@ def eliminate_group_a(c: Candidate, case_id: int | None = None) -> Verdict:
 def run_group_b_script(case_id: int, candidate: Candidate | None = None) -> Verdict:
     if case_id not in GROUP_B:
         raise ValueError(f"case {case_id} is not a Group B case")
-    c = candidate if candidate is not None else candidate_for_case(case_id)
-    cert = EliminationCertificate(case_id)
     script = {
-        10: _case_10,
-        20: _case_20,
-        23: _case_23,
-        24: _case_24,
-        27: _case_27,
-        32: _case_32_33,
-        33: _case_32_33,
-        35: _case_35,
-        36: _case_36,
+        10: _case_10, 20: _case_20, 23: _case_23, 24: _case_24, 27: _case_27,
+        32: _case_32_33, 33: _case_32_33, 35: _case_35, 36: _case_36,
     }[case_id]
-    return script(c, cert)
+    return _run_route(case_id, candidate, script)
 
 
-def _allowed_curve_orders(c: Candidate, cert) -> tuple:
-    """Curve class orders j | J_A whose minimal degree cost fits the budget."""
+def _curve_orders(c: Candidate, cert, expected: tuple) -> dict:
+    """LB(j) for every curve class order j | J_A, once the orders whose
+    minimal degree cost fits the budget are found to be ``expected``."""
     ctx = LBContext(c.basket.R)
-    allowed, excluded = [], []
-    for j in range(2, c.j_a + 1):
-        if c.j_a % j:
-            continue
-        if curve_cost(j, lb(ctx, j)) <= c.nabla:
-            allowed.append(j)
-        else:
-            excluded.append(j)
+    bounds = {j: lb(ctx, j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
+    allowed = tuple(j for j, d in bounds.items() if curve_cost(j, d) <= c.nabla)
+    excluded = [j for j in bounds if j not in allowed]
     cert.mechanical(
-        f"allowed curve class orders {allowed} (minimal cost of each of {excluded} "
+        f"allowed curve class orders {list(allowed)} (minimal cost of each of {excluded} "
         f"exceeds budget {c.nabla})",
         "narrowed",
-        domain_size=len(allowed) + len(excluded),
+        domain_size=len(bounds),
     )
-    return tuple(allowed)
+    _expect(allowed == expected, f"unexpected allowed orders {allowed}")
+    return bounds
+
+
+def _forced_curves(c: Candidate, cert, curves: tuple, prose: str) -> CurveConfig:
+    """The forced configuration, once its curves are the ``(j, degree)``
+    pairs ``curves`` with the A_1 aggregate possible, as ``prose`` says."""
+    cfg = _forced(c)
+    found = tuple((cc.j, cc.degree_rXKC) for cc in cfg.curves)
+    _expect(
+        found == curves and cfg.a1_allowed,
+        f"forced curves {found} (A_1 possible: {cfg.a1_allowed}) differ from {curves}",
+    )
+    cert.mechanical(prose, "determined")
+    return cfg
+
+
+def _a2_degree_solutions(c: Candidate, lb3: int, s: int, ys) -> tuple:
+    """Canonical-part integrality for D = sA: with r' = 2 r_X every basket
+    term vanishes, and A_2 curves of total degree LB(3) y (unit 1) are the
+    only other term -- the A_1 aggregate is absent or, for even s, drops.
+    The system's constant and the y in ``ys`` leaving an integral total."""
+    def system(y):
+        cfg = CurveConfig((CrepantCurve(3, lb3 * y, 1),) if y else (), x_A1=0, a1_allowed=False)
+        return residue_term_builder(c.q, c.rXc13, c.basket, cfg, 2 * c.r_x, s)
+
+    return system(0).constant, [y for y in ys if exists_integral_solution(system(y))[0]]
 
 
 def _x_a1_residues_over_s(c, cfg, r_prime, s_values, cert):
     """Intersection over s of the admissible aggregate-A_1 residues."""
     systems = [residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s) for s in s_values]
+    moduli = [t.modulus for sys in systems for t in sys.unknown_terms if t.label == "x_A1"]
+    _expect(len(moduli) == len(systems), "the A_1 aggregate drops out of the residue systems")
     common = set.intersection(*(_residues_admitting_completion(sys, "x_A1") for sys in systems))
-    modulus = next(t.modulus for t in systems[-1].unknown_terms if t.label == "x_A1")
     cert.mechanical(
         f"integrality for D=sA, s in {list(s_values)}, r'={r_prime} restricts the "
-        f"A_1 aggregate degree to residues {sorted(common)} mod {modulus}",
+        f"A_1 aggregate degree to residues {sorted(common)} mod {moduli[-1]}",
         "narrowed",
         domain_size=sum(sys.domain_size for sys in systems),
     )
-    return common, modulus
+    return common, moduli[-1]
 
 
-def _refute(sys, cert, claim: str) -> Verdict:
-    """Contradiction ``claim`` when no residue assignment makes ``sys``
-    integral, with the exhausted domain as its size."""
-    solvable, info = exists_integral_solution(sys)
-    if solvable:
-        return _inconclusive(cert, "system unexpectedly solvable")
-    cert.mechanical(claim, "contradiction", domain_size=info["exhausted"])
-    return Verdict(True, cert)
-
-
-def _budget_verdict(c, cfg, cert, context: str) -> Verdict:
-    """Contradiction when the pinned curves demand more than the budget."""
-    demand = delta_lower_bound(cfg)
-    if demand <= c.nabla:
-        return _inconclusive(cert, f"{context}: curve demand {demand} fits budget {c.nabla}")
-    cert.mechanical(
-        f"{context}: total curve demand {demand} exceeds budget {c.nabla}",
-        "contradiction",
-    )
-    return Verdict(True, cert)
-
-
-def _case_20(c, cert) -> Verdict:
+def _case_20(c, cert) -> None:
     # No forced curve configuration exists, but D = J_A * A is Cartier in
     # codimension 2, so every curve correction vanishes and the basket terms
     # alone must balance the constant -- they cannot.
     cfg = determine_curves(c)
-    if not isinstance(cfg, Undetermined):
-        raise InvariantViolation(f"case 20 expects an unforced curve configuration, got {cfg}")
+    _expect(isinstance(cfg, Undetermined), "the curve configuration is forced, not open")
     cert.mechanical(
         f"curve configuration not forced ({cfg.reason}); using D = {c.j_a}A, "
         "Cartier in codimension 2, so curve corrections vanish",
         "determined",
     )
     sys = residue_term_builder(c.q, c.rXc13, c.basket, _NO_CURVES, r_prime=1, s=c.j_a)
-    return _refute(
+    _refute(
         sys,
         cert,
         f"residue system (r'=1, D={c.j_a}A) with constant {sys.constant} has no "
@@ -395,19 +425,14 @@ def _case_20(c, cert) -> Verdict:
     )
 
 
-def _case_23(c, cert) -> Verdict:
-    cfg = determine_curves(c)
-    if isinstance(cfg, Undetermined):
-        return _inconclusive(cert, cfg.reason)
-    cert.mechanical(
+def _case_23(c, cert) -> None:
+    cfg = _forced_curves(
+        c, cert, ((3, 14), (4, 14)),
         "forced curves: A_2 and A_3, each of degree 14; A_1 aggregate possible",
-        "determined",
     )
     r_prime = c.r_x * c.j_a  # 336: every term vanishes
-    sys = residue_term_builder(
-        c.q, c.rXc13, c.basket, CurveConfig(cfg.curves, x_A1=None), r_prime, s=1
-    )
-    return _refute(
+    sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s=1)
+    _refute(
         sys,
         cert,
         f"r'={r_prime} makes every curve and basket term vanish, leaving the "
@@ -415,24 +440,20 @@ def _case_23(c, cert) -> Verdict:
     )
 
 
-def _case_36(c, cert) -> Verdict:
-    ctx = LBContext(c.basket.R)
-    allowed = _allowed_curve_orders(c, cert)
-    if allowed != (2, 5, 7):
-        return _inconclusive(cert, f"unexpected allowed orders {allowed}")
+def _case_36(c, cert) -> None:
+    lbs = _curve_orders(c, cert, (2, 5, 7))
     # each prime power in J_A forces a curve of the matching order
-    lb5, lb7 = lb(ctx, 5), lb(ctx, 7)
+    lb5, lb7 = lbs[5], lbs[7]
     floor_rest = curve_cost(5, lb5) + curve_cost(2, 1)
     d_max = (c.nabla - floor_rest) / curve_cost(7, 1)
-    degrees = [d for d in range(lb7, int(d_max) + 1, lb7)]
+    degrees = list(range(lb7, int(d_max) + 1, lb7))
     cert.mechanical(
         f"forced: one A_6 (degree a multiple of {lb7}), one A_4 (degree a multiple "
         f"of {lb5}), at least one A_1; the A_6 degree is at most {d_max} so it "
         f"equals {degrees}",
         "determined",
     )
-    if degrees != [lb7]:
-        return _inconclusive(cert, "A_6 degree not pinned")
+    _expect(degrees == [lb7], "A_6 degree not pinned")
     r_prime = 120  # kills the A_4 terms (5 | 20 deg), the A_1 terms, and the basket
     cfg = CurveConfig((CrepantCurve(7, lb7),), x_A1=None, a1_allowed=True)
     cert.mechanical(
@@ -441,7 +462,7 @@ def _case_36(c, cert) -> Verdict:
         "narrowed",
     )
     sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s=1)
-    return _refute(
+    _refute(
         sys,
         cert,
         f"residue system (r'={r_prime}, D=A) with constant {sys.constant} has no "
@@ -449,66 +470,46 @@ def _case_36(c, cert) -> Verdict:
     )
 
 
-def _case_10(c, cert) -> Verdict:
-    cfg = determine_curves(c)
-    if isinstance(cfg, Undetermined):
-        return _inconclusive(cert, cfg.reason)
-    cert.mechanical(
+def _case_10(c, cert) -> None:
+    cfg = _forced_curves(
+        c, cert, ((5, 18),),
         "forced curves: one A_4 of degree 18; at least one A_1 (the even part "
         "of J_A forces one)",
-        "determined",
     )
     good, modulus = _x_a1_residues_over_s(c, cfg, r_prime=40, s_values=(1, 3), cert=cert)
-    if good != {0}:
-        return _inconclusive(cert, f"A_1 residues {sorted(good)} not pinned to 0")
-    x_min = modulus  # positive multiple of the modulus
-    pinned = CurveConfig(cfg.curves, x_A1=x_min)
-    return _budget_verdict(
-        c, pinned, cert, f"x_A1 is a positive multiple of {modulus}, so x_A1 >= {x_min}"
+    _expect(good == {0}, f"A_1 residues {sorted(good)} not pinned to 0")
+    _refute_budget(
+        c, CurveConfig(cfg.curves, x_A1=modulus), cert,
+        f"x_A1 is a positive multiple of {modulus}, so x_A1 >= {modulus}",
     )
 
 
-def _case_32_33(c, cert) -> Verdict:
-    ctx = LBContext(c.basket.R)
-    allowed = _allowed_curve_orders(c, cert)
-    if allowed != (2, 3):
-        return _inconclusive(cert, f"unexpected allowed orders {allowed}")
-    lb3 = lb(ctx, 3)
+def _case_32_33(c, cert) -> None:
+    lb3 = _curve_orders(c, cert, (2, 3))[3]
     cert.mechanical(
         f"both primes of J_A force a curve: at least one A_2 (total degree 35y, "
         f"y >= 1, since LB(3) = {lb3}) and at least one A_1",
         "determined",
     )
-    # canonical-part integrality for D = 2A: 2/3 - 70y/3 must be an integer
-    r_x = c.r_x
-    const = Fraction(2 * r_x * 4, 2) * a2mk(c.q, c.rXc13, r_x)
-    y_sols = [
-        y for y in range(3)
-        if (const - Fraction(2 * lb3 * y, 3)).denominator == 1
-    ]
+    const, y_sols = _a2_degree_solutions(c, lb3, s=2, ys=range(3))
     cert.mechanical(
-        f"canonical-part integrality for D=2A, r'={2 * r_x}: {const} - {2 * lb3}y/3 "
+        f"canonical-part integrality for D=2A, r'={2 * c.r_x}: {const} - {2 * lb3}y/3 "
         f"is integral only for y = {y_sols} mod 3, so y >= 2",
         "narrowed",
         domain_size=3,
     )
-    if y_sols != [2]:
-        return _inconclusive(cert, "y residue not pinned")
+    _expect(y_sols == [2], "y residue not pinned")
     cfg = CurveConfig((CrepantCurve(3, lb3, 1),), x_A1=None, a1_allowed=True)
-    good, modulus = _x_a1_residues_over_s(c, cfg, r_prime=18, s_values=(1, 3, 5), cert=cert)
-    if any(u % 35 for u in good):
-        return _inconclusive(cert, f"A_1 residues {sorted(good)} not multiples of 35")
+    good, _ = _x_a1_residues_over_s(c, cfg, r_prime=18, s_values=(1, 3, 5), cert=cert)
+    _expect(not any(u % 35 for u in good), f"A_1 residues {sorted(good)} not multiples of 35")
     cert.mechanical("the A_1 aggregate degree is a positive multiple of 35", "narrowed")
     pinned = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=35)
-    return _budget_verdict(c, pinned, cert, "x_A1 >= 35 with y >= 2")
+    _refute_budget(c, pinned, cert, "x_A1 >= 35 with y >= 2")
 
 
-def _case_24(c, cert) -> Verdict:
-    ctx = LBContext(c.basket.R)
-    allowed = _allowed_curve_orders(c, cert)
-    if allowed != (2, 3, 4):
-        return _inconclusive(cert, f"unexpected allowed orders {allowed}")
-    lb3, lb4 = lb(ctx, 3), lb(ctx, 4)
+def _case_24(c, cert) -> None:
+    lbs = _curve_orders(c, cert, (2, 3, 4))
+    lb3, lb4 = lbs[3], lbs[4]
     cert.mechanical(
         f"each prime power of J_A forces a curve: at least one A_2 (total degree "
         f"{lb3}*y3) and at least one A_3 (total degree {lb4}*y4)",
@@ -523,30 +524,26 @@ def _case_24(c, cert) -> Verdict:
 
     # r' = 9, s odd: the A_2 term and the order-3 points drop, leaving
     # s^2/40 - 3 x/20 - 9 y4/8 - 9 a(5-a)/10, which must be integral
-    def sol_set(s):
-        out = set()
-        for x, y4 in iproduct(range(x_max + 1), range(1, y4_max + 1)):
-            cfg = CurveConfig(
-                (CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=x
-            )
-            sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
-            if exists_integral_solution(sys)[0]:
-                out.add((x, y4))
-        return out
+    def solvable(x, y4, s):
+        cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=x)
+        sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
+        return exists_integral_solution(sys)[0]
 
-    sols = sol_set(1) & sol_set(3)
+    sols = {
+        (x, y4)
+        for x, y4 in iproduct(range(x_max + 1), range(1, y4_max + 1))
+        if solvable(x, y4, 1) and solvable(x, y4, 3)
+    }
     cert.mechanical(
         f"integrality for D=sA, s in [1, 3], r'=9 leaves (x_A1, y4) in {sorted(sols)}",
         "narrowed",
         domain_size=2 * (x_max + 1) * y4_max * 5,
     )
-    if sols != {(10, 1)}:
-        return _inconclusive(cert, "joint residue solution not unique")
+    _expect(sols == {(10, 1)}, "joint residue solution not unique")
     x_a1, y4 = 10, 1
     y3_max = int((nab - curve_cost(2, x_a1) - curve_cost(4, lb4 * y4)) / curve_cost(3, lb3))
     cert.mechanical(f"budget then forces y3 = 1 (y3 <= {y3_max})", "narrowed")
-    if y3_max != 1:
-        return _inconclusive(cert, "y3 not pinned")
+    _expect(y3_max == 1, "y3 not pinned")
 
     # full h^0 formula with one A_2 and one A_3 curve of degree 5 and x_A1 = 10,
     # over every choice of local indices at the basket points
@@ -565,42 +562,30 @@ def _case_24(c, cert) -> Verdict:
         "narrowed",
         domain_size=5 * 135,
     )
-    if any(v != {expected[s]} for s, v in computed.items()):
-        return _inconclusive(cert, "h^0 values not unique")
+    _expect(all(v == {expected[s]} for s, v in computed.items()), "h^0 values not unique")
     cert.mechanical(
         "h^0(2A) = h^0(3A) = h^0(6A) = 1 forces a section of A (the unique cubic "
         "of the degree-2 element equals the unique square of the degree-3 element), "
         "yet h^0(31A) = 3 < 4 = h^0(30A) forces h^0(A) = 0",
         "contradiction",
     )
-    return Verdict(True, cert)
 
 
-def _case_27(c, cert) -> Verdict:
-    ctx = LBContext(c.basket.R)
-    allowed = _allowed_curve_orders(c, cert)
-    if allowed != (3,):
-        return _inconclusive(cert, f"unexpected allowed orders {allowed}")
-    lb3 = lb(ctx, 3)
+def _case_27(c, cert) -> None:
+    lb3 = _curve_orders(c, cert, (3,))[3]
     y_max = int(c.nabla / curve_cost(3, lb3))
     cert.mechanical(
         f"every crepant curve is an A_2; total degree {lb3}y with 1 <= y <= {y_max}",
         "determined",
     )
-    r_x = c.r_x
-    const = r_x * a2mk(c.q, c.rXc13, r_x)
-    y_sols = [
-        y for y in range(1, y_max + 1)
-        if (const - Fraction(2 * lb3 * y, 3)).denominator == 1
-    ]
+    const, y_sols = _a2_degree_solutions(c, lb3, s=1, ys=range(1, y_max + 1))
     cert.mechanical(
         f"canonical-part integrality for D=A: {const} - {2 * lb3}y/3 integral only "
         f"for y = {y_sols}",
         "narrowed",
         domain_size=y_max,
     )
-    if y_sols != [2]:
-        return _inconclusive(cert, "y not pinned")
+    _expect(y_sols == [2], "y not pinned")
     cert.mechanical(
         "two cases: a single A_2 curve of degree 140, or two A_2 curves of degree "
         "70 each",
@@ -612,23 +597,23 @@ def _case_27(c, cert) -> Verdict:
         cfg = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=0, a1_allowed=False)
         sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=70, s=s)
         moduli = [t.modulus for t in sys.unknown_terms]
-        if moduli != [3, 6]:
-            raise InvariantViolation(f"case 27 expects unknowns mod [3, 6], got {moduli}")
+        _expect(moduli == [3, 6], f"r'=70 leaves unknowns mod {moduli}, not [3, 6]")
         return set(integral_assignments(sys))
 
     pairs2, pairs4 = index_sets(2), index_sets(4)
-    i3_2 = {p[0] for p in pairs2}
-    i6_2 = {p[1] for p in pairs2}
-    i3_4 = {p[0] for p in pairs4}
-    i6_4 = {p[1] for p in pairs4}
+    (i3_2, i6_2), (i3_4, i6_4) = (
+        ({p[0] for p in pairs}, {p[1] for p in pairs}) for pairs in (pairs2, pairs4)
+    )
     cert.mechanical(
         f"r'=70 integrality for D=2A, 4A: order-3 indices {sorted(i3_2)} / {sorted(i3_4)}, "
         f"order-6 indices {sorted(i6_2)} / {sorted(i6_4)}",
         "narrowed",
         domain_size=2 * 18,
     )
-    if not (pairs2 == set(iproduct(i3_2, i6_2)) and pairs4 == set(iproduct(i3_4, i6_4))):
-        return _inconclusive(cert, "index sets are not products")
+    _expect(
+        pairs2 == set(iproduct(i3_2, i6_2)) and pairs4 == set(iproduct(i3_4, i6_4)),
+        "index sets are not products",
+    )
 
     cert.cite(
         "crepant-point-classification",
@@ -642,10 +627,10 @@ def _case_27(c, cert) -> Verdict:
     )
     g3 = {(a - 2 * b) % 3 for a in i3_4 for b in i3_2}
     g6 = {(a - 2 * b) % 6 for a in i6_4 for b in i6_2}
-    if 0 in g3 or 0 in g6:
-        return _inconclusive(
-            cert, f"difference indices {sorted(g3)} mod 3, {sorted(g6)} mod 6 allow 0"
-        )
+    _expect(
+        0 not in g3 and 0 not in g6,
+        f"difference indices {sorted(g3)} mod 3, {sorted(g6)} mod 6 allow 0",
+    )
     cert.mechanical(
         f"the difference divisor has order-3 index in {sorted(g3)} and order-6 "
         f"index in {sorted(g6)}; exceptional divisors over the single-curve case "
@@ -654,49 +639,35 @@ def _case_27(c, cert) -> Verdict:
         "contradiction",
         domain_size=len(i3_4) * len(i3_2) + len(i6_4) * len(i6_2),
     )
-    return Verdict(True, cert)
 
 
-def _case_35(c, cert) -> Verdict:
-    cfg = determine_curves(c)
-    if isinstance(cfg, Undetermined):
-        return _inconclusive(cert, cfg.reason)
+def _case_35(c, cert) -> None:
+    _forced_curves(
+        c, cert, ((4, 35),), "forced curves: one A_3 of degree 35; A_1 aggregate possible"
+    )
+    unit_curves = (CrepantCurve(4, 35, 1),)
+    good, _ = _x_a1_residues_over_s(
+        c, CurveConfig(unit_curves, x_A1=None), r_prime=1, s_values=(1, 3, 5), cert=cert
+    )
+    _expect(not any(u % 35 for u in good), f"A_1 residues {sorted(good)} not multiples of 35")
+    demand = delta_lower_bound(CurveConfig(unit_curves, x_A1=35))
+    _expect(demand > c.nabla, "x_A1 = 35 fits the budget")
     cert.mechanical(
-        "forced curves: one A_3 of degree 35; A_1 aggregate possible", "determined"
-    )
-    cfg_unit = CurveConfig(
-        (CrepantCurve(4, 35, 1),), x_A1=None, a1_allowed=True
-    )
-    good, modulus = _x_a1_residues_over_s(
-        c, cfg_unit, r_prime=1, s_values=(1, 3, 5), cert=cert
-    )
-    if any(u % 35 for u in good):
-        return _inconclusive(cert, f"A_1 residues {sorted(good)} not multiples of 35")
-    pinned = CurveConfig(cfg_unit.curves, x_A1=35)
-    if delta_lower_bound(pinned) <= c.nabla:
-        return _inconclusive(cert, "x_A1 = 35 fits the budget")
-    cert.mechanical(
-        f"a positive multiple of 35 would cost {delta_lower_bound(pinned)} > "
-        f"{c.nabla}, so x_A1 = 0",
+        f"a positive multiple of 35 would cost {demand} > {c.nabla}, so x_A1 = 0",
         "narrowed",
     )
 
     # parities of the four half-point indices, s in {1, 4, 5}
     def parity_sets(s):
         sys = residue_term_builder(
-            c.q, c.rXc13, c.basket,
-            CurveConfig(cfg_unit.curves, x_A1=0, a1_allowed=True),
-            r_prime=1, s=s,
+            c.q, c.rXc13, c.basket, CurveConfig(unit_curves, x_A1=0), r_prime=1, s=s
         )
         half = [i for i, t in enumerate(sys.unknown_terms) if t.modulus == 2]
-        if len(half) != 4:
-            raise InvariantViolation(f"case 35 expects four half-points, got {len(half)}")
+        _expect(len(half) == 4, f"{len(half)} half-points, not four")
         out = {tuple(a[i] for i in half) for a in integral_assignments(sys)}
         return out, sys.domain_size
 
-    p1, d1 = parity_sets(1)
-    p4, d4 = parity_sets(4)
-    p5, d5 = parity_sets(5)
+    (p1, d1), (p4, d4), (p5, d5) = (parity_sets(s) for s in (1, 4, 5))
     two_two = {t for t in iproduct((0, 1), repeat=4) if sum(t) == 2}
     all_equal = {(0, 0, 0, 0), (1, 1, 1, 1)}
     cert.mechanical(
@@ -705,8 +676,10 @@ def _case_35(c, cert) -> Verdict:
         "narrowed",
         domain_size=d1 + d4 + d5,
     )
-    if not (p1 == two_two and p4 <= all_equal and p5 <= all_equal):
-        return _inconclusive(cert, "parity patterns do not match")
+    _expect(
+        p1 == two_two and p4 <= all_equal and p5 <= all_equal,
+        "parity patterns do not match",
+    )
     cert.cite(
         "weil-pullback-additivity",
         "the defect divisor of pulling back 5A versus A + 4A is exceptional over "
@@ -721,20 +694,15 @@ def _case_35(c, cert) -> Verdict:
         "each component of the defect divisor has equal parities at the four "
         "half-points",
     )
-    consistent = False
-    for e5, e4, eg in iproduct((0, 1), repeat=3):
-        a_parity = (e5 - e4 - eg) % 2
-        if (a_parity,) * 4 in two_two:
-            consistent = True
-    if consistent:
-        return _inconclusive(cert, "parity algebra admits a consistent pattern")
+    # the D=A parities are e5 - e4 - eg for all-equal patterns e5, e4, eg
+    differences = {((e5 - e4 - eg) % 2,) * 4 for e5, e4, eg in iproduct((0, 1), repeat=3)}
+    _expect(not differences & two_two, "parity algebra admits a consistent pattern")
     cert.mechanical(
         "the D=A parities equal the componentwise difference of three all-equal "
         "patterns, hence are all equal -- but exactly two must be odd",
         "contradiction",
         domain_size=8,
     )
-    return Verdict(True, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -926,48 +894,43 @@ def foliation_bounds(c: Candidate, delta: Fraction) -> int:
     raise ValueError("no admissible foliation index below q")
 
 
-def _group_c_curves(c: Candidate, cert):
+def _group_c_curves(c: Candidate, cert) -> CurveConfig:
     """Replay the shared residue derivation into ``cert``; the forced curves
-    with the x_A1 it pins, or Undetermined."""
+    with the x_A1 it pins."""
     res = solve_group_c_residues(c)
     for kind, desc, outcome, dom in res.steps:
         cert.add(kind, desc, outcome, dom)
-    cfg = determine_curves(c)
-    if isinstance(cfg, Undetermined):
-        return cfg
+    cfg = _forced(c)
     return CurveConfig(cfg.curves, x_A1=res.x_A1, a1_allowed=cfg.a1_allowed)
 
 
 def eliminate_group_c_minus(case_id: int, candidate: Candidate | None = None) -> Verdict:
     if case_id not in GROUP_C_MINUS:
         raise ValueError(f"case {case_id} is not a Group C- case")
-    c = candidate if candidate is not None else candidate_for_case(case_id)
-    cert = EliminationCertificate(case_id)
+    return _run_route(case_id, candidate, _group_c_minus)
+
+
+def _group_c_minus(c, cert) -> None:
     cfg = _group_c_curves(c, cert)
-    if isinstance(cfg, Undetermined):
-        return _inconclusive(cert, cfg.reason)
     demand = delta_lower_bound(cfg)
-    if demand <= c.nabla:
-        return _inconclusive(cert, f"curve demand {demand} fits budget {c.nabla}")
+    _expect(demand > c.nabla, f"curve demand {demand} fits budget {c.nabla}")
     r0 = cfg.curves[0].j if cfg.curves else 1
     cert.mechanical(
         f"x_A1 = {cfg.x_A1} plus the forced curve (order r0 = {r0}) demands "
         f"{demand} > budget {c.nabla}",
         "contradiction",
     )
-    return Verdict(True, cert)
 
 
 def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> Verdict:
     if case_id not in GROUP_C_PLUS:
         raise ValueError(f"case {case_id} is not a Group C+ case")
-    c = candidate if candidate is not None else candidate_for_case(case_id)
-    cert = EliminationCertificate(case_id)
+    return _run_route(case_id, candidate, _group_c_plus)
+
+
+def _group_c_plus(c, cert) -> None:
     q = c.q
-    cfg = _group_c_curves(c, cert)
-    if isinstance(cfg, Undetermined):
-        return _inconclusive(cert, cfg.reason)
-    delta = delta_lower_bound(cfg)
+    delta = delta_lower_bound(_group_c_curves(c, cert))
     cert.mechanical(f"total crepant-curve demand delta = {delta}", "determined")
 
     h0 = _group_c_h0_table()
@@ -977,8 +940,7 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
         "determined",
         domain_size=34,
     )
-    if movable != {0, 22, 30, 33}:
-        return _inconclusive(cert, "movable set unexpected")
+    _expect(movable == {0, 22, 30, 33}, "movable set unexpected")
 
     cert.cite(
         "rank2-foliation-exists",
@@ -988,7 +950,7 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
     try:
         p_min = foliation_bounds(c, delta)
     except ValueError as exc:
-        return _inconclusive(cert, str(exc))
+        raise _Stall(str(exc)) from None
     d_max = q - p_min
     cert.mechanical(
         f"foliation index p lies in [{p_min}, {q - 1}] (16/5 precondition checked; "
@@ -996,8 +958,10 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
         "determined",
         domain_size=q - 1 - 2 * q // 3,
     )
-    if not (1 <= d_max <= 10 and 6 * p_min > 5 * q):
-        return _inconclusive(cert, "index window outside the decision tree's reach")
+    _expect(
+        1 <= d_max <= 10 and 6 * p_min > 5 * q,
+        "index window outside the decision tree's reach",
+    )
 
     cert.cite(
         "rational-connectedness",
@@ -1013,51 +977,48 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
     # Leaf-degree decision tree: suppose the leaf degree g is at most 59.
     g_floor = min(m for m in movable if m > 0)
     gens = (5, 6)
-    ok_tree = g_floor > max(1, d_max) and sum(gens) > d_max
+    _expect(
+        g_floor > max(1, d_max) and sum(gens) > d_max,
+        f"leaf degree g >= {g_floor} does not force three non-reduced members "
+        f"for q - p <= {d_max}",
+    )
     cert.mechanical(
         f"leaf degree g >= {g_floor} (movable set); ramification degree "
         f"2g - (q - p) forces at least two non-reduced members (g > q - p), and "
         f"two are impossible since their reduced parts cost at least "
         f"{gens[0]}+{gens[1]} = {sum(gens)} > q - p; hence at least three "
         "pairwise component-disjoint non-reduced members",
-        "narrowed" if ok_tree else "inconclusive",
+        "narrowed",
     )
-    if not ok_tree:
-        return Verdict(False, cert)
 
     # classification of non-reduced degrees: g != 44 always consumes a generator
-    bad_g = []
-    for g in range(g_floor, 60):
-        shapes = _nonreduced_excesses(g, movable)
-        if shapes is None:
-            continue  # no non-reduced member at all: k >= 3 impossible anyway
-        avoids = [e for e, uses_gen in shapes if not uses_gen]
-        if avoids and g != 44:
-            bad_g.append(g)
+    bad_g = [
+        g for g in range(g_floor, 60)
+        if g != 44 and any(not uses_gen for _, uses_gen in _nonreduced_excesses(g, movable))
+    ]
+    _expect(not bad_g, f"leaf degrees {bad_g} admit a generator-free non-reduced member")
     cert.mechanical(
         "for every leaf degree g <= 59 except g = 44, each non-reduced member "
         "contains one of the two generators, so three pairwise-disjoint members "
         "force g = 44",
-        "narrowed" if not bad_g else "inconclusive",
+        "narrowed",
         domain_size=60 - g_floor,
     )
-    if bad_g:
-        return Verdict(False, cert)
 
     shapes44 = decompose(44)
-    excesses = _nonreduced_excesses(44, movable)
-    excess_degrees = sorted({e for e, _ in excesses})
-    all_div11 = all(e % 11 == 0 for e in excess_degrees)
-    ram_ok = all((88 - d) % 11 != 0 for d in range(1, d_max + 1))
+    excess_degrees = sorted({e for e, _ in _nonreduced_excesses(44, movable)})
+    _expect(
+        all(e % 11 == 0 for e in excess_degrees)
+        and all((88 - d) % 11 != 0 for d in range(1, d_max + 1)),
+        f"g = 44 not excluded: excess degrees {excess_degrees}, q - p <= {d_max}",
+    )
     cert.mechanical(
         f"g = 44 writings over (5, 6, 22): {shapes44}; every excess degree "
         f"{excess_degrees} is a multiple of 11, yet the ramification degree "
         f"88 - (q - p) is never one -- so g >= 60",
-        "narrowed" if (all_div11 and ram_ok) else "inconclusive",
+        "narrowed",
         domain_size=len(shapes44),
     )
-    if not (all_div11 and ram_ok):
-        return Verdict(False, cert)
 
     cert.cite(
         "hirzebruch-bound",
@@ -1065,15 +1026,16 @@ def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> 
         "anticanonical square 8, bounding the nef square from above",
     )
     worst = f"{60 * p_min * p_min}/{330 * q}"
-    if not all(Fraction(60 * p * p, 330 * q) > 8 for p in range(p_min, q)):
-        return _inconclusive(cert, f"leaf square {worst} does not exceed 8")
+    _expect(
+        all(Fraction(60 * p * p, 330 * q) > 8 for p in range(p_min, q)),
+        f"leaf square {worst} does not exceed 8",
+    )
     cert.mechanical(
         f"for every feasible p the leaf square 60 p^2/(330 q) >= {worst} > 8, "
         "exceeding the Hirzebruch anticanonical square",
         "contradiction",
         domain_size=q - p_min,
     )
-    return Verdict(True, cert)
 
 
 def _nonreduced_excesses(g: int, movable):
@@ -1083,7 +1045,8 @@ def _nonreduced_excesses(g: int, movable):
     prime divisor of degree 5, 6, or 22.  Doubled generators always flag
     the member; a doubled degree-22 part leaves a remainder that either
     vanishes (excess 22, generator-free) or forces a generator.  At g = 44
-    the generator multiplicities are pinned by the movable set.
+    the generator multiplicities are pinned by the movable set.  Empty when
+    g is too small for any non-reduced member.
     """
     if g > 59:
         raise ValueError("classification only covers degree at most 59")
@@ -1099,11 +1062,9 @@ def _nonreduced_excesses(g: int, movable):
                 # excess = (a-1) gens_5 + (b-1) gens_6 + reduced rest stays
                 shapes.append((5 * (a - 1) + 6 * (b - 1), True))
         return shapes
-    found = False
     for e in (5, 6, 22):
         if 2 * e > g:
             continue
-        found = True
         if e == 22:
             rest = g - 44
             if rest == 0:
@@ -1112,7 +1073,7 @@ def _nonreduced_excesses(g: int, movable):
                 shapes.append((22 + rest, True))  # remainder < 22 needs a generator
         else:
             shapes.append((e, True))
-    return shapes if found else None
+    return shapes
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from fano3.cli import main
 
+from conftest import run_python
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -69,6 +71,12 @@ def test_eliminate_unknown_case(capsys):
     code, _, err = run_cli(capsys, "eliminate", "--case", "99")
     assert code == 2
     assert "99" in err
+
+
+def test_python_m_fano3():
+    done = run_python("-m", "fano3", "lb", "--R", "2,4,4,7", "--N", "3")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["payload"] == [[3, 14]]
 
 
 def test_bad_flags_exit_2(capsys):

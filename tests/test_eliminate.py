@@ -32,6 +32,8 @@ from fano3.rr import ResidueConstraintSystem, UnknownTerm, delta_lower_bound
 from fano3.tables import GROUP_A, GROUP_B, GROUP_C_MINUS, GROUP_C_PLUS, TABLE_MAIN, group_of, row
 from fano3.wps import WeightedP3, h0 as wps_h0
 
+from conftest import run_python
+
 GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
 
 
@@ -181,6 +183,22 @@ def test_certificates_byte_identical():
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATES_SHA256
 
 
+def test_certificates_byte_identical_under_optimize():
+    """The stalls and invariant checks are explicit raises, so `python -O`
+    eliminates every case with the same certificates."""
+    code = (
+        "import hashlib, json\n"
+        "from fano3.certificates import certificate_to_dict\n"
+        "from fano3.eliminate import candidate_for_case, eliminate_candidate\n"
+        "verdicts = [eliminate_candidate(n, candidate_for_case(n)) for n in range(1, 37)]\n"
+        "text = ''.join(json.dumps(certificate_to_dict(v.certificate)) + '\\n' for v in verdicts)\n"
+        "print(__debug__, hashlib.sha256(text.encode()).hexdigest())\n"
+    )
+    done = run_python("-O", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", CERTIFICATES_SHA256]
+
+
 def test_group_a_negative_control(candidates_equal):
     """On the q = 66 rows Group A kills only two baskets; the realised
     P(5,6,22,33) row must survive."""
@@ -212,6 +230,25 @@ def test_group_b_cited_cases_match_golden():
             if s.kind == CITED_LEMMA
         ]
         assert cited == golden[str(cid)], cid
+
+
+def test_group_b_and_c_negative_control(candidates_equal):
+    """No Group B script eliminates a q = 66 row, the realised P(5,6,22,33)
+    row among them: each stalls with one inconclusive step.  The Group C
+    routes refuse these rows."""
+    assert len(candidates_equal) == 7
+    for c in candidates_equal:
+        for cid in sorted(GROUP_B):
+            verdict = run_group_b_script(cid, c)
+            assert not verdict.eliminated, (cid, c.key)
+            assert not verdict.certificate.has_contradiction, (cid, c.key)
+            assert verdict.certificate.steps[-1].outcome == "inconclusive", (cid, c.key)
+        for cid in sorted(GROUP_C_MINUS):
+            with pytest.raises(ValueError):
+                eliminate_group_c_minus(cid, c)
+        for cid in sorted(GROUP_C_PLUS):
+            with pytest.raises(ValueError):
+                eliminate_group_c_plus(cid, c)
 
 
 def test_group_b_rejects_foreign_case():

@@ -1,14 +1,12 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from fano3.basket import Basket
 from fano3.search import ceil_display, run_search, step1, step3, verify_candidate
 from fano3.tables import TABLE_EQ66, TABLE_MAIN
+
+from conftest import run_python
 
 
 def test_ceil_display():
@@ -95,12 +93,7 @@ def test_verify_candidate_rejects_tampering_under_optimize():
         "except InvariantViolation:\n"
         "    print(__debug__, 'rejected')\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
-    )
+    done = run_python("-O", "-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "rejected"]
 
