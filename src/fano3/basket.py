@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby, product
 from math import gcd, lcm
 
-from .arith import InvariantViolation, sigma_pair
+from .arith import sigma_pair
 
 __all__ = [
     "OrbifoldPoint",
@@ -23,9 +23,11 @@ __all__ = [
     "gorenstein_index",
     "rX_c2c1",
     "enumerate_R",
+    "basket_points",
     "enumerate_baskets",
     "rr_fano_integral",
     "r_budget",
+    "budget_units",
 ]
 
 #: Admissibility budget for sum(r - 1/r); strict inequality.
@@ -60,13 +62,11 @@ class Basket:
             sorted(p if isinstance(p, OrbifoldPoint) else OrbifoldPoint(*p) for p in points)
         )
         object.__setattr__(self, "points", pts)
-        if r_budget(self.R) >= BUDGET:
+        # the multiset of local indices r, as a sorted tuple
+        object.__setattr__(self, "R", tuple(p.r for p in pts))
+        r_x, total = _scaled_budget(self.R)
+        if total >= BUDGET * r_x:
             raise ValueError(f"basket {pts} violates the admissibility budget")
-
-    @property
-    def R(self):
-        """The multiset of local indices r, as a sorted tuple."""
-        return tuple(p.r for p in self.points)
 
     def as_tuples(self):
         """The points as plain (r, b) pairs."""
@@ -82,9 +82,22 @@ class Basket:
         return "{" + ",".join(str(p) for p in self.points) + "}"
 
 
+def budget_units(r: int, scale: int) -> int:
+    """scale * (r - 1/r): the budget cost of index r in units of 1/scale,
+    an integer whenever r divides scale."""
+    return r * scale - scale // r
+
+
+def _scaled_budget(R):
+    """(r_X, r_X * sum(r - 1/r)) for the multiset R, both integers."""
+    r_x = lcm(*R)
+    return r_x, sum(budget_units(r, r_x) for r in R)
+
+
 def r_budget(R) -> Fraction:
     """sum(r - 1/r) over the multiset R, exactly."""
-    return sum((Fraction(r * r - 1, r) for r in R), Fraction(0))
+    r_x, total = _scaled_budget(R)
+    return Fraction(total, r_x)
 
 
 def gorenstein_index(B: Basket) -> int:
@@ -93,29 +106,24 @@ def gorenstein_index(B: Basket) -> int:
 
 
 def rX_c2c1(R) -> int:
-    """r_X * c2c1 determined by R alone: lcm(R) * (24 - sum(r - 1/r)).
-
-    A positive integer for every admissible R, since each r divides r_X.
-    """
+    """r_X * c2c1 determined by R alone: r_X * 24 - sum(r * r_X - r_X / r),
+    with r_X = lcm(R); a positive integer for every admissible R."""
     R = tuple(R)
-    total = r_budget(R)
-    if total >= BUDGET:
-        raise ValueError(f"R={R} is not admissible (budget {total} >= {BUDGET})")
-    r_x = lcm(*R)
-    value = r_x * (BUDGET - total)
-    if value.denominator != 1 or value <= 0:
-        raise InvariantViolation(f"r_X c2c1 of R={R} is {value}, not a positive integer")
-    return int(value)
+    r_x, total = _scaled_budget(R)
+    if total >= BUDGET * r_x:
+        raise ValueError(f"R={R} is not admissible (budget {Fraction(total, r_x)} >= {BUDGET})")
+    return BUDGET * r_x - total
 
 
 def enumerate_R(max_r: int = 24):
     """All admissible multisets of local indices, canonically ordered.
 
     Yields sorted tuples; lexicographic order on the tuples.  Elements are
-    at most 24 because r - 1/r < 24 already fails at r = 25.
+    at most 24 because r - 1/r < 24 already fails at r = 25.  The budget is
+    counted in units of 1/lcm(2..max_r), so every cost is an integer.
     """
-    budget = Fraction(BUDGET)
-    costs = {r: r_budget((r,)) for r in range(2, max_r + 1)}
+    scale = lcm(*range(2, max_r + 1))
+    costs = {r: budget_units(r, scale) for r in range(2, max_r + 1)}
 
     def rec(prefix, low, remaining):
         yield tuple(prefix)
@@ -126,7 +134,7 @@ def enumerate_R(max_r: int = 24):
                 yield from rec(prefix, r, remaining - cost)
                 prefix.pop()
 
-    yield from rec([], 2, budget)
+    yield from rec([], 2, BUDGET * scale)
 
 
 @lru_cache(maxsize=None)
@@ -134,28 +142,18 @@ def _b_choices(r: int):
     return tuple(b for b in range(1, r // 2 + 1) if gcd(b, r) == 1)
 
 
+def basket_points(R):
+    """The points ((r, b), ...) of every basket over the multiset R, as
+    plain sorted tuples, deduplicated as multisets; no Basket is built."""
+    groups = [(r, len(list(g))) for r, g in groupby(sorted(R))]
+    for parts in product(*(combinations_with_replacement(_b_choices(r), m) for r, m in groups)):
+        yield tuple((r, b) for (r, _), bs in zip(groups, parts) for b in bs)
+
+
 def enumerate_baskets(R):
     """All baskets over the multiset R, deduplicated as multisets."""
-    R = tuple(sorted(R))
-    groups = []  # (r, multiplicity)
-    for r in R:
-        if groups and groups[-1][0] == r:
-            groups[-1][1] += 1
-        else:
-            groups.append([r, 1])
-    per_group = [
-        list(combinations_with_replacement(_b_choices(r), mult)) for r, mult in groups
-    ]
-
-    def rec(i, acc):
-        if i == len(groups):
-            yield Basket(acc)
-            return
-        r = groups[i][0]
-        for bs in per_group[i]:
-            yield from rec(i + 1, acc + [(r, b) for b in bs])
-
-    yield from rec(0, [])
+    for points in basket_points(R):
+        yield Basket(points)
 
 
 def rr_fano_integral(B: Basket, c1cubed) -> bool:

@@ -1,11 +1,12 @@
 """Du Val (ADE) singularity lattice data.
 
 A transversal slice of a crepant curve is a Du Val singularity.  This module
-holds the combinatorics the elimination arguments need: Cartan/intersection
-matrices, divisor class groups as Smith-normal-form cokernels, the invariant
-table (e, e', g, j), and the integral-multiplicity test that decides whether
-a Weil divisor class admits an exceptional curve with integral multiplicity
-in its pullback.
+holds its lattice combinatorics: Cartan/intersection matrices, divisor class
+groups as Smith-normal-form cokernels, the invariant table (e, e', g, j), and
+the integral-multiplicity test that decides whether a Weil divisor class
+admits an exceptional curve with integral multiplicity in its pullback.  The
+elimination routes do not compute with it (cases 27 and 35 cite these facts
+as axioms); the ``fano3 duval`` command and the tests use it.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ guards overlap and earlier clauses win.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .arith import indicator
@@ -28,17 +29,8 @@ class LBContext:
         R = tuple(sorted(R))
         if R and R[0] < 2:
             raise ValueError(f"basket indices must be at least 2, got R={R}")
-        counts = {}  # (p, e) -> number of r in R with exact p-valuation e >= 1
-        for r in R:
-            for p in SMALL_PRIMES:
-                e = 0
-                while r % p == 0:
-                    r //= p
-                    e += 1
-                if e:
-                    counts[p, e] = counts.get((p, e), 0) + 1
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_counts", _valuation_counts(R))
 
     def n(self, p: int, e: int) -> int:
         """Number of r in R with p-valuation exactly e."""
@@ -47,6 +39,21 @@ class LBContext:
     @property
     def r_x(self) -> int:
         return lcm(*self.R)
+
+
+@lru_cache(maxsize=None)
+def _valuation_counts(R: tuple) -> dict:
+    """(p, e) -> number of r in R with exact p-valuation e >= 1."""
+    counts = {}
+    for r in R:
+        for p in SMALL_PRIMES:
+            e = 0
+            while r % p == 0:
+                r //= p
+                e += 1
+            if e:
+                counts[p, e] = counts.get((p, e), 0) + 1
+    return counts
 
 
 def f_p(ctx: LBContext, p: int, N: int) -> int:
@@ -129,8 +136,10 @@ def _contains(R, needed) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def lb(ctx: LBContext, N: int) -> int:
-    """The degree lower bound LB(N) = product of the per-prime factors."""
+    """The degree lower bound LB(N) = product of the per-prime factors;
+    cached, since it depends only on R and N."""
     out = 1
     for p in SMALL_PRIMES:
         out *= f_p(ctx, p, N)

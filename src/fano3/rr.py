@@ -20,7 +20,6 @@ __all__ = [
     "CurveConfig",
     "UnknownTerm",
     "ResidueConstraintSystem",
-    "c_orbifold",
     "c_curve",
     "h0_sA",
     "residue_term_builder",
@@ -71,21 +70,6 @@ class CurveConfig:
                 raise ValueError("A_1 curves enter only through the aggregate x_A1")
         if self.x_A1 is not None and self.x_A1 < 0:
             raise ValueError("x_A1 must be nonnegative")
-
-
-def c_orbifold(r: int, b: int, i: int) -> Fraction:
-    """Riemann-Roch correction of an orbifold point (r, b) at local index i.
-
-    c_Q(D) = -i(r^2-1)/(12r) + sum_{k<i} sigma_pair(k*b, r); periodic in i
-    with period r.
-    """
-    if r < 2 or not (0 < 2 * b <= r) or gcd(b, r) != 1:
-        raise ValueError(f"invalid orbifold point ({r},{b})")
-    if i < 0:
-        raise ValueError("local index must be nonnegative")
-    val = Fraction(-i * (r * r - 1), 12 * r)
-    val += sum((sigma_pair(k * b, r) for k in range(i)), Fraction(0))
-    return val
 
 
 def c_curve(j: int, unit: int, s: int) -> Fraction:

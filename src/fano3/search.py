@@ -1,11 +1,12 @@
 """Three-step candidate search for large Fano indices.
 
 Step 1 lists the admissible index multisets R with their c2c1 value;
-Step 2 enumerates baskets, indices q, the codimension-2 Cartier index J_A
-and r_Xc1^3; Step 3 attaches degree lower bounds and keeps only candidates
-whose curve-degree budget (nabla) can accommodate the curves forced by the
-prime powers of J_A.  Everything is exact and the result is independent of
-the worker count.
+Step 2 walks the Riemann-Roch residue classes of r_Xc1^3 for each R and
+reads off baskets, indices q and the codimension-2 Cartier index J_A;
+Step 3 attaches degree lower bounds and keeps only candidates whose
+curve-degree budget (nabla) can accommodate the curves forced by the prime
+powers of J_A.  Everything is exact integer arithmetic, and the result is
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from math import gcd, lcm
 
 from .arith import InvariantViolation, prime_powers, sigma_numerator
-from .basket import Basket, enumerate_R, enumerate_baskets, gorenstein_index, rX_c2c1, rr_fano_integral
+from .basket import Basket, basket_points, enumerate_baskets, enumerate_R, gorenstein_index
+from .basket import rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb
 from .rr import curve_cost, nabla
 
@@ -28,6 +32,8 @@ __all__ = [
     "run_search",
     "verify_candidate",
     "ceil_display",
+    # not called here; perfbench/tracing.py shims it at this module
+    "enumerate_baskets",
 ]
 
 GREATER = "greater"
@@ -85,84 +91,79 @@ def step1(q_min: int):
             yield R, c2c1
 
 
-def _q_range(q_min: int, rXc2c1: int, mode: str):
-    if mode == EQUAL:
-        qs = [q_min]
-    elif mode == GREATER:
-        qs = []
-        q = q_min + 1
-        # finiteness: rXc13 >= q turns the test inequality into
-        # q^2 + 2q - 4 <= 4q * rXc2c1
-        while q * q + 2 * q - 4 <= 4 * q * rXc2c1:
-            qs.append(q)
-            q += 1
-    else:
-        raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
-    return [q for q in qs if q * q + 2 * q - 4 <= 4 * q * rXc2c1]
-
-
-@lru_cache(maxsize=512)
-def _step2_tuples(rXc2c1: int, q_min: int, mode: str):
-    """All (q, J_A, rXc13) triples passing the test inequality, sorted.
-
-    Since J_A | q, the divisibility q^2 | J_A * rXc13 parameterizes as
-    rXc13 = m * q * d with d = q / J_A, which in particular is an integer.
-    The cofactor d is bounded by roughly 4 * rXc2c1 / q, so we iterate d
-    outermost and q over its multiples.
-    """
-    qs = _q_range(q_min, rXc2c1, mode)
-    out = []
-    if not qs:
-        return ()
-    d = 1
-    while d * qs[0] * (qs[0] ** 2 + 2 * qs[0] - 4) <= 4 * qs[0] ** 2 * rXc2c1:
-        start = qs[0] + (-qs[0]) % d
-        for q in range(start, qs[-1] + 1, d):
-            stride = q * d
-            bound4q2 = 4 * q * q * rXc2c1
-            weight = q * q + 2 * q - 4
-            rXc13 = stride
-            while weight * rXc13 <= bound4q2:
-                if rXc13 >= q:
-                    out.append((q, q // d, rXc13))
-                rXc13 += stride
-        d += 1
-    out.sort()
-    return tuple(out)
-
-
 def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
     """Tuples (basket, q, J_A, rXc13) passing every Step-2 constraint.
 
-    The anticanonical Riemann-Roch integrality depends on the basket only
-    through sum b(r-b) * r_X/r modulo 2 r_X, so it reduces to an integer
-    congruence on rXc13.
+    A residue-first walk.  Riemann-Roch integrality depends on the basket
+    only through sum b(r-b) * r_X/r mod 2 r_X, so the baskets over R, as
+    point tuples, are grouped by that offset; rXc13 runs through the
+    occupied classes below 4 * rXc2c1 (the test inequality).  A triple
+    (q, J_A, rXc13) stays if the budget pays one curve of degree 1 per
+    prime power of J_A (every LB is at least 1); only then are the Baskets
+    of its class built.
     """
-    triples = _step2_tuples(rXc2c1, q_min, mode)
-    for basket in enumerate_baskets(R):
-        r_x = gorenstein_index(basket)
+    if mode not in (GREATER, EQUAL):
+        raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
+    r_x = lcm(*R)
+    modulus = 2 * r_x
+    classes = {}
+    for points in basket_points(R):
         # chi(-K) in Z  <=>  rXc13 = sum b(r-b) r_X/r  (mod 2 r_X)
-        offset = sum(sigma_numerator(p.b, p.r) * (r_x // p.r) for p in basket)
-        modulus = 2 * r_x
-        for q, j_a, rXc13 in triples:
-            if (rXc13 - offset) % modulus == 0:
-                yield basket, q, j_a, rXc13
+        offset = sum(sigma_numerator(b, r) * (r_x // r) for r, b in points) % modulus
+        classes.setdefault(offset, []).append(points)
+    low = q_min if mode == EQUAL else q_min + 1
+    baskets = {}
+    for offset, members in classes.items():
+        for rXc13 in range(low + (offset - low) % modulus, 4 * rXc2c1, modulus):
+            for q, j_a in _index_pairs(rXc13, q_min, mode):
+                if _budget_excess(q, rXc13, rXc2c1, _prime_powers(j_a), repeat(1)) < 0:
+                    continue
+                for points in members:
+                    if points not in baskets:
+                        baskets[points] = Basket(points)
+                    yield baskets[points], q, j_a, rXc13
 
 
-def _demand(pas, lbs) -> Fraction:
-    """Curve cost of one curve per prime power, each of its least degree."""
-    return sum((curve_cost(pa, val) for pa, val in zip(pas, lbs)), Fraction(0))
+def _index_pairs(rXc13: int, q_min: int, mode: str):
+    """(q, J_A) with q in the mode's range, J_A | q and q^2 | J_A * rXc13:
+    q divides rXc13 and d = q/J_A divides gcd(q, rXc13/q)."""
+    if mode == EQUAL:
+        cofactors = (rXc13 // q_min,) if rXc13 % q_min == 0 else ()
+    else:
+        cofactors = [k for k in range(1, rXc13 // (q_min + 1) + 1) if rXc13 % k == 0]
+    for k in cofactors:
+        q = rXc13 // k
+        g = gcd(q, k)
+        for d in range(1, g + 1):
+            if g % d == 0:
+                yield q, q // d
+
+
+_prime_powers = lru_cache(maxsize=None)(prime_powers)
+
+
+def _budget_excess(q: int, rXc13: int, rXc2c1: int, pas, lbs) -> int:
+    """4q^2 * (nabla - demand): the budget inequality holds iff it is >= 0.
+
+    An integer because every prime power of J_A divides q.
+    """
+    q4 = 4 * q * q
+    excess = q4 * rXc2c1 - (q * q + 2 * q - 4) * rXc13
+    for pa, val in zip(pas, lbs):
+        excess -= (pa * pa - 1) * (q4 // pa) * val
+    return excess
 
 
 def step3(basket: Basket, q: int, j_a: int, rXc13: int, rXc2c1: int):
     """Attach prime powers, degree bounds and nabla; filter by the budget."""
+    if q % j_a:
+        raise ValueError(f"J_A = {j_a} does not divide q = {q}")
     ctx = LBContext(basket.R)
-    pas = prime_powers(j_a)
+    pas = _prime_powers(j_a)
     lbs = tuple(lb(ctx, pa) for pa in pas)
-    nab = nabla(q, rXc13, rXc2c1)
-    if nab < _demand(pas, lbs):
+    if _budget_excess(q, rXc13, rXc2c1, pas, lbs) < 0:
         return None
-    return Candidate(basket, q, j_a, rXc13, rXc2c1, pas, lbs, nab)
+    return Candidate(basket, q, j_a, rXc13, rXc2c1, pas, lbs, nabla(q, rXc13, rXc2c1))
 
 
 def _process_units(args):
@@ -179,8 +180,11 @@ def _process_units(args):
 def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
     """The complete candidate list, canonically sorted.
 
-    Work units are the Step-1 pairs, partitioned round-robin; the merge
-    sorts canonically, so the output does not depend on ``workers``.
+    Work units are the Step-1 pairs (R, r_Xc2c1), partitioned round-robin.
+    Each unit runs the Step-2 walk over the residue classes of R and sends
+    every tuple it yields through Step 3.  The merge sorts canonically, so
+    the output does not depend on ``workers``; every candidate is then
+    re-checked by ``verify_candidate``.
     """
     units = list(step1(q_min))
     if workers <= 1:
@@ -216,7 +220,7 @@ def verify_candidate(c: Candidate, q_min: int, mode: str = GREATER) -> None:
         (c.prime_powers == prime_powers(c.j_a), "prime powers of J_A"),
         (c.lb_values == tuple(lb(ctx, pa) for pa in c.prime_powers), "degree lower bounds"),
         (c.nabla == nabla(c.q, c.rXc13, c.rXc2c1), "nabla"),
-        (c.nabla >= _demand(c.prime_powers, c.lb_values), "budget inequality"),
+        (c.nabla >= sum(map(curve_cost, c.prime_powers, c.lb_values)), "budget inequality"),
     )
     for holds, what in checks:
         if not holds:

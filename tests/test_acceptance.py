@@ -21,10 +21,11 @@ from fano3.eliminate import (
     solve_group_c_residues,
 )
 from fano3.lb import LBContext, lb
-from fano3.rr import c_orbifold, delta_lower_bound
+from fano3.rr import delta_lower_bound
 from fano3.tables import GROUP_A, GROUP_C_PLUS, TABLE_EQ66, TABLE_MAIN
 from fano3.wps import WeightedP3, anticanonical_degree, anticanonical_volume, h0 as wps_h0
 
+from oracles import c_orbifold
 from test_eliminate import (
     GROUP_A_DOMAINS,
     H0_TABLE_1_TO_34,

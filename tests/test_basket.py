@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,8 @@ from fano3.basket import (
     rX_c2c1,
     rr_fano_integral,
 )
+
+from oracles import admissible_R
 
 
 def test_orbifold_point_validation():
@@ -89,3 +92,13 @@ def test_rr_fano_integral():
     assert rr_fano_integral(Basket([(5, 1)]), Fraction(84, 5))
     assert rr_fano_integral(Basket([]), 2)
     assert not rr_fano_integral(Basket([(5, 1)]), Fraction(83, 5))
+
+
+def test_integer_budget_matches_fractions():
+    """enumerate_R and rX_c2c1 count the budget in integers; the reference
+    sums r - 1/r in Fractions."""
+    reference = admissible_R()
+    assert list(enumerate_R()) == [R for R, _ in reference]
+    for R, used in reference:
+        assert r_budget(R) == used
+        assert rX_c2c1(R) == lcm(*R) * (BUDGET - used)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -135,3 +136,14 @@ def test_config_file_and_out(tmp_path, capsys):
     bad.write_text("verbosity = 11\n")
     code, _, err = run_cli(capsys, "search", "--mode", "equal", "--config", str(bad))
     assert code == 2
+
+
+def test_search_bytes_under_optimize():
+    """`python -O` prints the contract bytes of the q = 66 search."""
+    done = run_python(
+        "-O", "-m", "fano3", "search", "--qmin", "66", "--mode", "equal", "--format", "json"
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "c422bc06a0da5ffdd345f0544f7cc276b1230a333729fed623e9a69ce7ba3596"
+    )

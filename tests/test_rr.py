@@ -11,13 +11,14 @@ from fano3.rr import (
     CurveConfig,
     UnknownTerm,
     c_curve,
-    c_orbifold,
     delta_lower_bound,
     h0_sA,
     km_bound,
     nabla,
     residue_term_builder,
 )
+
+from oracles import c_orbifold
 
 
 def test_c_orbifold_periodicity():

@@ -6,6 +6,7 @@ from fano3.basket import Basket
 from fano3.search import ceil_display, run_search, step1, step3, verify_candidate
 from fano3.tables import TABLE_EQ66, TABLE_MAIN
 
+import oracles
 from conftest import run_python
 
 
@@ -28,6 +29,8 @@ def test_step3_attaches_budget():
     assert cand is not None
     assert cand.lb_values == (5, 5, 5)
     assert cand.nabla == Fraction(6259, 84)
+    with pytest.raises(ValueError):
+        step3(Basket([(5, 1)]), 84, 5, 84, 96)  # J_A must divide q
 
 
 def test_table_main_regression(candidates_greater):
@@ -101,3 +104,13 @@ def test_verify_candidate_rejects_tampering_under_optimize():
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         run_search(66, "sideways", 1)
+
+
+@pytest.mark.parametrize(
+    "q_min, mode",
+    [(30, "equal"), (40, "equal"), (50, "equal"), (60, "equal"), (66, "equal"), (63, "greater")],
+)
+def test_walk_matches_triple_order_oracle(q_min, mode):
+    """The residue-first walk finds exactly the candidates of the triple-order
+    Step 2 with the Fraction budget test."""
+    assert run_search(q_min, mode) == oracles.run_search(q_min, mode)
