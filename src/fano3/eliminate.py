@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 
-from .arith import InvariantViolation, prime_powers
+from .arith import InvariantViolation, prime_powers, sigma_numerator
 from .basket import Basket, gorenstein_index
 from .certificates import CITED_LEMMA, MECHANICAL, EliminationCertificate, Verdict
 from .lb import LBContext, lb
@@ -37,6 +37,9 @@ from .rr import (
     a2mk,
     curve_cost,
     delta_lower_bound,
+    h0_integral_values,
+    h0_orbifold_numerator,
+    h0_s_part,
     h0_sA,
     km_bound,
     residue_term_builder,
@@ -97,16 +100,28 @@ _NO_CURVES = CurveConfig((), x_A1=0, a1_allowed=False)
 def _scaled(sys: ResidueConstraintSystem):
     """The system in integer residues: ``(L, base, tables)``.
 
-    L is the lcm of every denominator in the system, ``base`` is the known
-    part of the total times L, and ``tables[i][u]`` is unknown i at
-    residue u times L, all reduced mod L.  The total is integral exactly
-    when the scaled sum is 0 mod L.
+    L is the lcm of every reduced denominator in the system, ``base`` is
+    the known part of the total times L, and ``tables[i][u]`` is unknown i
+    at residue u times L, all reduced mod L.  The total is integral exactly
+    when the scaled sum is 0 mod L.  Each unknown's values are integer
+    numerators over one denominator, from ``sigma_numerator`` (quadratic
+    terms) or from u (linear terms); dividing out their common gcd leaves
+    the lcm of the term's reduced denominators, so L is the exact lcm.
     """
     base = sys.constant + sum(sys.fixed_terms, Fraction(0))
-    values = [[t.value(u) for u in range(t.modulus)] for t in sys.unknown_terms]
-    big_l = lcm(base.denominator, *(v.denominator for tab in values for v in tab))
-    tables = [[int(v * big_l) % big_l for v in tab] for tab in values]
-    return big_l, int(base * big_l) % big_l, tables
+    terms = []
+    for t in sys.unknown_terms:
+        a, den = t.coeff.numerator, t.coeff.denominator
+        if t.shape == "quadratic":
+            nums = [a * sigma_numerator(u, t.modulus) for u in range(t.modulus)]
+            den *= 2 * t.modulus
+        else:
+            nums = [a * u for u in range(t.modulus)]
+        g = gcd(den, *nums)
+        terms.append((den // g, [n // g for n in nums]))
+    big_l = lcm(base.denominator, *(den for den, _ in terms))
+    tables = [[n * (big_l // den) % big_l for n in nums] for den, nums in terms]
+    return big_l, base.numerator * (big_l // base.denominator) % big_l, tables
 
 
 def _suffix_reach(tables, big_l: int):
@@ -123,14 +138,16 @@ def exists_integral_solution(sys: ResidueConstraintSystem, cap: int = 10**9):
 
     Returns ``(True, {"witness": assignment})`` or
     ``(False, {"exhausted": domain, "moduli": [...]})``.  Every term is
-    scaled once to an integer residue mod L, the lcm of all denominators.
+    scaled once, in integers, to a residue mod L, the exact lcm of all
+    reduced denominators (see ``_scaled``).
     Term by term from the last unknown, the sets of sums mod L that each
     suffix of the unknowns can reach decide solvability; one forward walk
     through them then picks, unknown by unknown, the least residue that
     can still be completed.  That is the lexicographically least integral
     assignment, the first one ``integral_assignments`` yields.  The work
     grows with L times the moduli rather than with their product; the
-    certificate domain is always the full logical product.
+    certificate domain is always the full logical product.  The witness is
+    re-checked in Fractions by ``sys.total``, independently of the tables.
     """
     domain = sys.domain_size
     if domain > cap:
@@ -548,15 +565,8 @@ def _case_24(c, cert) -> None:
     # full h^0 formula with one A_2 and one A_3 curve of degree 5 and x_A1 = 10,
     # over every choice of local indices at the basket points
     cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4, 1)), x_A1=x_a1)
-    minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
-    local = list(iproduct(*(range(p.r) for p in c.basket)))
-
-    def h0_values(s):
-        vals = (h0_sA(c.q, minus_a2k, cfg, c.basket, idx, s) for idx in local)
-        return {int(v) for v in vals if v.denominator == 1}
-
     expected = {2: 1, 3: 1, 6: 1, 30: 4, 31: 3}
-    computed = {s: h0_values(s) for s in expected}
+    computed = _h0_value_sets(c, cfg, expected)
     cert.mechanical(
         f"h^0 is pinned by integrality alone: {sorted((s, sorted(v)) for s, v in computed.items())}",
         "narrowed",
@@ -569,6 +579,22 @@ def _case_24(c, cert) -> None:
         "yet h^0(31A) = 3 < 4 = h^0(30A) forces h^0(A) = 0",
         "contradiction",
     )
+
+
+def _h0_value_sets(c: Candidate, cfg: CurveConfig, s_values) -> dict:
+    """s -> every integral value of h^0(sA) over all local-index tuples.
+
+    The orbifold numerators of the tuples are computed once and the s-part
+    once per s, so each tuple costs one integer compare per s.
+    """
+    local = iproduct(*(range(p.r) for p in c.basket))
+    numerators = [h0_orbifold_numerator(c.basket, idx) for idx in local]
+    minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
+    tables = {}
+    for s in s_values:
+        part = h0_s_part(c.q, minus_a2k, cfg, c.basket, s)
+        tables[s] = {v for v in h0_integral_values(part, c.r_x, numerators) if v is not None}
+    return tables
 
 
 def _case_27(c, cert) -> None:
@@ -713,10 +739,11 @@ def _case_35(c, cert) -> None:
 # {(2,1),(3,1),(5,2),(11,2)}, r_X(-K)^3 = 330 * 66^3 / (5*6*22*33) = 4356
 # and no crepant curves.
 _GROUP_C_BASKET = Basket({(2, 1), (3, 1), (5, 2), (11, 2)})
-_GROUP_C_A2MK = a2mk(66, 4356, gorenstein_index(_GROUP_C_BASKET))
+_GROUP_C_R_X = gorenstein_index(_GROUP_C_BASKET)
+_GROUP_C_A2MK = a2mk(66, 4356, _GROUP_C_R_X)
 
 
-@cache  # every Group C case replays the same derivation
+@cache  # the closed form and the h^0(A) residual
 def _group_c_h0(idx: tuple, s: int) -> Fraction:
     return h0_sA(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, idx, s)
 
@@ -749,24 +776,26 @@ class GroupCResidues:
     steps: tuple
 
 
-def solve_group_c_residues(c: Candidate) -> GroupCResidues:
-    """Replay the residue derivation that pins the Group C h^0 formula.
-
-    Integrality of h^0(2A) fixes the even-multiple residues up to sign;
-    integrality of h^0(A) - h^0(3A) fixes the odd corrections; h^0(A) = 0
-    then ties the A_1 aggregate to r_X (or to 0 when no A_1 curve can
-    exist because the polarization is Cartier at the half-points).
-    """
-    if group_of(_case_id_of(c)) not in ("C-", "C+"):
-        raise ValueError("candidate is not in Group C")
+@cache  # no step here depends on the candidate
+def _group_c_shared_steps():
+    """The even step, the odd step and the h^0(A) residual of the Group C
+    derivation: ``(even, odd, residual, steps)``."""
     steps = []
 
+    def s_part(s):
+        return h0_s_part(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, s)
+
     # a point (r, b) with local index i contributes F_r(i b)
-    sols = set()
-    for idx in iproduct(*(range(p.r) for p in _GROUP_C_BASKET)):
-        v = _group_c_h0(idx, 2)
-        if v.denominator == 1:
-            sols.add((tuple(i * p.b % p.r for i, p in zip(idx, _GROUP_C_BASKET)), int(v)))
+    numerator = {
+        idx: h0_orbifold_numerator(_GROUP_C_BASKET, idx)
+        for idx in iproduct(*(range(p.r) for p in _GROUP_C_BASKET))
+    }
+    values = h0_integral_values(s_part(2), _GROUP_C_R_X, numerator.values())
+    sols = {
+        (tuple(i * p.b % p.r for i, p in zip(idx, _GROUP_C_BASKET)), v)
+        for idx, v in zip(numerator, values)
+        if v is not None
+    }
     even = {p.r: sorted({x[k] for x, _ in sols}) for k, p in enumerate(_GROUP_C_BASKET)}
     h0_2a_vals = {v for _, v in sols}
     steps.append(
@@ -781,14 +810,17 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
     if even != {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]} or h0_2a_vals != {0}:
         raise InvariantViolation(f"unexpected h^0(2A) residues {even} or values {h0_2a_vals}")
 
-    # canonical sign choice: 0, 2, 4, 4; the half-point residue stays 0
-    odd_sols = set()
-    for y3, y5, y11 in iproduct(range(3), range(5), range(11)):
-        idx_a = _group_c_index((0, y3, y5, y11))
-        idx_3a = _group_c_index((0, y3 + 2, y5 + 4, y11 + 4))
-        v = _group_c_h0(idx_a, 1) - _group_c_h0(idx_3a, 3)
-        if v.denominator == 1:
-            odd_sols.add((y3, y5, y11))
+    # canonical sign choice: 0, 2, 4, 4; the half-point residue stays 0.
+    # h^0(A) - h^0(3A) is the difference of the s-parts minus the
+    # difference of the orbifold numerators over 2 r_X.
+    odd_residues = list(iproduct(range(3), range(5), range(11)))
+    differences = [
+        numerator[_group_c_index((0, y3, y5, y11))]
+        - numerator[_group_c_index((0, y3 + 2, y5 + 4, y11 + 4))]
+        for y3, y5, y11 in odd_residues
+    ]
+    values = h0_integral_values(s_part(1) - s_part(3), _GROUP_C_R_X, differences)
+    odd_sols = {y for y, v in zip(odd_residues, values) if v is not None}
     odd = {r: sorted({y[k] for y in odd_sols}) for k, r in enumerate((3, 5, 11))}
     steps.append(
         (
@@ -801,12 +833,28 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
     if odd != {3: [1], 5: [2], 11: [2]}:
         raise InvariantViolation(f"unexpected odd-correction residues {odd}")
 
-    r_x = c.r_x
     # h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = 1/4; the residual is h^0(A)
     # with the odd corrections above (local index 1) and none at the half-point
     residual = _group_c_h0((0, 1, 1, 1), 1)
     if residual != Fraction(1, 4):
         raise InvariantViolation(f"h^0(A) residual is {residual}, not 1/4")
+    return even, odd, residual, tuple(steps)
+
+
+def solve_group_c_residues(c: Candidate) -> GroupCResidues:
+    """Replay the residue derivation that pins the Group C h^0 formula.
+
+    Integrality of h^0(2A) fixes the even-multiple residues up to sign;
+    integrality of h^0(A) - h^0(3A) fixes the odd corrections; h^0(A) = 0
+    then ties the A_1 aggregate to r_X (or to 0 when no A_1 curve can
+    exist because the polarization is Cartier at the half-points).  Only
+    that last step depends on the candidate; the others are computed once.
+    """
+    if group_of(_case_id_of(c)) not in ("C-", "C+"):
+        raise ValueError("candidate is not in Group C")
+    even, odd, residual, steps = _group_c_shared_steps()
+
+    r_x = c.r_x
     if r_x % 2 == 1:
         x_a1 = r_x
         why = "r_X is odd, so the half-point correction is absent and x_A1 = r_X"
@@ -818,15 +866,13 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
         )
     else:
         raise InvariantViolation("unreachable for the Group C table")
-    steps.append(
-        (
-            MECHANICAL,
-            f"h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = {residual}; {why}",
-            "determined",
-            None,
-        )
+    x_a1_step = (
+        MECHANICAL,
+        f"h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = {residual}; {why}",
+        "determined",
+        None,
     )
-    return GroupCResidues(even, odd, 0, x_a1, tuple(steps))
+    return GroupCResidues(even, odd, 0, x_a1, steps + (x_a1_step,))
 
 
 def movable_thresholds(h0) -> set:

@@ -4,6 +4,13 @@ Local corrections at orbifold points and crepant curves, the h^0(sA)
 evaluator, the slack functional ``nabla`` that budgets total crepant-curve
 degree, the Kawamata-Miyaoka bound, and the translation of integrality
 constraints into finite residue systems.
+
+``h0_sA`` is the one h^0 formula: the s-part ``h0_s_part`` (volume, curve
+and A_1-aggregate terms, which depend on s alone) minus the orbifold
+corrections ``h0_orbifold_numerator``, an integer over 2 r_X.  A table
+over many local-index tuples computes each numerator once and each
+s-part once per s, and ``h0_integral_values`` reads integrality and the
+value from one integer compare per tuple.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ __all__ = [
     "ResidueConstraintSystem",
     "c_curve",
     "h0_sA",
+    "h0_s_part",
+    "h0_orbifold_numerator",
+    "h0_integral_values",
     "residue_term_builder",
     "km_bound",
     "nabla",
@@ -82,13 +92,11 @@ def c_curve(j: int, unit: int, s: int) -> Fraction:
     return -sigma_pair(s * unit, j)
 
 
-def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
-    """Exact h^0(sA) for 0 < s < q, given full local data.
+def h0_s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> Fraction:
+    """The part of h^0(sA) that does not depend on the local indices:
+    s^2/2 (-A^2.K) + 2 plus the crepant-curve and A_1-aggregate corrections.
 
-    ``A2mK`` is the exact value -A^2.K, see ``a2mk``; ``idx`` lists the
-    local index i at each basket point, in basket order.  The result is
-    an integer whenever the inputs describe a genuine variety, but the
-    function does not assume it.
+    Valid for 0 < s < q; needs concrete curve units and a concrete x_A1.
     """
     if not 0 < s < q:
         raise ValueError(f"need 0 < s < q, got s={s}, q={q}")
@@ -102,11 +110,45 @@ def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
         val += Fraction(c.degree_rXKC, r_x) * c_curve(c.j, c.generator_unit, s)
     if cfg.x_A1:
         val += Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
-    # the orbifold corrections sigma_pair(i b, r), summed over 2 r_X
-    orbifold = sum(
+    return val
+
+
+def h0_orbifold_numerator(B: Basket, idx) -> int:
+    """The orbifold corrections of h^0 at local indices ``idx`` (one per
+    basket point, in basket order) over the common denominator 2 r_X:
+    sum sigma_numerator(i b, r) * r_X / r."""
+    r_x = gorenstein_index(B)
+    return sum(
         sigma_numerator(i * p.b, p.r) * (r_x // p.r) for i, p in zip(idx, B, strict=True)
     )
-    return val - Fraction(orbifold, 2 * r_x)
+
+
+def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
+    """Exact h^0(sA) for 0 < s < q, given full local data.
+
+    ``A2mK`` is the exact value -A^2.K, see ``a2mk``; ``idx`` lists the
+    local index i at each basket point, in basket order.  The result is
+    the s-part ``h0_s_part`` minus ``h0_orbifold_numerator`` / (2 r_X).  It
+    is an integer whenever the inputs describe a genuine variety, but the
+    function does not assume it.
+    """
+    orbifold = Fraction(h0_orbifold_numerator(B, idx), 2 * gorenstein_index(B))
+    return h0_s_part(q, A2mK, cfg, B, s) - orbifold
+
+
+def h0_integral_values(part, r_x: int, numerators) -> list:
+    """``part - n / (2 r_X)`` for each orbifold numerator n, as in ``h0_sA``:
+    the integer where it is integral and None elsewhere.
+
+    ``part`` is read once, so a table over many local-index tuples costs
+    one integer compare per tuple.
+    """
+    two_rx = 2 * r_x
+    top = part * two_rx
+    if top.denominator != 1:
+        return [None for _ in numerators]
+    top = int(top)
+    return [None if (top - n) % two_rx else (top - n) // two_rx for n in numerators]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ independent of the worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -190,6 +189,9 @@ def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
     if workers <= 1:
         results = _process_units((q_min, mode, units))
     else:
+        # imported here so that `import fano3` loads no process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [units[i::workers] for i in range(workers)]
         results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,9 +1,10 @@
 """Slow reference implementations that the engine is checked against.
 
 Each one computes the same thing as an engine routine by a different and
-more direct route: Fractions instead of scaled integers, and the old
-triple-order Step 2 (every (q, J_A, rXc13) triple tested against every
-basket) instead of the residue-first walk.
+more direct route: Fractions instead of scaled integers (the budget, step
+1, the solver's residue tables), and the old triple-order Step 2 (every
+(q, J_A, rXc13) triple tested against every basket) instead of the
+residue-first walk.
 """
 
 from fractions import Fraction
@@ -121,3 +122,13 @@ def run_search(q_min: int, mode: str):
             if nab >= sum(curve_cost(pa, val) for pa, val in zip(pas, lbs)):
                 found.append(Candidate(basket, q, j_a, rXc13, c2c1, pas, lbs, nab))
     return sorted(found, key=lambda c: c.key)
+
+
+def scaled_fractions(sys):
+    """``eliminate._scaled`` through ``UnknownTerm.value``: every residue's
+    value as its own Fraction, L the lcm of their denominators."""
+    base = sys.constant + sum(sys.fixed_terms, Fraction(0))
+    values = [[t.value(u) for u in range(t.modulus)] for t in sys.unknown_terms]
+    big_l = lcm(base.denominator, *(v.denominator for tab in values for v in tab))
+    tables = [[int(v * big_l) % big_l for v in tab] for tab in values]
+    return big_l, int(base * big_l) % big_l, tables

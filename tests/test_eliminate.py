@@ -13,6 +13,7 @@ from fano3.eliminate import (
     DomainTooLarge,
     Undetermined,
     _residues_admitting_completion,
+    _scaled,
     candidate_for_case,
     decompose,
     determine_curves,
@@ -28,11 +29,18 @@ from fano3.eliminate import (
     run_group_b_script,
     solve_group_c_residues,
 )
-from fano3.rr import ResidueConstraintSystem, UnknownTerm, delta_lower_bound
+from fano3.rr import (
+    CurveConfig,
+    ResidueConstraintSystem,
+    UnknownTerm,
+    delta_lower_bound,
+    residue_term_builder,
+)
 from fano3.tables import GROUP_A, GROUP_B, GROUP_C_MINUS, GROUP_C_PLUS, TABLE_MAIN, group_of, row
 from fano3.wps import WeightedP3, h0 as wps_h0
 
 from conftest import run_python
+from oracles import scaled_fractions
 
 GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
 
@@ -77,6 +85,28 @@ def test_solver_matches_reference_on_random_systems():
             assert sys.total(record["witness"]).denominator == 1
         else:
             assert record["exhausted"] == sys.domain_size
+
+
+def _table_systems():
+    """The residue systems of the 36 table candidates at r' in {1, 2 r_X}
+    and s in {1, 2}, with the forced curves where the budget pins them."""
+    for r in TABLE_MAIN:
+        c = candidate_for_case(r.no)
+        cfg = determine_curves(c)
+        if isinstance(cfg, Undetermined):
+            cfg = CurveConfig((), x_A1=None)
+        for r_prime, s in product((1, 2 * c.r_x), (1, 2)):
+            yield residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s)
+
+
+def test_integer_tables_match_fraction_oracle():
+    # integral_assignments, the witness oracle, shares _scaled with the solver
+    rng = random.Random(271828)
+    systems = [_random_system(rng) for _ in range(1000)]
+    systems += list(_table_systems())
+    assert len(systems) == 1000 + 36 * 4
+    for k, sys in enumerate(systems):
+        assert _scaled(sys) == scaled_fractions(sys), (k, sys)
 
 
 def test_solver_witness_and_completions_match_oracle():

@@ -1,9 +1,12 @@
-"""Every module-level import in the package is used or re-exported."""
+"""Import hygiene: every module-level import in the package is used or
+re-exported, and `import fano3` loads no process-pool machinery."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fano3"
 
@@ -42,3 +45,15 @@ def test_unused_import_detection():
         "    return os.sep + j.dumps(1)\n"
     )
     assert unused_imports(source) == ["gcd"]
+
+
+def test_import_loads_no_process_machinery():
+    # the process pool is imported only when run_search asks for workers
+    code = (
+        "import fano3, sys; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,17 +1,24 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
 
 from fano3.arith import sigma_pair
 from fano3.basket import Basket
+from fano3.eliminate import _h0_value_sets, candidate_for_case
+from fano3.lb import LBContext, lb
 from fano3.rr import (
     CrepantCurve,
     CurveConfig,
     UnknownTerm,
+    a2mk,
     c_curve,
     delta_lower_bound,
+    h0_integral_values,
+    h0_orbifold_numerator,
+    h0_s_part,
     h0_sA,
     km_bound,
     nabla,
@@ -75,6 +82,26 @@ def test_h0_sA_matches_term_by_term_sum():
         for i, p in zip(idx, B):
             expected -= sigma_pair(i * p.b, p.r)
         assert h0_sA(q, a2mk_value, cfg, B, idx, s) == expected
+        # the split kernels: s-part minus the orbifold numerator over 2 r_X
+        part = h0_s_part(q, a2mk_value, cfg, B, s)
+        numerator = h0_orbifold_numerator(B, idx)
+        assert part - Fraction(numerator, 2 * r_x) == expected
+        want = expected.numerator if expected.denominator == 1 else None
+        assert h0_integral_values(part, r_x, [numerator]) == [want]
+
+
+def test_case_24_integer_h0_table_matches_h0_sA():
+    c = candidate_for_case(24)
+    ctx = LBContext(c.basket.R)
+    cfg = CurveConfig((CrepantCurve(3, lb(ctx, 3), 1), CrepantCurve(4, lb(ctx, 4), 1)), x_A1=10)
+    minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
+    local = list(product(*(range(p.r) for p in c.basket)))
+    assert len(local) == 135
+    s_values = (2, 3, 6, 30, 31)
+    tables = _h0_value_sets(c, cfg, s_values)
+    for s in s_values:
+        values = (h0_sA(c.q, minus_a2k, cfg, c.basket, idx, s) for idx in local)
+        assert tables[s] == {int(v) for v in values if v.denominator == 1}, s
 
 
 def test_h0_sA_needs_one_index_per_point():
