@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
-from .arith import sigma_pair
+from .arith import sigma_numerator, sigma_pair
 
 __all__ = [
     "OrbifoldPoint",
@@ -23,6 +23,8 @@ __all__ = [
     "gorenstein_index",
     "rX_c2c1",
     "enumerate_R",
+    "enumerate_R_c2c1",
+    "point_classes",
     "basket_points",
     "enumerate_baskets",
     "rr_fano_integral",
@@ -116,51 +118,59 @@ def rX_c2c1(R) -> int:
 
 
 def enumerate_R(max_r: int = 24):
-    """All admissible multisets of local indices, canonically ordered.
+    """All admissible multisets of local indices as sorted tuples, in
+    lexicographic order; at most 24 each, as r - 1/r < 24 fails at r = 25."""
+    return (R for R, _ in enumerate_R_c2c1(max_r))
 
-    Yields sorted tuples; lexicographic order on the tuples.  Elements are
-    at most 24 because r - 1/r < 24 already fails at r = 25.  The budget is
-    counted in units of 1/lcm(2..max_r), so every cost is an integer.
-    """
+
+def enumerate_R_c2c1(max_r: int = 24):
+    """(R, rX_c2c1(R)) for every admissible R, in ``enumerate_R`` order.
+    The budget is counted in integer units of 1/scale, scale = lcm(2..max_r);
+    the recursion carries r_X and the units left; r_X c2c1 = r_X * left / scale."""
     scale = lcm(*range(2, max_r + 1))
-    costs = {r: budget_units(r, scale) for r in range(2, max_r + 1)}
+    costs = [(r, budget_units(r, scale)) for r in range(2, max_r + 1)]
 
-    def rec(prefix, low, remaining):
-        yield tuple(prefix)
-        for r in range(low, max_r + 1):
-            cost = costs[r]
-            if cost < remaining:
-                prefix.append(r)
-                yield from rec(prefix, r, remaining - cost)
-                prefix.pop()
+    def rec(prefix, i, r_x, remaining):
+        yield prefix, r_x * remaining // scale
+        for r, cost in costs[i:]:  # costs grow with r
+            if cost >= remaining:
+                break
+            yield from rec(prefix + (r,), r - 2, lcm(r_x, r), remaining - cost)
 
-    yield from rec([], 2, BUDGET * scale)
+    yield from rec((), 0, 1, BUDGET * scale)
 
 
 @lru_cache(maxsize=None)
-def _b_choices(r: int):
-    return tuple(b for b in range(1, r // 2 + 1) if gcd(b, r) == 1)
+def point_classes(r: int, m: int) -> dict:
+    """The point tuples ((r, b), ...) of m points of index r, deduplicated
+    as multisets and keyed by sum b(r-b) mod 2r.  Over R with r_X = lcm(R)
+    they add (r_X/r) * key to the offset mod 2 r_X, as (r_X/r) * 2r = 2 r_X."""
+    classes = {}
+    for bs in combinations_with_replacement([b for b in range(1, r // 2 + 1) if gcd(b, r) == 1], m):
+        key = sum(sigma_numerator(b, r) for b in bs) % (2 * r)
+        classes[key] = classes.get(key, ()) + (tuple((r, b) for b in bs),)
+    return classes
 
 
 def basket_points(R):
     """The points ((r, b), ...) of every basket over the multiset R, as
     plain sorted tuples, deduplicated as multisets; no Basket is built."""
-    groups = [(r, len(list(g))) for r, g in groupby(sorted(R))]
-    for parts in product(*(combinations_with_replacement(_b_choices(r), m) for r, m in groups)):
-        yield tuple((r, b) for (r, _), bs in zip(groups, parts) for b in bs)
+    R = sorted(R)
+    tables = [point_classes(r, R.count(r)).values() for r in dict.fromkeys(R)]
+    for parts in product(*([p for ps in t for p in ps] for t in tables)):
+        yield sum(parts, ())
 
 
 def enumerate_baskets(R):
     """All baskets over the multiset R, deduplicated as multisets."""
-    for points in basket_points(R):
-        yield Basket(points)
+    return (Basket(points) for points in basket_points(R))
 
 
 def rr_fano_integral(B: Basket, c1cubed) -> bool:
     """Integrality of the anticanonical Riemann-Roch value.
 
     chi(-K) = c1^3/2 + 3 - sum b(r-b)/(2r) must be an integer for basket
-    data coming from an actual variety; used as a search filter.
+    data coming from an actual variety; re-checked for every candidate.
     """
     chi = Fraction(c1cubed) / 2 + 3
     for p in B:

@@ -1,8 +1,8 @@
 """Three-step candidate search for large Fano indices.
 
-Step 1 lists the admissible index multisets R with their c2c1 value;
-Step 2 walks the Riemann-Roch residue classes of r_Xc1^3 for each R and
-reads off baskets, indices q and the codimension-2 Cartier index J_A;
+Step 1 lists the admissible index multisets R with their r_X c2c1 value;
+Step 2 walks the Riemann-Roch classes of r_Xc1^3 that R reaches, reads off q
+and the codimension-2 Cartier index J_A, and builds baskets for survivors;
 Step 3 attaches degree lower bounds and keeps only candidates whose
 curve-degree budget (nabla) can accommodate the curves forced by the prime
 powers of J_A.  Everything is exact integer arithmetic, and the result is
@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd, lcm
 
-from .arith import InvariantViolation, prime_powers, sigma_numerator
-from .basket import Basket, basket_points, enumerate_baskets, enumerate_R, gorenstein_index
-from .basket import rX_c2c1, rr_fano_integral
+from .arith import InvariantViolation, prime_powers
+from .basket import Basket, enumerate_baskets, enumerate_R_c2c1, gorenstein_index
+from .basket import point_classes, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb
 from .rr import curve_cost, nabla
 
@@ -84,8 +84,7 @@ def step1(q_min: int):
     """
     if q_min < 6:
         raise ValueError("q_min must be at least 6")
-    for R in enumerate_R():
-        c2c1 = rX_c2c1(R)
+    for R, c2c1 in enumerate_R_c2c1():
         if 4 * c2c1 > q_min:
             yield R, c2c1
 
@@ -93,34 +92,43 @@ def step1(q_min: int):
 def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
     """Tuples (basket, q, J_A, rXc13) passing every Step-2 constraint.
 
-    A residue-first walk.  Riemann-Roch integrality depends on the basket
-    only through sum b(r-b) * r_X/r mod 2 r_X, so the baskets over R, as
-    point tuples, are grouped by that offset; rXc13 runs through the
-    occupied classes below 4 * rXc2c1 (the test inequality).  A triple
-    (q, J_A, rXc13) stays if the budget pays one curve of degree 1 per
-    prime power of J_A (every LB is at least 1); only then are the Baskets
-    of its class built.
+    A residue-first walk on integer sets.  Riemann-Roch integrality depends
+    on the basket only through its offset sum b(r-b) * r_X/r mod 2 r_X; R
+    reaches the sumset of its groups' offsets (``point_classes``).  Below
+    4 * rXc2c1 (the test inequality) rXc13 runs through the multiples of
+    q_min in a reachable class (equal mode) or every reachable class
+    (greater mode).  A triple stays if the budget pays a degree-1 curve per
+    prime power of J_A (LB >= 1); only then is its class built, as Baskets.
     """
     if mode not in (GREATER, EQUAL):
         raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
     r_x = lcm(*R)
     modulus = 2 * r_x
-    classes = {}
-    for points in basket_points(R):
-        # chi(-K) in Z  <=>  rXc13 = sum b(r-b) r_X/r  (mod 2 r_X)
-        offset = sum(sigma_numerator(b, r) * (r_x // r) for r, b in points) % modulus
-        classes.setdefault(offset, []).append(points)
-    low = q_min if mode == EQUAL else q_min + 1
-    baskets = {}
-    for offset, members in classes.items():
-        for rXc13 in range(low + (offset - low) % modulus, 4 * rXc2c1, modulus):
-            for q, j_a in _index_pairs(rXc13, q_min, mode):
-                if _budget_excess(q, rXc13, rXc2c1, _prime_powers(j_a), repeat(1)) < 0:
-                    continue
-                for points in members:
-                    if points not in baskets:
-                        baskets[points] = Basket(points)
-                    yield baskets[points], q, j_a, rXc13
+    # per distinct index r: (offset added, point tuples) for each class
+    groups = [[(r_x // r * key, pts) for key, pts in point_classes(r, R.count(r)).items()]
+              for r in dict.fromkeys(R)]
+    reach = {0}
+    for group in groups:
+        reach = {(s + add) % modulus for s in reach for add, _ in group}
+    if mode == EQUAL:
+        walk = [x for x in range(q_min, 4 * rXc2c1, q_min) if x % modulus in reach]
+    else:
+        low = q_min + 1
+        walk = [x for c in reach for x in range(low + (c - low) % modulus, 4 * rXc2c1, modulus)]
+    choices, baskets = {}, {}
+    for rXc13 in walk:
+        for q, j_a in _index_pairs(rXc13, q_min, mode):
+            if _budget_excess(q, rXc13, rXc2c1, _prime_powers(j_a), repeat(1)) < 0:
+                continue
+            offset = rXc13 % modulus
+            if not choices:  # first survivor: R's choices of a class per group, by offset
+                for choice in product(*groups):
+                    choices.setdefault(sum(add for add, _ in choice) % modulus, []).append(choice)
+            if offset not in baskets:
+                baskets[offset] = [Basket(sum(points, ())) for choice in choices[offset]
+                                   for points in product(*(pts for _, pts in choice))]
+            for basket in baskets[offset]:
+                yield basket, q, j_a, rXc13
 
 
 def _index_pairs(rXc13: int, q_min: int, mode: str):
@@ -185,6 +193,8 @@ def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
     the output does not depend on ``workers``; every candidate is then
     re-checked by ``verify_candidate``.
     """
+    if mode not in (GREATER, EQUAL):
+        raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
     units = list(step1(q_min))
     if workers <= 1:
         results = _process_units((q_min, mode, units))

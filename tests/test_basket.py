@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import lcm
+from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 import pytest
 
@@ -10,6 +11,7 @@ from fano3.basket import (
     enumerate_R,
     enumerate_baskets,
     gorenstein_index,
+    point_classes,
     r_budget,
     rX_c2c1,
     rr_fano_integral,
@@ -81,6 +83,28 @@ def test_enumerate_baskets():
         (((5, 1), (5, 2))),
         (((5, 2), (5, 2))),
     ]
+
+
+def test_point_classes_partition_the_b_combinations():
+    """For each r and each m with m(r - 1/r) < 24, the classes of
+    ``point_classes(r, m)`` together hold every multiset of m values b
+    (coprime to r, 0 < b <= r/2) exactly once, each under its own
+    sum b(r-b) mod 2r."""
+    for r in range(2, 25):
+        choices = [b for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
+        m = 1
+        while m * Fraction(r * r - 1, r) < BUDGET:
+            listed = []
+            for key, members in point_classes(r, m).items():
+                assert 0 <= key < 2 * r
+                for points in members:
+                    assert all(pr == r for pr, _ in points)
+                    bs = tuple(b for _, b in points)
+                    assert sum(b * (r - b) for b in bs) % (2 * r) == key
+                    listed.append(bs)
+            assert sorted(listed) == sorted(combinations_with_replacement(choices, m))
+            assert len(set(listed)) == len(listed)
+            m += 1
 
 
 def test_basket_budget_enforced():

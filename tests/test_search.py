@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from fano3.basket import Basket
-from fano3.search import ceil_display, run_search, step1, step3, verify_candidate
+from fano3 import search
+from fano3.search import ceil_display, run_search, step1, step2, step3, verify_candidate
 from fano3.tables import TABLE_EQ66, TABLE_MAIN
 
 import oracles
@@ -22,6 +23,33 @@ def test_step1_contains_known_rows():
     assert pairs[(5,)] == 96
     assert pairs[()] == 24
     assert ((2,) in pairs) == (4 * 45 > 66)
+
+
+@pytest.mark.parametrize("q_min", [6, 66])
+def test_step1_matches_fraction_oracle(q_min):
+    """The integer budget carried down the enumerate_R recursion gives the
+    same (R, r_X c2c1) pairs as the Fraction budget, in the same order."""
+    assert list(step1(q_min)) == list(oracles.step1(q_min))
+
+
+def test_step2_matches_triple_order_oracle():
+    """At q_min 66, equal mode, on every Step-1 unit: each tuple the walk
+    yields is an oracle tuple, and each oracle tuple that Step 3 keeps is
+    yielded."""
+    yielded = kept = 0
+    for R, c2c1 in step1(66):
+        walk = [(b.as_tuples(), q, j_a, x) for b, q, j_a, x in step2(R, c2c1, 66, "equal")]
+        assert len(set(walk)) == len(walk)
+        oracle = {}
+        for b, q, j_a, x in oracles.step2(R, c2c1, 66, "equal"):
+            oracle[(b.as_tuples(), q, j_a, x)] = b
+        assert set(walk) <= set(oracle)
+        for key, basket in oracle.items():
+            if step3(basket, *key[1:], c2c1) is not None:
+                assert key in walk
+                kept += 1
+        yielded += len(walk)
+    assert (yielded, kept) == (385, 7)
 
 
 def test_step3_attaches_budget():
@@ -104,6 +132,16 @@ def test_verify_candidate_rejects_tampering_under_optimize():
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         run_search(66, "sideways", 1)
+
+
+def test_bad_mode_rejected_before_any_work(monkeypatch):
+    """A bad mode is refused before Step 1, so no worker pool is started."""
+    def no_step1(q_min):
+        raise AssertionError("step 1 ran")
+
+    monkeypatch.setattr(search, "step1", no_step1)
+    with pytest.raises(ValueError):
+        run_search(66, "sideways", 2)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ so the check needs no perfbench import and runs with the tier-1 suite.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,6 +47,14 @@ def test_tracer_targets_exist():
         if not hasattr(importlib.import_module(f"fano3.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_traced_steps_are_generator_functions():
+    """wrap_generator calls next() on what step1 and step2 return."""
+    from fano3 import search
+
+    assert inspect.isgeneratorfunction(search.step1)
+    assert inspect.isgeneratorfunction(search.step2)
 
 
 def test_shim_detection():
