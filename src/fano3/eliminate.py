@@ -13,9 +13,15 @@ Every candidate that survives the search is killed by one of four routes:
   and the final inequality 60 p^2/(330 q) > 8 against the Hirzebruch
   anticanonical square.
 
+The routes run in a fixed order.  A candidate on the Group C list (the
+rows whose h^0 is that of P(5,6,22,33)) tries C- and then C+; any other
+tries Group A and then each Group B script.  The first contradiction wins,
+so the group a candidate falls in is found, not looked up.
+
 All arithmetic is exact; each step lands in an EliminationCertificate.  A
 route whose argument does not fit the candidate stalls: its certificate
-ends in one inconclusive step and the candidate stands.
+ends in one inconclusive step.  When every route stalls, the last stall is
+the verdict and the candidate stands.
 """
 
 from __future__ import annotations
@@ -45,20 +51,13 @@ from .rr import (
     residue_term_builder,
 )
 from .search import Candidate, step3
-from .tables import (
-    GROUP_B,
-    GROUP_C_MINUS,
-    GROUP_C_PLUS,
-    TABLE_MAIN,
-    group_of,
-    row,
-)
+from .tables import GROUP_C_KEYS, TABLE_MAIN, row
 
 __all__ = [
     "DomainTooLarge",
     "Undetermined",
     "exists_integral_solution",
-    "integral_assignments",
+    "integral_solutions",
     "determine_curves",
     "eliminate_group_a",
     "run_group_b_script",
@@ -137,49 +136,50 @@ def exists_integral_solution(sys: ResidueConstraintSystem, cap: int = 10**9):
     """Exhaustive solvability of ``sys`` over the product of residue ranges.
 
     Returns ``(True, {"witness": assignment})`` or
-    ``(False, {"exhausted": domain, "moduli": [...]})``.  Every term is
-    scaled once, in integers, to a residue mod L, the exact lcm of all
-    reduced denominators (see ``_scaled``).
-    Term by term from the last unknown, the sets of sums mod L that each
-    suffix of the unknowns can reach decide solvability; one forward walk
-    through them then picks, unknown by unknown, the least residue that
-    can still be completed.  That is the lexicographically least integral
-    assignment, the first one ``integral_assignments`` yields.  The work
-    grows with L times the moduli rather than with their product; the
-    certificate domain is always the full logical product.  The witness is
-    re-checked in Fractions by ``sys.total``, independently of the tables.
+    ``(False, {"exhausted": domain, "moduli": [...]})``.  The witness is
+    the first assignment ``integral_solutions`` yields, the
+    lexicographically least one; the certificate domain is always the full
+    logical product.  The witness is re-checked in Fractions by
+    ``sys.total``, independently of the tables.
     """
     domain = sys.domain_size
     if domain > cap:
         raise DomainTooLarge(
             f"residue domain {domain} exceeds cap {cap}; raise the cap explicitly"
         )
-    big_l, base, tables = _scaled(sys)
-    reach = _suffix_reach(tables, big_l)
-    if -base % big_l not in reach[0]:
+    witness = next(integral_solutions(sys), None)
+    if witness is None:
         return False, {"exhausted": domain, "moduli": [t.modulus for t in sys.unknown_terms]}
-    witness, acc = [], base
-    for tab, rest in zip(tables, reach[1:]):
-        u = next(u for u, a in enumerate(tab) if -(acc + a) % big_l in rest)
-        witness.append(u)
-        acc += tab[u]
-    witness = tuple(witness)
     if sys.total(witness).denominator != 1:
         raise InvariantViolation(f"solver witness {witness} leaves {sys.total(witness)}")
     return True, {"witness": witness}
 
 
-def integral_assignments(sys: ResidueConstraintSystem):
+def integral_solutions(sys: ResidueConstraintSystem):
     """Every assignment making the total integral, in lexicographic order.
 
-    Brute force over the full product of residue ranges: the oracle that
-    the solver is tested against, and the enumerator for scripts that need
-    every solution rather than one.
+    Every term is scaled once, in integers, to a residue mod L, the exact
+    lcm of all reduced denominators (see ``_scaled``).  Term by term from
+    the last unknown, the sets of sums mod L that each suffix of the
+    unknowns can reach are built first; a depth-first walk then tries a
+    residue only when the remaining suffix can still complete it, so every
+    branch it enters ends in a solution.  The work before the first
+    solution grows with L times the moduli rather than with their product.
     """
     big_l, base, tables = _scaled(sys)
-    for assign in iproduct(*(range(len(tab)) for tab in tables)):
-        if (base + sum(tab[u] for tab, u in zip(tables, assign))) % big_l == 0:
-            yield assign
+    reach = _suffix_reach(tables, big_l)
+
+    def walk(i, acc):
+        if i == len(tables):
+            yield ()
+            return
+        for u, a in enumerate(tables[i]):
+            if -(acc + a) % big_l in reach[i + 1]:
+                for rest in walk(i + 1, (acc + a) % big_l):
+                    yield (u,) + rest
+
+    if -base % big_l in reach[0]:
+        yield from walk(0, base)
 
 
 def _residues_admitting_completion(sys: ResidueConstraintSystem, label: str):
@@ -251,7 +251,7 @@ def determine_curves(c: Candidate):
 
 
 # ---------------------------------------------------------------------------
-# Case id <-> candidate plumbing
+# Table row -> candidate
 # ---------------------------------------------------------------------------
 
 def candidate_for_case(case_id: int) -> Candidate:
@@ -263,10 +263,6 @@ def candidate_for_case(case_id: int) -> Candidate:
     return cand
 
 
-def _case_id_of(c: Candidate):
-    return next((r.no for r in TABLE_MAIN if r.key == c.key), None)
-
-
 class _Stall(Exception):
     """A route's argument does not fit the candidate, which stays standing."""
 
@@ -275,6 +271,14 @@ def _expect(holds: bool, why: str) -> None:
     """Stall the route with ``why`` unless ``holds``."""
     if not holds:
         raise _Stall(why)
+
+
+def _first_contradiction(verdicts) -> Verdict:
+    """The first eliminating verdict of a lazy sequence, else the last one."""
+    for verdict in verdicts:
+        if verdict.eliminated:
+            break
+    return verdict
 
 
 def _run_route(case_id: int, candidate: Candidate | None, route) -> Verdict:
@@ -321,13 +325,11 @@ def _refute_budget(c, cfg, cert, context: str) -> None:
 # Group A
 # ---------------------------------------------------------------------------
 
-def eliminate_group_a(c: Candidate, case_id: int | None = None) -> Verdict:
+def eliminate_group_a(case_id: int, candidate: Candidate | None = None) -> Verdict:
     """One unsolvable residue system kills the candidate: D = 2A with
     auxiliary index r' = 2 r_X makes every basket term vanish, leaving the
     curve-class residues; no assignment makes the total integral."""
-    if case_id is None:
-        case_id = _case_id_of(c)
-    return _run_route(case_id if case_id is not None else -1, c, _group_a)
+    return _run_route(case_id, candidate, _group_a)
 
 
 def _group_a(c, cert) -> None:
@@ -356,13 +358,11 @@ def _group_a(c, cert) -> None:
 # ---------------------------------------------------------------------------
 
 def run_group_b_script(case_id: int, candidate: Candidate | None = None) -> Verdict:
-    if case_id not in GROUP_B:
-        raise ValueError(f"case {case_id} is not a Group B case")
-    script = {
-        10: _case_10, 20: _case_20, 23: _case_23, 24: _case_24, 27: _case_27,
-        32: _case_32_33, 33: _case_32_33, 35: _case_35, 36: _case_36,
-    }[case_id]
-    return _run_route(case_id, candidate, script)
+    """Each Group B script in turn on the candidate; the first contradiction
+    wins, and when every script stalls the last stall is the verdict."""
+    c = candidate if candidate is not None else candidate_for_case(case_id)
+    scripts = (_case_10, _case_20, _case_23, _case_24, _case_27, _case_32_33, _case_35, _case_36)
+    return _first_contradiction(_run_route(case_id, c, script) for script in scripts)
 
 
 def _curve_orders(c: Candidate, cert, expected: tuple) -> dict:
@@ -624,7 +624,7 @@ def _case_27(c, cert) -> None:
         sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=70, s=s)
         moduli = [t.modulus for t in sys.unknown_terms]
         _expect(moduli == [3, 6], f"r'=70 leaves unknowns mod {moduli}, not [3, 6]")
-        return set(integral_assignments(sys))
+        return set(integral_solutions(sys))
 
     pairs2, pairs4 = index_sets(2), index_sets(4)
     (i3_2, i6_2), (i3_4, i6_4) = (
@@ -690,7 +690,7 @@ def _case_35(c, cert) -> None:
         )
         half = [i for i, t in enumerate(sys.unknown_terms) if t.modulus == 2]
         _expect(len(half) == 4, f"{len(half)} half-points, not four")
-        out = {tuple(a[i] for i in half) for a in integral_assignments(sys)}
+        out = {tuple(a[i] for i in half) for a in integral_solutions(sys)}
         return out, sys.domain_size
 
     (p1, d1), (p4, d4), (p5, d5) = (parity_sets(s) for s in (1, 4, 5))
@@ -849,9 +849,11 @@ def solve_group_c_residues(c: Candidate) -> GroupCResidues:
     then ties the A_1 aggregate to r_X (or to 0 when no A_1 curve can
     exist because the polarization is Cartier at the half-points).  Only
     that last step depends on the candidate; the others are computed once.
+    The derivation holds only for candidates on the Group C list; any other
+    raises ValueError, and so do both Group C routes, which start here.
     """
-    if group_of(_case_id_of(c)) not in ("C-", "C+"):
-        raise ValueError("candidate is not in Group C")
+    if c.key not in GROUP_C_KEYS:
+        raise ValueError(f"candidate {c.key} is not on the Group C list")
     even, odd, residual, steps = _group_c_shared_steps()
 
     r_x = c.r_x
@@ -951,8 +953,6 @@ def _group_c_curves(c: Candidate, cert) -> CurveConfig:
 
 
 def eliminate_group_c_minus(case_id: int, candidate: Candidate | None = None) -> Verdict:
-    if case_id not in GROUP_C_MINUS:
-        raise ValueError(f"case {case_id} is not a Group C- case")
     return _run_route(case_id, candidate, _group_c_minus)
 
 
@@ -969,8 +969,6 @@ def _group_c_minus(c, cert) -> None:
 
 
 def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> Verdict:
-    if case_id not in GROUP_C_PLUS:
-        raise ValueError(f"case {case_id} is not a Group C+ case")
     return _run_route(case_id, candidate, _group_c_plus)
 
 
@@ -1143,15 +1141,14 @@ class PipelineReport:
 
 
 def eliminate_candidate(case_id: int, candidate: Candidate | None = None) -> Verdict:
-    group = group_of(case_id)
-    if group == "A":
-        c = candidate if candidate is not None else candidate_for_case(case_id)
-        return eliminate_group_a(c, case_id)
-    if group == "B":
-        return run_group_b_script(case_id, candidate)
-    if group == "C-":
-        return eliminate_group_c_minus(case_id, candidate)
-    return eliminate_group_c_plus(case_id, candidate)
+    """The routes in their fixed order (the module docstring); ``case_id``
+    only labels the certificate."""
+    c = candidate if candidate is not None else candidate_for_case(case_id)
+    if c.key in GROUP_C_KEYS:
+        routes = (eliminate_group_c_minus, eliminate_group_c_plus)
+    else:
+        routes = (eliminate_group_a, run_group_b_script)
+    return _first_contradiction(route(case_id, c) for route in routes)
 
 
 def run_full_pipeline(workers: int = 1) -> PipelineReport:

@@ -11,6 +11,7 @@ independent of the worker count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -187,8 +188,8 @@ def _process_units(args):
 def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
     """The complete candidate list, canonically sorted.
 
-    Work units are the Step-1 pairs (R, r_Xc2c1), partitioned round-robin.
-    Each unit runs the Step-2 walk over the residue classes of R and sends
+    Work units are the Step-1 pairs (R, r_Xc2c1), partitioned round-robin
+    over at most one process per unit and per CPU.  Each unit runs the Step-2 walk over the residue classes of R and sends
     every tuple it yields through Step 3.  The merge sorts canonically, so
     the output does not depend on ``workers``; every candidate is then
     re-checked by ``verify_candidate``.
@@ -196,6 +197,7 @@ def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
     if mode not in (GREATER, EQUAL):
         raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
     units = list(step1(q_min))
+    workers = min(workers, len(units), os.cpu_count() or 1)
     if workers <= 1:
         results = _process_units((q_min, mode, units))
     else:

@@ -2,12 +2,15 @@
 
 Each one computes the same thing as an engine routine by a different and
 more direct route: Fractions instead of scaled integers (the budget, step
-1, the solver's residue tables), and the old triple-order Step 2 (every
-(q, J_A, rXc13) triple tested against every basket) instead of the
-residue-first walk.
+1, the solver's residue tables), brute force over the full residue product
+instead of the pruned solution walk, and the old triple-order Step 2
+(every (q, J_A, rXc13) triple tested against every basket) instead of the
+residue-first walk.  The published A / B / C- / C+ grouping of the 36
+rows is here too, as the oracle for the engine's fixed route order.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from fano3.arith import prime_powers, sigma_numerator, sigma_pair
@@ -132,3 +135,35 @@ def scaled_fractions(sys):
     big_l = lcm(base.denominator, *(v.denominator for tab in values for v in tab))
     tables = [[int(v * big_l) % big_l for v in tab] for tab in values]
     return big_l, int(base * big_l) % big_l, tables
+
+
+def integral_assignments(sys):
+    """Every assignment making the total integral, in lexicographic order:
+    brute force over the full product of residue ranges, on the tables of
+    ``scaled_fractions``.  Each prefix is summed once and every residue of
+    the last unknown is tested against it."""
+    big_l, base, tables = scaled_fractions(sys)
+    if not tables:
+        if base % big_l == 0:
+            yield ()
+        return
+    *head, last = tables
+    for prefix in product(*(range(len(tab)) for tab in head)):
+        acc = base + sum(tab[u] for tab, u in zip(head, prefix))
+        for u, a in enumerate(last):
+            if (acc + a) % big_l == 0:
+                yield prefix + (u,)
+
+
+#: The published grouping of the 36 q > 66 rows, by row number.
+GROUP_A = frozenset({1, 2, 5, 9, 16, 17, 18, 19, 25, 26, 28, 29, 30, 31, 34})
+GROUP_B = frozenset({10, 20, 23, 24, 27, 32, 33, 35, 36})
+GROUP_C_MINUS = frozenset({4, 7, 8, 12, 14, 15})
+GROUP_C_PLUS = frozenset({3, 6, 11, 13, 21, 22})
+
+
+def group_of(case_id: int) -> str:
+    for name, group in (("A", GROUP_A), ("B", GROUP_B), ("C-", GROUP_C_MINUS), ("C+", GROUP_C_PLUS)):
+        if case_id in group:
+            return name
+    raise ValueError(f"unknown case id {case_id}")

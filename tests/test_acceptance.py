@@ -22,10 +22,10 @@ from fano3.eliminate import (
 )
 from fano3.lb import LBContext, lb
 from fano3.rr import delta_lower_bound
-from fano3.tables import GROUP_A, GROUP_C_PLUS, TABLE_EQ66, TABLE_MAIN
+from fano3.tables import TABLE_EQ66, TABLE_MAIN
 from fano3.wps import WeightedP3, anticanonical_degree, anticanonical_volume, h0 as wps_h0
 
-from oracles import c_orbifold
+from oracles import GROUP_A, GROUP_C_PLUS, c_orbifold
 from test_eliminate import (
     GROUP_A_DOMAINS,
     H0_TABLE_1_TO_34,
@@ -87,7 +87,7 @@ def test_criterion_3_lb_regression():
 
 def test_criterion_4_group_a():
     for cid in sorted(GROUP_A):
-        verdict = eliminate_group_a(candidate_for_case(cid), cid)
+        verdict = eliminate_group_a(cid)
         assert verdict.eliminated and verdict.certificate.fully_mechanical, cid
         final = verdict.certificate.steps[-1]
         assert final.domain_size == GROUP_A_DOMAINS[cid], cid

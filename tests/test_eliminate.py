@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fano3 import eliminate
 from fano3.certificates import CITED_LEMMA, MECHANICAL, certificate_to_dict
 from fano3.eliminate import (
     DomainTooLarge,
@@ -24,7 +25,7 @@ from fano3.eliminate import (
     exists_integral_solution,
     foliation_bounds,
     group_c_closed_form,
-    integral_assignments,
+    integral_solutions,
     movable_thresholds,
     run_group_b_script,
     solve_group_c_residues,
@@ -36,11 +37,19 @@ from fano3.rr import (
     delta_lower_bound,
     residue_term_builder,
 )
-from fano3.tables import GROUP_A, GROUP_B, GROUP_C_MINUS, GROUP_C_PLUS, TABLE_MAIN, group_of, row
+from fano3.tables import GROUP_C_KEYS, TABLE_MAIN, row
 from fano3.wps import WeightedP3, h0 as wps_h0
 
 from conftest import run_python
-from oracles import scaled_fractions
+from oracles import (
+    GROUP_A,
+    GROUP_B,
+    GROUP_C_MINUS,
+    GROUP_C_PLUS,
+    group_of,
+    integral_assignments,
+    scaled_fractions,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
 
@@ -100,7 +109,6 @@ def _table_systems():
 
 
 def test_integer_tables_match_fraction_oracle():
-    # integral_assignments, the witness oracle, shares _scaled with the solver
     rng = random.Random(271828)
     systems = [_random_system(rng) for _ in range(1000)]
     systems += list(_table_systems())
@@ -122,6 +130,13 @@ def test_solver_witness_and_completions_match_oracle():
         for i, term in enumerate(sys.unknown_terms):
             completions = _residues_admitting_completion(sys, term.label)
             assert completions == {a[i] for a in solutions}, (trial, term.label)
+
+
+def test_integral_solutions_match_brute_force():
+    rng = random.Random(31415)
+    systems = [_random_system(rng) for _ in range(200)] + list(_table_systems())
+    for k, sys in enumerate(systems):
+        assert list(integral_solutions(sys)) == list(integral_assignments(sys)), (k, sys)
 
 
 def test_solver_trivial_systems():
@@ -187,7 +202,7 @@ GROUP_A_DOMAINS = {
 def test_group_a_all_eliminated_mechanically():
     assert set(GROUP_A_DOMAINS) == GROUP_A
     for cid in sorted(GROUP_A):
-        verdict = eliminate_group_a(candidate_for_case(cid), cid)
+        verdict = eliminate_group_a(cid)
         assert verdict.eliminated, cid
         assert verdict.certificate.fully_mechanical, cid
         final = verdict.certificate.steps[-1]
@@ -233,7 +248,7 @@ def test_group_a_negative_control(candidates_equal):
     """On the q = 66 rows Group A kills only two baskets; the realised
     P(5,6,22,33) row must survive."""
     assert len(candidates_equal) == 7
-    verdicts = {c.basket.as_tuples(): (c, eliminate_group_a(c)) for c in candidates_equal}
+    verdicts = {c.basket.as_tuples(): (c, eliminate_group_a(-1, c)) for c in candidates_equal}
     eliminated = {key for key, (_, v) in verdicts.items() if v.eliminated}
     assert eliminated == {((2, 1), (2, 1), (5, 1)), ((7, 2),)}
     realised, verdict = verdicts[((5, 2),)]
@@ -265,25 +280,70 @@ def test_group_b_cited_cases_match_golden():
 def test_group_b_and_c_negative_control(candidates_equal):
     """No Group B script eliminates a q = 66 row, the realised P(5,6,22,33)
     row among them: each stalls with one inconclusive step.  The Group C
-    routes refuse these rows."""
+    routes refuse these rows, and the realised row survives the whole route
+    order."""
     assert len(candidates_equal) == 7
     for c in candidates_equal:
-        for cid in sorted(GROUP_B):
-            verdict = run_group_b_script(cid, c)
-            assert not verdict.eliminated, (cid, c.key)
-            assert not verdict.certificate.has_contradiction, (cid, c.key)
-            assert verdict.certificate.steps[-1].outcome == "inconclusive", (cid, c.key)
-        for cid in sorted(GROUP_C_MINUS):
+        verdict = run_group_b_script(-1, c)
+        assert not verdict.eliminated, c.key
+        assert not verdict.certificate.has_contradiction, c.key
+        assert verdict.certificate.steps[-1].outcome == "inconclusive", c.key
+        for route in (eliminate_group_c_minus, eliminate_group_c_plus):
             with pytest.raises(ValueError):
-                eliminate_group_c_minus(cid, c)
-        for cid in sorted(GROUP_C_PLUS):
-            with pytest.raises(ValueError):
-                eliminate_group_c_plus(cid, c)
+                route(-1, c)
+    (realised,) = (c for c in candidates_equal if c.basket.as_tuples() == ((5, 2),))
+    assert not eliminate_candidate(-1, realised).eliminated
 
 
-def test_group_b_rejects_foreign_case():
+# ---------------------------------------------------------------------------
+# Route order
+# ---------------------------------------------------------------------------
+
+ROUTES = {
+    "A": "eliminate_group_a",
+    "B": "run_group_b_script",
+    "C-": "eliminate_group_c_minus",
+    "C+": "eliminate_group_c_plus",
+}
+
+
+def test_route_order_reproduces_groups(monkeypatch):
+    """eliminate_candidate reaches the routes through the module globals;
+    on every row the routes before the published group's stall and that
+    group's route kills.  So Group A stalls on every B row and C- on every
+    C+ row."""
+    tried = []
+    for group, name in ROUTES.items():
+        def recording(case_id, candidate=None, group=group, route=getattr(eliminate, name)):
+            verdict = route(case_id, candidate)
+            tried.append((group, verdict.eliminated))
+            return verdict
+
+        monkeypatch.setattr(eliminate, name, recording)
+    for r in TABLE_MAIN:
+        tried.clear()
+        assert eliminate.eliminate_candidate(r.no).eliminated, r.no
+        assert tried[-1] == (group_of(r.no), True), (r.no, tried)
+        assert not any(killed for _, killed in tried[:-1]), (r.no, tried)
+    assert GROUP_C_KEYS == {row(n).key for n in GROUP_C_MINUS | GROUP_C_PLUS}
     with pytest.raises(ValueError):
-        run_group_b_script(1)
+        row(99)
+
+
+def test_group_b_stalls_on_group_a():
+    for cid in sorted(GROUP_A):
+        verdict = run_group_b_script(cid)
+        assert not verdict.eliminated, cid
+        assert verdict.certificate.steps[-1].outcome == "inconclusive", cid
+
+
+def test_group_c_routes_refuse_other_rows():
+    for cid in sorted(GROUP_A | GROUP_B):
+        for route in (eliminate_group_c_minus, eliminate_group_c_plus):
+            with pytest.raises(ValueError):
+                route(cid)
+        with pytest.raises(ValueError):
+            solve_group_c_residues(candidate_for_case(cid))
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +453,6 @@ def test_group_c_plus_eliminated_with_cited_steps():
             s.citation for s in verdict.certificate.steps if s.kind == CITED_LEMMA
         }
         assert cited == expected_axioms, cid
-
-
-def test_group_routing():
-    assert group_of(1) == "A" and group_of(10) == "B"
-    assert group_of(4) == "C-" and group_of(3) == "C+"
-    with pytest.raises(ValueError):
-        row(99)
 
 
 def test_tampered_candidate_flags_not_crashes():

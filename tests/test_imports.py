@@ -1,7 +1,9 @@
 """Import hygiene: every module-level import in the package is used or
-re-exported, and `import fano3` loads no process-pool machinery."""
+re-exported, every exported name exists, and `import fano3` loads no
+process-pool machinery."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -11,21 +13,27 @@ from conftest import run_python
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fano3"
 
 
+def exported_names(tree) -> list:
+    """The names a module lists in ``__all__``, empty without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def unused_imports(source: str) -> list:
     """Names bound by module-level imports that the module never reads and
     does not list in ``__all__`` (``from __future__`` excepted)."""
     tree = ast.parse(source)
     imported = []
-    exported = set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported += [(a.asname or a.name).split(".")[0] for a in node.names]
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= set(ast.literal_eval(node.value))
+    exported = set(exported_names(tree))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in imported if name not in read and name not in exported]
 
@@ -33,6 +41,15 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_exported_names_exist(path):
+    names = exported_names(ast.parse(path.read_text()))
+    if not names:
+        return  # importing __main__ would run the command line
+    module = importlib.import_module("fano3" if path.stem == "__init__" else f"fano3.{path.stem}")
+    assert [name for name in names if not hasattr(module, name)] == []
 
 
 def test_unused_import_detection():

@@ -100,6 +100,43 @@ def test_worker_determinism(candidates_greater, candidates_greater_w4, candidate
     assert candidates_greater_w8 == candidates_greater
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in
+    this process and starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "q_min, cpus, expected",
+    [(66, 3, 3), (5000, 10**6, len(list(step1(5000)))), (66, None, None), (66, 1, None)],
+)
+def test_pool_size_is_clamped(monkeypatch, candidates_equal, q_min, cpus, expected):
+    """`--jobs 5000` asks for at most one process per work unit and per CPU
+    (serial, with no pool, when that is one)."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    _SerialPool.sizes = []
+    found = run_search(q_min, "equal", 5000)
+    assert _SerialPool.sizes == ([] if expected is None else [expected])
+    if q_min == 66:
+        assert found == candidates_equal
+
+
 def test_verify_candidate_rejects_tampering(candidates_greater):
     from dataclasses import replace
 
