@@ -124,13 +124,13 @@ def cartan_matrix(t: DuValType):
 def smith_normal_form(matrix):
     """Diagonal invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Returns (diag, U, V) with U * A * V diagonal, U and V unimodular.
+    Returns (diag, U): U is unimodular and U * A * V is diagonal for some
+    unimodular V, which is not tracked.
     Plain integer row/column reduction; the matrices here are tiny.
     """
     a = [row[:] for row in matrix]
     nrows, ncols = len(a), len(a[0])
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def row_op(i, j, c):  # row_i += c * row_j
         for k in range(ncols):
@@ -141,8 +141,6 @@ def smith_normal_form(matrix):
     def col_op(i, j, c):  # col_i += c * col_j
         for k in range(nrows):
             a[k][i] += c * a[k][j]
-        for k in range(ncols):
-            v[k][i] += c * v[k][j]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -150,8 +148,6 @@ def smith_normal_form(matrix):
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     t = 0
@@ -193,7 +189,7 @@ def smith_normal_form(matrix):
             continue
         t += 1
     diag = [abs(a[i][i]) for i in range(min(nrows, ncols))]
-    return diag, u, v
+    return diag, u
 
 
 def class_group(t: DuValType):
@@ -202,7 +198,7 @@ def class_group(t: DuValType):
     Computed as the cokernel of the Cartan matrix; the group order equals
     |det| of the Cartan matrix and the invariant j of the type.
     """
-    diag, _, _ = smith_normal_form(cartan_matrix(t))
+    diag, _ = smith_normal_form(cartan_matrix(t))
     return [d for d in diag if d > 1]
 
 
@@ -243,7 +239,7 @@ def has_integral_multiplicity(t: DuValType, c: WeilClass) -> bool:
 
 def class_representatives(t: DuValType):
     """One pairing vector per divisor class (the zero class included)."""
-    diag, u, _ = smith_normal_form(cartan_matrix(t))
+    diag, u = smith_normal_form(cartan_matrix(t))
     # cokernel coordinates c (0 <= c_i < d_i) map back via p = U^{-1} c;
     # since U is unimodular, solving U p = c over Z gives representatives.
     reps = []

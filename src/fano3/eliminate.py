@@ -34,7 +34,7 @@ from math import gcd, lcm
 
 from .arith import InvariantViolation, prime_powers, sigma_numerator
 from .basket import Basket, gorenstein_index
-from .certificates import CITED_LEMMA, MECHANICAL, EliminationCertificate, Verdict
+from .certificates import CITED_LEMMA, MECHANICAL, CertStep, EliminationCertificate, Verdict
 from .lb import LBContext, lb
 from .rr import (
     CrepantCurve,
@@ -62,8 +62,6 @@ __all__ = [
     "eliminate_group_a",
     "run_group_b_script",
     "group_c_closed_form",
-    "GroupCResidues",
-    "solve_group_c_residues",
     "movable_thresholds",
     "decompose",
     "foliation_bounds",
@@ -89,7 +87,7 @@ class Undetermined:
 
 
 #: No crepant curves at all, the A_1 aggregate included.
-_NO_CURVES = CurveConfig((), x_A1=0, a1_allowed=False)
+_NO_CURVES = CurveConfig((), x_A1=0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,7 @@ def determine_curves(c: Candidate):
     if j_a == 1:
         return _NO_CURVES
     if j_a == 2:
-        return CurveConfig((), x_A1=None, a1_allowed=True)
+        return CurveConfig((), x_A1=None)
 
     ctx = LBContext(c.basket.R)
     pps = prime_powers(j_a)
@@ -235,8 +233,8 @@ def determine_curves(c: Candidate):
                 f"budget {nab} admits more curves than the forced set (threshold {threshold})"
             )
         if two_part == 1:
-            return CurveConfig(tuple(curves), x_A1=0, a1_allowed=False)
-        return CurveConfig(tuple(curves), x_A1=None, a1_allowed=True)
+            return CurveConfig(tuple(curves), x_A1=0)
+        return CurveConfig(tuple(curves), x_A1=None)
 
     # even part 2^a >= 4 contributes its own curve
     p_prime = min([4] + odd_primes)
@@ -247,7 +245,7 @@ def determine_curves(c: Candidate):
         )
     curves.append(CrepantCurve(two_part, lb(ctx, two_part)))
     curves.sort(key=lambda cc: cc.j)
-    return CurveConfig(tuple(curves), x_A1=None, a1_allowed=True)
+    return CurveConfig(tuple(curves), x_A1=None)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +279,10 @@ def _first_contradiction(verdicts) -> Verdict:
     return verdict
 
 
-def _run_route(case_id: int, candidate: Candidate | None, route) -> Verdict:
-    """Run ``route(c, cert)`` on the candidate (by default the table row).
-    A route that finishes has recorded its contradiction; a stall becomes
-    one inconclusive step and leaves the candidate standing."""
-    c = candidate if candidate is not None else candidate_for_case(case_id)
+def _run_route(case_id: int, c: Candidate, route) -> Verdict:
+    """Run ``route(c, cert)`` on the candidate.  A route that finishes has
+    recorded its contradiction; a stall becomes one inconclusive step and
+    leaves the candidate standing."""
     cert = EliminationCertificate(case_id)
     try:
         route(c, cert)
@@ -325,11 +322,11 @@ def _refute_budget(c, cfg, cert, context: str) -> None:
 # Group A
 # ---------------------------------------------------------------------------
 
-def eliminate_group_a(case_id: int, candidate: Candidate | None = None) -> Verdict:
+def eliminate_group_a(case_id: int, c: Candidate) -> Verdict:
     """One unsolvable residue system kills the candidate: D = 2A with
     auxiliary index r' = 2 r_X makes every basket term vanish, leaving the
     curve-class residues; no assignment makes the total integral."""
-    return _run_route(case_id, candidate, _group_a)
+    return _run_route(case_id, c, _group_a)
 
 
 def _group_a(c, cert) -> None:
@@ -337,13 +334,12 @@ def _group_a(c, cert) -> None:
     curve_desc = ", ".join(f"A_{cc.j - 1} deg {cc.degree_rXKC}" for cc in cfg.curves)
     cert.mechanical(
         f"forced curve configuration: {curve_desc}"
-        + ("; A_1 aggregate possible" if cfg.a1_allowed else "; no A_1 curves"),
+        + ("; A_1 aggregate possible" if cfg.x_A1 is None else "; no A_1 curves"),
         "determined",
     )
     r_prime = 2 * c.r_x
-    free_cfg = CurveConfig(cfg.curves, x_A1=None, a1_allowed=cfg.a1_allowed)
     sys = residue_term_builder(
-        c.q, c.rXc13, c.basket, free_cfg, r_prime=r_prime, s=2, drop_curve_terms=False
+        c.q, c.rXc13, c.basket, cfg, r_prime=r_prime, s=2, drop_curve_terms=False
     )
     _refute(
         sys,
@@ -357,10 +353,9 @@ def _group_a(c, cert) -> None:
 # Group B scripts
 # ---------------------------------------------------------------------------
 
-def run_group_b_script(case_id: int, candidate: Candidate | None = None) -> Verdict:
+def run_group_b_script(case_id: int, c: Candidate) -> Verdict:
     """Each Group B script in turn on the candidate; the first contradiction
     wins, and when every script stalls the last stall is the verdict."""
-    c = candidate if candidate is not None else candidate_for_case(case_id)
     scripts = (_case_10, _case_20, _case_23, _case_24, _case_27, _case_32_33, _case_35, _case_36)
     return _first_contradiction(_run_route(case_id, c, script) for script in scripts)
 
@@ -388,8 +383,8 @@ def _forced_curves(c: Candidate, cert, curves: tuple, prose: str) -> CurveConfig
     cfg = _forced(c)
     found = tuple((cc.j, cc.degree_rXKC) for cc in cfg.curves)
     _expect(
-        found == curves and cfg.a1_allowed,
-        f"forced curves {found} (A_1 possible: {cfg.a1_allowed}) differ from {curves}",
+        found == curves and cfg.x_A1 is None,
+        f"forced curves {found} (A_1 possible: {cfg.x_A1 is None}) differ from {curves}",
     )
     cert.mechanical(prose, "determined")
     return cfg
@@ -401,7 +396,7 @@ def _a2_degree_solutions(c: Candidate, lb3: int, s: int, ys) -> tuple:
     only other term -- the A_1 aggregate is absent or, for even s, drops.
     The system's constant and the y in ``ys`` leaving an integral total."""
     def system(y):
-        cfg = CurveConfig((CrepantCurve(3, lb3 * y, 1),) if y else (), x_A1=0, a1_allowed=False)
+        cfg = CurveConfig((CrepantCurve(3, lb3 * y, 1),) if y else (), x_A1=0)
         return residue_term_builder(c.q, c.rXc13, c.basket, cfg, 2 * c.r_x, s)
 
     return system(0).constant, [y for y in ys if exists_integral_solution(system(y))[0]]
@@ -472,7 +467,7 @@ def _case_36(c, cert) -> None:
     )
     _expect(degrees == [lb7], "A_6 degree not pinned")
     r_prime = 120  # kills the A_4 terms (5 | 20 deg), the A_1 terms, and the basket
-    cfg = CurveConfig((CrepantCurve(7, lb7),), x_A1=None, a1_allowed=True)
+    cfg = CurveConfig((CrepantCurve(7, lb7),), x_A1=None)
     cert.mechanical(
         f"r'={r_prime}: A_4 and A_1 corrections vanish for every degree "
         "(their scaled degrees are multiples of 5 and 4)",
@@ -516,7 +511,7 @@ def _case_32_33(c, cert) -> None:
         domain_size=3,
     )
     _expect(y_sols == [2], "y residue not pinned")
-    cfg = CurveConfig((CrepantCurve(3, lb3, 1),), x_A1=None, a1_allowed=True)
+    cfg = CurveConfig((CrepantCurve(3, lb3, 1),), x_A1=None)
     good, _ = _x_a1_residues_over_s(c, cfg, r_prime=18, s_values=(1, 3, 5), cert=cert)
     _expect(not any(u % 35 for u in good), f"A_1 residues {sorted(good)} not multiples of 35")
     cert.mechanical("the A_1 aggregate degree is a positive multiple of 35", "narrowed")
@@ -620,7 +615,7 @@ def _case_27(c, cert) -> None:
 
     # r' = 70, s in {2, 4}: local indices at the order-3 and order-6 points
     def index_sets(s):
-        cfg = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=0, a1_allowed=False)
+        cfg = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=0)
         sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=70, s=s)
         moduli = [t.modulus for t in sys.unknown_terms]
         _expect(moduli == [3, 6], f"r'=70 leaves unknowns mod {moduli}, not [3, 6]")
@@ -765,21 +760,11 @@ def group_c_closed_form(s: int) -> int:
     return int(val)
 
 
-@dataclass(frozen=True)
-class GroupCResidues:
-    """Derivation record behind the shared Group C closed form."""
-
-    even_step_residues: dict   # prime -> admissible even-multiple residues
-    odd_step_residues: dict    # prime -> admissible odd-correction residues
-    h0_2A: int
-    x_A1: int
-    steps: tuple
-
-
 @cache  # no step here depends on the candidate
 def _group_c_shared_steps():
     """The even step, the odd step and the h^0(A) residual of the Group C
-    derivation: ``(even, odd, residual, steps)``."""
+    derivation: ``(even, odd, residual, steps)``, the two steps as frozen
+    ``CertStep``s shared by every Group C certificate."""
     steps = []
 
     def s_part(s):
@@ -799,7 +784,7 @@ def _group_c_shared_steps():
     even = {p.r: sorted({x[k] for x, _ in sols}) for k, p in enumerate(_GROUP_C_BASKET)}
     h0_2a_vals = {v for _, v in sols}
     steps.append(
-        (
+        CertStep(
             MECHANICAL,
             f"h^0(2A) integral only for even-multiple residues {even} "
             f"(sign-symmetric pairs); its value is always {sorted(h0_2a_vals)}",
@@ -823,7 +808,7 @@ def _group_c_shared_steps():
     odd_sols = {y for y, v in zip(odd_residues, values) if v is not None}
     odd = {r: sorted({y[k] for y in odd_sols}) for k, r in enumerate((3, 5, 11))}
     steps.append(
-        (
+        CertStep(
             MECHANICAL,
             f"h^0(A) - h^0(3A) integral only for odd-correction residues {odd}",
             "narrowed",
@@ -839,42 +824,6 @@ def _group_c_shared_steps():
     if residual != Fraction(1, 4):
         raise InvariantViolation(f"h^0(A) residual is {residual}, not 1/4")
     return even, odd, residual, tuple(steps)
-
-
-def solve_group_c_residues(c: Candidate) -> GroupCResidues:
-    """Replay the residue derivation that pins the Group C h^0 formula.
-
-    Integrality of h^0(2A) fixes the even-multiple residues up to sign;
-    integrality of h^0(A) - h^0(3A) fixes the odd corrections; h^0(A) = 0
-    then ties the A_1 aggregate to r_X (or to 0 when no A_1 curve can
-    exist because the polarization is Cartier at the half-points).  Only
-    that last step depends on the candidate; the others are computed once.
-    The derivation holds only for candidates on the Group C list; any other
-    raises ValueError, and so do both Group C routes, which start here.
-    """
-    if c.key not in GROUP_C_KEYS:
-        raise ValueError(f"candidate {c.key} is not on the Group C list")
-    even, odd, residual, steps = _group_c_shared_steps()
-
-    r_x = c.r_x
-    if r_x % 2 == 1:
-        x_a1 = r_x
-        why = "r_X is odd, so the half-point correction is absent and x_A1 = r_X"
-    elif c.j_a % 2 == 1:
-        x_a1 = 0
-        why = (
-            "the polarization is Cartier at the half-points (odd J_A), so no A_1 "
-            "curve exists and the half-point correction absorbs the 1/4"
-        )
-    else:
-        raise InvariantViolation("unreachable for the Group C table")
-    x_a1_step = (
-        MECHANICAL,
-        f"h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = {residual}; {why}",
-        "determined",
-        None,
-    )
-    return GroupCResidues(even, odd, 0, x_a1, steps + (x_a1_step,))
 
 
 def movable_thresholds(h0) -> set:
@@ -943,17 +892,40 @@ def foliation_bounds(c: Candidate, delta: Fraction) -> int:
 
 
 def _group_c_curves(c: Candidate, cert) -> CurveConfig:
-    """Replay the shared residue derivation into ``cert``; the forced curves
-    with the x_A1 it pins."""
-    res = solve_group_c_residues(c)
-    for kind, desc, outcome, dom in res.steps:
-        cert.add(kind, desc, outcome, dom)
-    cfg = _forced(c)
-    return CurveConfig(cfg.curves, x_A1=res.x_A1, a1_allowed=cfg.a1_allowed)
+    """Replay the residue derivation that pins the Group C h^0 formula into
+    ``cert``; the forced curves with the x_A1 it pins.
+
+    Integrality of h^0(2A) fixes the even-multiple residues up to sign;
+    integrality of h^0(A) - h^0(3A) fixes the odd corrections; h^0(A) = 0
+    then ties the A_1 aggregate to r_X (or to 0 when no A_1 curve can
+    exist because the polarization is Cartier at the half-points).  Only
+    that last step depends on the candidate; the others are computed once.
+    The derivation holds only for candidates on the Group C list; any other
+    raises ValueError, and so do both Group C routes, which start here.
+    """
+    if c.key not in GROUP_C_KEYS:
+        raise ValueError(f"candidate {c.key} is not on the Group C list")
+    _, _, residual, steps = _group_c_shared_steps()
+    if c.r_x % 2 == 1:
+        x_a1 = c.r_x
+        why = "r_X is odd, so the half-point correction is absent and x_A1 = r_X"
+    elif c.j_a % 2 == 1:
+        x_a1 = 0
+        why = (
+            "the polarization is Cartier at the half-points (odd J_A), so no A_1 "
+            "curve exists and the half-point correction absorbs the 1/4"
+        )
+    else:
+        raise InvariantViolation("unreachable for the Group C table")
+    cert.steps.extend(steps)
+    cert.mechanical(
+        f"h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = {residual}; {why}", "determined"
+    )
+    return CurveConfig(_forced(c).curves, x_A1=x_a1)
 
 
-def eliminate_group_c_minus(case_id: int, candidate: Candidate | None = None) -> Verdict:
-    return _run_route(case_id, candidate, _group_c_minus)
+def eliminate_group_c_minus(case_id: int, c: Candidate) -> Verdict:
+    return _run_route(case_id, c, _group_c_minus)
 
 
 def _group_c_minus(c, cert) -> None:
@@ -968,8 +940,8 @@ def _group_c_minus(c, cert) -> None:
     )
 
 
-def eliminate_group_c_plus(case_id: int, candidate: Candidate | None = None) -> Verdict:
-    return _run_route(case_id, candidate, _group_c_plus)
+def eliminate_group_c_plus(case_id: int, c: Candidate) -> Verdict:
+    return _run_route(case_id, c, _group_c_plus)
 
 
 def _group_c_plus(c, cert) -> None:
@@ -1132,7 +1104,6 @@ class PipelineReport:
     verdicts: list  # (case_id, Verdict), ordered by case id
     mechanical_steps: int
     cited_steps: int
-    fully_mechanical_cases: list
     cited_cases: list
 
     @property
@@ -1140,10 +1111,9 @@ class PipelineReport:
         return self.eliminated == self.total and not self.survivors
 
 
-def eliminate_candidate(case_id: int, candidate: Candidate | None = None) -> Verdict:
+def eliminate_candidate(case_id: int, c: Candidate) -> Verdict:
     """The routes in their fixed order (the module docstring); ``case_id``
     only labels the certificate."""
-    c = candidate if candidate is not None else candidate_for_case(case_id)
     if c.key in GROUP_C_KEYS:
         routes = (eliminate_group_c_minus, eliminate_group_c_plus)
     else:
@@ -1173,7 +1143,6 @@ def run_full_pipeline(workers: int = 1) -> PipelineReport:
     survivors = [no for no, v in verdicts if not v.eliminated]
     mech = sum(v.certificate.kind_counts()[MECHANICAL] for _, v in verdicts)
     cited = sum(v.certificate.kind_counts()[CITED_LEMMA] for _, v in verdicts)
-    fully = [no for no, v in verdicts if v.certificate.fully_mechanical]
     cited_cases = [no for no, v in verdicts if not v.certificate.fully_mechanical]
     return PipelineReport(
         total=len(verdicts),
@@ -1182,6 +1151,5 @@ def run_full_pipeline(workers: int = 1) -> PipelineReport:
         verdicts=verdicts,
         mechanical_steps=mech,
         cited_steps=cited,
-        fully_mechanical_cases=fully,
         cited_cases=cited_cases,
     )

@@ -66,12 +66,11 @@ class CrepantCurve:
 @dataclass(frozen=True)
 class CurveConfig:
     """Crepant curves of a candidate: listed curves with j >= 3 plus the
-    aggregated A_1 degree x_A1 (None while still undetermined)."""
+    aggregated degree x_A1 of the transverse A_1 curves.  ``x_A1 = 0``
+    means no A_1 curves; ``None`` means an aggregate of unknown degree."""
 
     curves: tuple = ()
     x_A1: int | None = 0
-    # a_1 curves allowed at all (False forces x_A1 = 0)
-    a1_allowed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
@@ -178,7 +177,6 @@ class ResidueConstraintSystem:
     constant: Fraction
     fixed_terms: list = field(default_factory=list)
     unknown_terms: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     def total(self, assignment) -> Fraction:
         val = self.constant + sum(self.fixed_terms, Fraction(0))
@@ -208,9 +206,10 @@ def residue_term_builder(
 
     The constraint says -(r'/2) D^2.K + sum (-r'K.C) c_C(D) - sum of
     orbifold corrections is an integer; terms that are integral for every
-    residue choice are dropped (and noted), the rest become unknowns.
-    A divisor that is Cartier in codimension 2 has no curve corrections;
-    pass a config without curves.  ``drop_curve_terms=False`` keeps
+    residue choice are dropped, the rest become unknowns.  An unknown
+    x_A1 becomes a linear unknown unless its coefficient is integral (as
+    for every even s).  A divisor that is Cartier in codimension 2 has no
+    curve corrections; pass a config without curves.  ``drop_curve_terms=False`` keeps
     curve unknowns even when the vanishing rule applies, so a certificate
     can exhaust the full published residue domain.
     """
@@ -221,7 +220,6 @@ def residue_term_builder(
     for c in cfg.curves:
         deg = Fraction(r_prime * c.degree_rXKC, r_x)
         if drop_curve_terms and deg.denominator == 1 and _curve_term_integral(c.j, int(deg)):
-            sys.notes.append(f"A_{c.j - 1} term drops: degree {deg} kills the correction")
             continue
         if c.generator_unit is not None:
             sys.fixed_terms.append(deg * c_curve(c.j, c.generator_unit, s))
@@ -229,23 +227,18 @@ def residue_term_builder(
             sys.unknown_terms.append(
                 UnknownTerm(-deg, c.j, "quadratic", f"A_{c.j - 1} class")
             )
-    if cfg.a1_allowed and s % 2 == 1:
+    if cfg.x_A1 != 0:
         coeff = Fraction(r_prime, r_x) * c_curve(2, 1, s)
         if cfg.x_A1 is not None:
             sys.fixed_terms.append(coeff * cfg.x_A1)
-        elif coeff.denominator == 1:
-            sys.notes.append("A_1 aggregate drops: coefficient integral")
-        else:
+        elif coeff.denominator != 1:
             sys.unknown_terms.append(
                 UnknownTerm(coeff, coeff.denominator, "linear", "x_A1")
             )
-    elif cfg.a1_allowed:
-        sys.notes.append("A_1 aggregate drops: even multiple of the polarization")
     for p in B:
         if (p.r % 2 == 1 and r_prime % p.r == 0) or (
             p.r % 2 == 0 and r_prime % (2 * p.r) == 0
         ):
-            sys.notes.append(f"orbifold point ({p.r},{p.b}) drops: r' = {r_prime}")
             continue
         sys.unknown_terms.append(
             UnknownTerm(Fraction(-r_prime), p.r, "quadratic", f"point ({p.r},{p.b})")

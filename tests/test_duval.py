@@ -58,7 +58,8 @@ def test_cartan_determinant_a_series():
 
 def test_snf_matches_sympy_oracle():
     for t in ALL_TYPES:
-        mine, _, _ = smith_normal_form(cartan_matrix(t))
+        mine, u = smith_normal_form(cartan_matrix(t))
+        assert abs(sympy.Matrix(u).det()) == 1, t
         oracle = sympy_snf(sympy.Matrix(cartan_matrix(t)))
         oracle_diag = [abs(oracle[i, i]) for i in range(oracle.rows)]
         assert mine == oracle_diag, f"SNF mismatch for {t}"

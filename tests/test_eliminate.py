@@ -9,10 +9,18 @@ from pathlib import Path
 import pytest
 
 from fano3 import eliminate
-from fano3.certificates import CITED_LEMMA, MECHANICAL, certificate_to_dict
+from fano3.certificates import (
+    CITED_LEMMA,
+    MECHANICAL,
+    CertStep,
+    EliminationCertificate,
+    certificate_to_dict,
+)
 from fano3.eliminate import (
     DomainTooLarge,
     Undetermined,
+    _group_c_curves,
+    _group_c_shared_steps,
     _residues_admitting_completion,
     _scaled,
     candidate_for_case,
@@ -28,7 +36,6 @@ from fano3.eliminate import (
     integral_solutions,
     movable_thresholds,
     run_group_b_script,
-    solve_group_c_residues,
 )
 from fano3.rr import (
     CurveConfig,
@@ -166,11 +173,11 @@ def test_candidate_for_case_matches_search(candidates_greater):
 def test_determine_curves_trivial_j_a():
     c21 = candidate_for_case(21)
     cfg = determine_curves(c21)
-    assert cfg.curves == () and cfg.x_A1 == 0 and not cfg.a1_allowed
+    assert cfg.curves == () and cfg.x_A1 == 0
 
     c12 = candidate_for_case(12)  # J_A = 2
     cfg = determine_curves(c12)
-    assert cfg.curves == () and cfg.x_A1 is None and cfg.a1_allowed
+    assert cfg.curves == () and cfg.x_A1 is None
 
 
 def test_determine_curves_case_1():
@@ -202,7 +209,7 @@ GROUP_A_DOMAINS = {
 def test_group_a_all_eliminated_mechanically():
     assert set(GROUP_A_DOMAINS) == GROUP_A
     for cid in sorted(GROUP_A):
-        verdict = eliminate_group_a(cid)
+        verdict = eliminate_group_a(cid, candidate_for_case(cid))
         assert verdict.eliminated, cid
         assert verdict.certificate.fully_mechanical, cid
         final = verdict.certificate.steps[-1]
@@ -259,7 +266,7 @@ def test_group_a_negative_control(candidates_equal):
 
 def test_group_b_mechanical_cases():
     for cid in (10, 20, 23, 24, 32, 33, 36):
-        verdict = run_group_b_script(cid)
+        verdict = run_group_b_script(cid, candidate_for_case(cid))
         assert verdict.eliminated, cid
         assert verdict.certificate.fully_mechanical, cid
 
@@ -267,7 +274,7 @@ def test_group_b_mechanical_cases():
 def test_group_b_cited_cases_match_golden():
     golden = json.loads(GOLDEN.read_text())
     for cid in (27, 35):
-        verdict = run_group_b_script(cid)
+        verdict = run_group_b_script(cid, candidate_for_case(cid))
         assert verdict.eliminated, cid
         cited = [
             {"citation": s.citation, "description": s.description}
@@ -314,7 +321,7 @@ def test_route_order_reproduces_groups(monkeypatch):
     C+ row."""
     tried = []
     for group, name in ROUTES.items():
-        def recording(case_id, candidate=None, group=group, route=getattr(eliminate, name)):
+        def recording(case_id, candidate, group=group, route=getattr(eliminate, name)):
             verdict = route(case_id, candidate)
             tried.append((group, verdict.eliminated))
             return verdict
@@ -322,7 +329,7 @@ def test_route_order_reproduces_groups(monkeypatch):
         monkeypatch.setattr(eliminate, name, recording)
     for r in TABLE_MAIN:
         tried.clear()
-        assert eliminate.eliminate_candidate(r.no).eliminated, r.no
+        assert eliminate.eliminate_candidate(r.no, candidate_for_case(r.no)).eliminated, r.no
         assert tried[-1] == (group_of(r.no), True), (r.no, tried)
         assert not any(killed for _, killed in tried[:-1]), (r.no, tried)
     assert GROUP_C_KEYS == {row(n).key for n in GROUP_C_MINUS | GROUP_C_PLUS}
@@ -332,7 +339,7 @@ def test_route_order_reproduces_groups(monkeypatch):
 
 def test_group_b_stalls_on_group_a():
     for cid in sorted(GROUP_A):
-        verdict = run_group_b_script(cid)
+        verdict = run_group_b_script(cid, candidate_for_case(cid))
         assert not verdict.eliminated, cid
         assert verdict.certificate.steps[-1].outcome == "inconclusive", cid
 
@@ -341,9 +348,7 @@ def test_group_c_routes_refuse_other_rows():
     for cid in sorted(GROUP_A | GROUP_B):
         for route in (eliminate_group_c_minus, eliminate_group_c_plus):
             with pytest.raises(ValueError):
-                route(cid)
-        with pytest.raises(ValueError):
-            solve_group_c_residues(candidate_for_case(cid))
+                route(cid, candidate_for_case(cid))
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +389,27 @@ def test_decompose():
     assert decompose(0) == [(0, 0, 0)]
 
 
-def test_solve_group_c_residues():
-    res = solve_group_c_residues(candidate_for_case(3))
-    assert res.even_step_residues == {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]}
-    assert res.odd_step_residues == {3: [1], 5: [2], 11: [2]}
-    assert res.h0_2A == 0
-    assert res.x_A1 == 33  # r_X, odd
+def _group_c_delta(cid):
+    """The candidate and the curve demand its Group C derivation pins."""
+    c = candidate_for_case(cid)
+    return c, delta_lower_bound(_group_c_curves(c, EliminationCertificate(cid)))
 
-    res11 = solve_group_c_residues(candidate_for_case(11))
-    assert res11.x_A1 == 0  # no A_1 curves possible
+
+def test_group_c_curves():
+    even, odd, residual, steps = _group_c_shared_steps()
+    assert even == {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]}
+    assert odd == {3: [1], 5: [2], 11: [2]}
+    assert residual == Fraction(1, 4)
+    assert all(isinstance(s, CertStep) for s in steps)
+    assert "its value is always [0]" in steps[0].description  # h^0(2A) = 0
+
+    cert = EliminationCertificate(3)
+    assert _group_c_curves(candidate_for_case(3), cert).x_A1 == 33  # r_X, odd
+    assert cert.steps[:2] == list(steps) and cert.steps[2].outcome == "determined"
+    assert _group_c_curves(candidate_for_case(11), cert).x_A1 == 0  # no A_1 curves possible
 
     with pytest.raises(ValueError):
-        solve_group_c_residues(candidate_for_case(1))
+        _group_c_curves(candidate_for_case(1), EliminationCertificate(1))
 
 
 FOLIATION_P_MIN = {3: 66, 6: 71, 11: 64, 13: 61, 21: 57, 22: 68}
@@ -412,18 +426,11 @@ DELTA_FORMULAS = {
 
 def test_foliation_bounds_table():
     for cid, expected in FOLIATION_P_MIN.items():
-        c = candidate_for_case(cid)
-        res = solve_group_c_residues(c)
-        cfg = determine_curves(c)
-        cfg = replace(cfg, x_A1=res.x_A1)
-        delta = delta_lower_bound(cfg)
+        c, delta = _group_c_delta(cid)
         assert delta == DELTA_FORMULAS[cid] * c.r_x, cid
         assert foliation_bounds(c, delta) == expected, cid
     # spot value from the table
-    c3 = candidate_for_case(3)
-    res3 = solve_group_c_residues(c3)
-    cfg3 = replace(determine_curves(c3), x_A1=res3.x_A1)
-    assert delta_lower_bound(cfg3) == Fraction(2079, 10)
+    assert _group_c_delta(3)[1] == Fraction(2079, 10)
 
 
 def test_foliation_precondition_guard():
@@ -434,7 +441,7 @@ def test_foliation_precondition_guard():
 
 def test_group_c_minus_eliminated():
     for cid in sorted(GROUP_C_MINUS):
-        verdict = eliminate_group_c_minus(cid)
+        verdict = eliminate_group_c_minus(cid, candidate_for_case(cid))
         assert verdict.eliminated, cid
         assert verdict.certificate.fully_mechanical, cid
 
@@ -447,7 +454,7 @@ def test_group_c_plus_eliminated_with_cited_steps():
         "hirzebruch-bound",
     }
     for cid in sorted(GROUP_C_PLUS):
-        verdict = eliminate_group_c_plus(cid)
+        verdict = eliminate_group_c_plus(cid, candidate_for_case(cid))
         assert verdict.eliminated, cid
         cited = {
             s.citation for s in verdict.certificate.steps if s.kind == CITED_LEMMA

@@ -145,7 +145,7 @@ def test_delta_lower_bound():
 
 def test_builder_drops_and_keeps():
     basket = Basket([(2, 1), (2, 1), (3, 1), (9, 4)])
-    cfg = CurveConfig((CrepantCurve(5, 18),), x_A1=None, a1_allowed=True)
+    cfg = CurveConfig((CrepantCurve(5, 18),), x_A1=None)
     sys = residue_term_builder(70, 980, basket, cfg, r_prime=40, s=1)
     labels = [t.label for t in sys.unknown_terms]
     # A_4 curve drops (5 | 40 * 18 / 18 is false; 40*18/18=40, 5|40), the
@@ -158,7 +158,7 @@ def test_builder_drops_and_keeps():
 
 def test_builder_keep_curve_terms_flag():
     basket = Basket([(2, 1), (2, 1), (3, 1), (9, 4)])
-    cfg = CurveConfig((CrepantCurve(5, 18),), x_A1=None, a1_allowed=True)
+    cfg = CurveConfig((CrepantCurve(5, 18),), x_A1=None)
     kept = residue_term_builder(
         70, 980, basket, cfg, r_prime=40, s=1, drop_curve_terms=False
     )
@@ -168,7 +168,7 @@ def test_builder_keep_curve_terms_flag():
 def test_builder_cartier_codim2():
     # Cartier in codimension 2: no curve corrections, only the basket terms
     basket = Basket([(2, 1), (3, 1)])
-    cfg = CurveConfig((), x_A1=0, a1_allowed=False)
+    cfg = CurveConfig((), x_A1=0)
     sys = residue_term_builder(66, 66, basket, cfg, r_prime=1, s=6)
     assert sys.fixed_terms == []
     assert [t.label for t in sys.unknown_terms] == ["point (2,1)", "point (3,1)"]
@@ -176,7 +176,16 @@ def test_builder_cartier_codim2():
 
 def test_builder_even_multiple_drops_a1():
     basket = Basket([(2, 1)])
-    cfg = CurveConfig((), x_A1=None, a1_allowed=True)
+    cfg = CurveConfig((), x_A1=None)
     sys = residue_term_builder(66, 66, basket, cfg, r_prime=3, s=2)
     assert all(t.label != "x_A1" for t in sys.unknown_terms)
-    assert any("A_1" in note for note in sys.notes)
+    assert sys.fixed_terms == []
+    # an odd multiple keeps it: (3/2) c_curve(2, 1, 1) = -3/8
+    odd = residue_term_builder(66, 66, basket, cfg, r_prime=3, s=1)
+    assert (odd.unknown_terms[0].label, odd.unknown_terms[0].coeff) == ("x_A1", Fraction(-3, 8))
+    # a known x_A1 is a fixed term, and x_A1 = 0 (no A_1 curves) none
+    fixed = [
+        residue_term_builder(66, 66, basket, CurveConfig((), x_A1=x), r_prime=3, s=1).fixed_terms
+        for x in (0, 5)
+    ]
+    assert fixed == [[], [Fraction(-15, 8)]]
