@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from .certificates import certificate_to_dict
-from .duval import DuValType, class_group, invariants
 from .eliminate import eliminate_candidate, candidate_for_case, run_full_pipeline, group_c_closed_form
 from .lb import LBContext, lb
 from .search import run_search
@@ -244,18 +243,6 @@ def cmd_lb(args) -> int:
     return 0
 
 
-def cmd_duval(args) -> int:
-    try:
-        t = DuValType.parse(args.type)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    e, ep, g, j = invariants(t)
-    pairs = [("e", e), ("e'", ep), ("g", g), ("j", j),
-             ("class_group", "x".join(str(d) for d in class_group(t)) or "1")]
-    _emit(_value_table(pairs, args), args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fano3",
@@ -299,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--N", type=int, required=True)
     common(p_lb)
     p_lb.set_defaults(func=cmd_lb)
-
-    p_duval = sub.add_parser("duval", help="Du Val type invariants")
-    p_duval.add_argument("--type", required=True)
-    common(p_duval)
-    p_duval.set_defaults(func=cmd_duval)
 
     return parser
 

@@ -884,8 +884,6 @@ def foliation_bounds(c: Candidate, delta: Fraction) -> int:
             "slope bound and no rank-2 foliation is forced"
         )
     for p in range(2 * q // 3 + 1, q):
-        if 3 * p <= 2 * q:
-            continue
         if c.rXc2c1 - c.rXc13 / km_bound(3, 1, p, q) >= delta:
             return p
     raise ValueError("no admissible foliation index below q")

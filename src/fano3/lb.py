@@ -27,8 +27,9 @@ class LBContext:
 
     def __init__(self, R):
         R = tuple(sorted(R))
-        if R and R[0] < 2:
-            raise ValueError(f"basket indices must be at least 2, got R={R}")
+        # r - 1/r < 24 fails at r = 25, so SMALL_PRIMES cover every index
+        if R and not 2 <= R[0] <= R[-1] <= 24:
+            raise ValueError(f"basket indices must lie in 2..24, got R={R}")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "_counts", _valuation_counts(R))
 

@@ -189,10 +189,11 @@ def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
     """The complete candidate list, canonically sorted.
 
     Work units are the Step-1 pairs (R, r_Xc2c1), partitioned round-robin
-    over at most one process per unit and per CPU.  Each unit runs the Step-2 walk over the residue classes of R and sends
-    every tuple it yields through Step 3.  The merge sorts canonically, so
-    the output does not depend on ``workers``; every candidate is then
-    re-checked by ``verify_candidate``.
+    over at most one process per unit and per CPU.  Each unit runs the
+    Step-2 walk over the residue classes of R and sends every tuple it
+    yields through Step 3.  The merge sorts canonically, so the output does
+    not depend on ``workers``; every candidate is then re-checked by
+    ``verify_candidate``.
     """
     if mode not in (GREATER, EQUAL):
         raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")

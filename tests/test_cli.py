@@ -2,10 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import re
+from argparse import _SubParsersAction
+from pathlib import Path
 
 import pytest
 
-from fano3.cli import main
+from fano3.cli import build_parser, main
 
 from conftest import run_python
 
@@ -85,8 +88,8 @@ def test_bad_flags_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["h0", "--s", "0..70"]) == 2
     assert main(["wps", "--weights", "1,2", "--smax", "5"]) == 2
-    assert main(["duval", "--type", "Z9"]) == 2
     assert main(["lb", "--R", "0,3", "--N", "3"]) == 2
+    assert main(["lb", "--R", "29", "--N", "3"]) == 2
 
 
 def test_h0_values(capsys):
@@ -113,12 +116,14 @@ def test_lb_command(capsys):
     assert json.loads(text)["payload"] == [[3, 14]]
 
 
-def test_duval_command(capsys):
-    code, text, _ = run_cli(capsys, "duval", "--type", "D5", "--format", "json")
-    assert code == 0
-    pairs = dict((k, v) for k, v in json.loads(text)["payload"])
-    assert (pairs["e"], pairs["e'"], pairs["g"], pairs["j"]) == (6, 5, 12, 4)
-    assert pairs["class_group"] == "4"
+def test_readme_cli_block_lists_every_command():
+    # the fenced sh block under "## CLI" names each subcommand of the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("fano3 ")}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, _SubParsersAction)]
+    assert documented == set(sub.choices)
 
 
 def test_config_file_and_out(tmp_path, capsys):
@@ -194,6 +199,6 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     def broken_lookup(args):
         raise KeyError("missing table entry")
 
-    monkeypatch.setattr("fano3.cli.cmd_duval", broken_lookup)
+    monkeypatch.setattr("fano3.cli.cmd_lb", broken_lookup)
     with pytest.raises(KeyError):
-        main(["duval", "--type", "A3"])
+        main(["lb", "--R", "2,3", "--N", "3"])

@@ -25,6 +25,14 @@ def test_context_rejects_indices_below_two():
         LBContext((1,))
 
 
+def test_context_rejects_indices_above_24():
+    # r - 1/r < 24 fails at r = 25, and SMALL_PRIMES stop at 23
+    with pytest.raises(ValueError):
+        LBContext((29,))
+    with pytest.raises(ValueError):
+        LBContext((2, 25))
+
+
 def test_f_p_examples():
     assert f_p(LBContext((5,)), 5, 3) == 5
     assert f_p(LBContext((2, 4, 4, 7)), 2, 3) == 2
