@@ -41,13 +41,14 @@ from .rr import (
     CurveConfig,
     ResidueConstraintSystem,
     a2mk,
+    column_sums,
     curve_cost,
     delta_lower_bound,
     h0_integral_values,
-    h0_orbifold_numerator,
     h0_s_part,
     h0_sA,
     km_bound,
+    orbifold_columns,
     residue_term_builder,
 )
 from .search import Candidate, step3
@@ -195,6 +196,7 @@ def _residues_admitting_completion(sys: ResidueConstraintSystem, label: str):
 # Curve-configuration determination
 # ---------------------------------------------------------------------------
 
+@cache  # one derivation per candidate, which every route only reads
 def determine_curves(c: Candidate):
     """Crepant-curve configuration forced by the degree budget.
 
@@ -535,16 +537,18 @@ def _case_24(c, cert) -> None:
     )
 
     # r' = 9, s odd: the A_2 term and the order-3 points drop, leaving
-    # s^2/40 - 3 x/20 - 9 y4/8 - 9 a(5-a)/10, which must be integral
-    def solvable(x, y4, s):
-        cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=x)
+    # s^2/40 - 3 x/20 - 9 y4/8 - 9 a(5-a)/10, which must be integral.  x_A1
+    # stays symbolic, so one system per (y4, s) gives every admissible x mod 20
+    def admissible_x(y4, s):
+        cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=None)
         sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
-        return exists_integral_solution(sys)[0]
+        moduli = [t.modulus for t in sys.unknown_terms if t.label == "x_A1"]
+        _expect(len(moduli) == 1, "the A_1 aggregate drops out of the residue system")
+        good = _residues_admitting_completion(sys, "x_A1")
+        return {x for x in range(x_max + 1) if x % moduli[0] in good}
 
     sols = {
-        (x, y4)
-        for x, y4 in iproduct(range(x_max + 1), range(1, y4_max + 1))
-        if solvable(x, y4, 1) and solvable(x, y4, 3)
+        (x, y4) for y4 in range(1, y4_max + 1) for x in admissible_x(y4, 1) & admissible_x(y4, 3)
     }
     cert.mechanical(
         f"integrality for D=sA, s in [1, 3], r'=9 leaves (x_A1, y4) in {sorted(sols)}",
@@ -579,11 +583,10 @@ def _case_24(c, cert) -> None:
 def _h0_value_sets(c: Candidate, cfg: CurveConfig, s_values) -> dict:
     """s -> every integral value of h^0(sA) over all local-index tuples.
 
-    The orbifold numerators of the tuples are computed once and the s-part
-    once per s, so each tuple costs one integer compare per s.
+    The numerators are the ``column_sums`` of the basket's ``orbifold_columns``
+    and the s-part is built once per s, so a tuple costs one compare per s.
     """
-    local = iproduct(*(range(p.r) for p in c.basket))
-    numerators = [h0_orbifold_numerator(c.basket, idx) for idx in local]
+    numerators = column_sums(orbifold_columns(c.basket))
     minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
     tables = {}
     for s in s_values:
@@ -736,17 +739,11 @@ def _case_35(c, cert) -> None:
 _GROUP_C_BASKET = Basket({(2, 1), (3, 1), (5, 2), (11, 2)})
 _GROUP_C_R_X = gorenstein_index(_GROUP_C_BASKET)
 _GROUP_C_A2MK = a2mk(66, 4356, _GROUP_C_R_X)
+_GROUP_C_COLUMNS = orbifold_columns(_GROUP_C_BASKET)
 
 
-@cache  # the closed form and the h^0(A) residual
-def _group_c_h0(idx: tuple, s: int) -> Fraction:
-    return h0_sA(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, idx, s)
-
-
-def _group_c_index(residues) -> tuple:
-    """Local indices y * b^-1 mod r at which the Group C points take the
-    given residues y."""
-    return tuple(y * pow(p.b, -1, p.r) % p.r for y, p in zip(residues, _GROUP_C_BASKET))
+def _group_c_s_part(s: int) -> Fraction:
+    return h0_s_part(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, s)
 
 
 def group_c_closed_form(s: int) -> int:
@@ -754,31 +751,28 @@ def group_c_closed_form(s: int) -> int:
     index of sA is s at every basket point."""
     if not 0 < s < 66:
         raise ValueError(f"need 0 < s < 66, got {s}")
-    val = _group_c_h0((s,) * len(_GROUP_C_BASKET), s)
-    if val.denominator != 1:
-        raise InvariantViolation(f"closed form not integral at s={s}: {val}")
-    return int(val)
+    numerator = sum(col[s % len(col)] for col in _GROUP_C_COLUMNS)
+    [val] = h0_integral_values(_group_c_s_part(s), _GROUP_C_R_X, [numerator])
+    if val is None:
+        raise InvariantViolation(f"closed form not integral at s={s}")
+    return val
 
 
 @cache  # no step here depends on the candidate
 def _group_c_shared_steps():
     """The even step, the odd step and the h^0(A) residual of the Group C
     derivation: ``(even, odd, residual, steps)``, the two steps as frozen
-    ``CertStep``s shared by every Group C certificate."""
+    ``CertStep``s shared by every Group C certificate.  The even step's 330
+    orbifold numerators are the ``column_sums`` of the ``orbifold_columns``,
+    and the odd step's 165 differences those of per-point column differences.
+    """
     steps = []
 
-    def s_part(s):
-        return h0_s_part(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, s)
-
     # a point (r, b) with local index i contributes F_r(i b)
-    numerator = {
-        idx: h0_orbifold_numerator(_GROUP_C_BASKET, idx)
-        for idx in iproduct(*(range(p.r) for p in _GROUP_C_BASKET))
-    }
-    values = h0_integral_values(s_part(2), _GROUP_C_R_X, numerator.values())
+    values = h0_integral_values(_group_c_s_part(2), _GROUP_C_R_X, column_sums(_GROUP_C_COLUMNS))
     sols = {
         (tuple(i * p.b % p.r for i, p in zip(idx, _GROUP_C_BASKET)), v)
-        for idx, v in zip(numerator, values)
+        for idx, v in zip(iproduct(*(range(p.r) for p in _GROUP_C_BASKET)), values)
         if v is not None
     }
     even = {p.r: sorted({x[k] for x, _ in sols}) for k, p in enumerate(_GROUP_C_BASKET)}
@@ -797,14 +791,16 @@ def _group_c_shared_steps():
 
     # canonical sign choice: 0, 2, 4, 4; the half-point residue stays 0.
     # h^0(A) - h^0(3A) is the difference of the s-parts minus the
-    # difference of the orbifold numerators over 2 r_X.
+    # difference of the orbifold numerators over 2 r_X: one column of
+    # differences per odd-order point (r, b), whose residue y is at index y/b.
+    differences = []
+    for col, p, shift in zip(_GROUP_C_COLUMNS[1:], _GROUP_C_BASKET.points[1:], (2, 4, 4)):
+        at = [col[y * pow(p.b, -1, p.r) % p.r] for y in range(p.r)]
+        differences.append([at[y] - at[(y + shift) % p.r] for y in range(p.r)])
     odd_residues = list(iproduct(range(3), range(5), range(11)))
-    differences = [
-        numerator[_group_c_index((0, y3, y5, y11))]
-        - numerator[_group_c_index((0, y3 + 2, y5 + 4, y11 + 4))]
-        for y3, y5, y11 in odd_residues
-    ]
-    values = h0_integral_values(s_part(1) - s_part(3), _GROUP_C_R_X, differences)
+    values = h0_integral_values(
+        _group_c_s_part(1) - _group_c_s_part(3), _GROUP_C_R_X, column_sums(differences)
+    )
     odd_sols = {y for y, v in zip(odd_residues, values) if v is not None}
     odd = {r: sorted({y[k] for y in odd_sols}) for k, r in enumerate((3, 5, 11))}
     steps.append(
@@ -820,7 +816,7 @@ def _group_c_shared_steps():
 
     # h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = 1/4; the residual is h^0(A)
     # with the odd corrections above (local index 1) and none at the half-point
-    residual = _group_c_h0((0, 1, 1, 1), 1)
+    residual = h0_sA(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, (0, 1, 1, 1), 1)
     if residual != Fraction(1, 4):
         raise InvariantViolation(f"h^0(A) residual is {residual}, not 1/4")
     return even, odd, residual, tuple(steps)
@@ -847,6 +843,7 @@ def movable_thresholds(h0) -> set:
     return out
 
 
+@cache  # the same for every candidate; callers only read it
 def _group_c_h0_table() -> dict:
     return {s: group_c_closed_form(s) for s in range(1, 35)}
 

@@ -7,10 +7,12 @@ constraints into finite residue systems.
 
 ``h0_sA`` is the one h^0 formula: the s-part ``h0_s_part`` (volume, curve
 and A_1-aggregate terms, which depend on s alone) minus the orbifold
-corrections ``h0_orbifold_numerator``, an integer over 2 r_X.  A table
-over many local-index tuples computes each numerator once and each
-s-part once per s, and ``h0_integral_values`` reads integrality and the
-value from one integer compare per tuple.
+corrections ``h0_orbifold_numerator``, an integer over 2 r_X that sums
+one term per basket point.  ``orbifold_columns`` gives each point's term
+at each local index and ``column_sums`` adds the columns over their index
+product, so a table over many local-index tuples costs one integer
+addition per tuple and each s-part once per s; ``h0_integral_values``
+reads integrality and the value from one integer compare per tuple.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
     "h0_sA",
     "h0_s_part",
     "h0_orbifold_numerator",
+    "orbifold_columns",
+    "column_sums",
     "h0_integral_values",
     "residue_term_builder",
     "km_bound",
@@ -112,14 +116,28 @@ def h0_s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> Fraction:
     return val
 
 
+def orbifold_columns(B: Basket) -> list:
+    """One column per basket point, in basket order: the point's orbifold
+    term sigma_numerator(i b, r) * r_X / r at each local index i in [0, r),
+    over the common denominator 2 r_X.  The term has period r in i."""
+    r_x = gorenstein_index(B)
+    return [[sigma_numerator(i * p.b, p.r) * (r_x // p.r) for i in range(p.r)] for p in B]
+
+
+def column_sums(cols) -> list:
+    """Every sum of one entry per column, in ``itertools.product`` order
+    of the entries' positions."""
+    sums = [0]
+    for col in cols:
+        sums = [a + t for a in sums for t in col]
+    return sums
+
+
 def h0_orbifold_numerator(B: Basket, idx) -> int:
     """The orbifold corrections of h^0 at local indices ``idx`` (one per
-    basket point, in basket order) over the common denominator 2 r_X:
-    sum sigma_numerator(i b, r) * r_X / r."""
-    r_x = gorenstein_index(B)
-    return sum(
-        sigma_numerator(i * p.b, p.r) * (r_x // p.r) for i, p in zip(idx, B, strict=True)
-    )
+    basket point, in basket order) over the common denominator 2 r_X: the
+    sum of each point's ``orbifold_columns`` entry at its index."""
+    return sum(col[i % len(col)] for i, col in zip(idx, orbifold_columns(B), strict=True))
 
 
 def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:

@@ -5,8 +5,12 @@ more direct route: Fractions instead of scaled integers (the budget, step
 1, the solver's residue tables), brute force over the full residue product
 instead of the pruned solution walk, and the old triple-order Step 2
 (every (q, J_A, rXc13) triple tested against every basket) instead of the
-residue-first walk.  The published A / B / C- / C+ grouping of the 36
-rows is here too, as the oracle for the engine's fixed route order.
+residue-first walk.  Two elimination steps are recomputed tuple by tuple
+instead of from the orbifold columns: case 24's (x_A1, y4) grid, one
+residue system per (x_A1, y4, s), and the Group C residues from Fraction
+``h0_sA`` over the full local-index product.  The published A / B / C- /
+C+ grouping of the 36 rows is here too, as the oracle for the engine's
+fixed route order.
 """
 
 from fractions import Fraction
@@ -14,9 +18,17 @@ from itertools import product
 from math import gcd, lcm
 
 from fano3.arith import prime_powers, sigma_numerator, sigma_pair
-from fano3.basket import BUDGET, enumerate_baskets, gorenstein_index
+from fano3.basket import BUDGET, Basket, enumerate_baskets, gorenstein_index
 from fano3.lb import LBContext, lb
-from fano3.rr import curve_cost, nabla
+from fano3.rr import (
+    CrepantCurve,
+    CurveConfig,
+    a2mk,
+    curve_cost,
+    h0_sA,
+    nabla,
+    residue_term_builder,
+)
 from fano3.search import EQUAL, Candidate
 
 
@@ -153,6 +165,61 @@ def integral_assignments(sys):
         for u, a in enumerate(last):
             if (acc + a) % big_l == 0:
                 yield prefix + (u,)
+
+
+def case_24_grid(c: Candidate) -> set:
+    """The (x_A1, y4) within the budget for which the r' = 9 systems of
+    D = A and D = 3A both have an integral assignment, with x_A1 fixed:
+    one system per (x_A1, y4, s), each decided by brute force."""
+    ctx = LBContext(c.basket.R)
+    lb3, lb4 = lb(ctx, 3), lb(ctx, 4)
+    x_max = int((c.nabla - curve_cost(3, lb3) - curve_cost(4, lb4)) / curve_cost(2, 1))
+    y4_max = int((c.nabla - curve_cost(3, lb3)) / curve_cost(4, lb4))
+
+    def solvable(x, y4, s):
+        cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=x)
+        sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
+        return next(integral_assignments(sys), None) is not None
+
+    return {
+        (x, y4)
+        for x, y4 in product(range(x_max + 1), range(1, y4_max + 1))
+        if solvable(x, y4, 1) and solvable(x, y4, 3)
+    }
+
+
+def group_c_residues():
+    """(even, odd, residual) of the Group C derivation, from Fraction
+    ``h0_sA`` on the basket of P(5,6,22,33) at every local-index tuple.
+
+    even: per point order, the residues i b mod r of the tuples where
+    h^0(2A) is integral.  odd: per odd point order, the residues y where
+    h^0(A) - h^0(3A) is integral, for residues (0, y3, y5, y11) at A and
+    (0, y3 + 2, y5 + 4, y11 + 4) at 3A.  residual: h^0(A) at local
+    indices (0, 1, 1, 1).
+    """
+    B = Basket([(2, 1), (3, 1), (5, 2), (11, 2)])
+    minus_a2k = a2mk(66, 4356, gorenstein_index(B))
+
+    def h0(idx, s):
+        return h0_sA(66, minus_a2k, CurveConfig(), B, idx, s)
+
+    def index(residues):
+        return tuple(y * pow(p.b, -1, p.r) % p.r for y, p in zip(residues, B))
+
+    even = {p.r: set() for p in B}
+    for idx in product(*(range(p.r) for p in B)):
+        if h0(idx, 2).denominator == 1:
+            for i, p in zip(idx, B):
+                even[p.r].add(i * p.b % p.r)
+    odd = {3: set(), 5: set(), 11: set()}
+    for y3, y5, y11 in product(range(3), range(5), range(11)):
+        diff = h0(index((0, y3, y5, y11)), 1) - h0(index((0, y3 + 2, y5 + 4, y11 + 4)), 3)
+        if diff.denominator == 1:
+            for r, y in zip((3, 5, 11), (y3, y5, y11)):
+                odd[r].add(y)
+    even, odd = ({r: sorted(v) for r, v in found.items()} for found in (even, odd))
+    return even, odd, h0((0, 1, 1, 1), 1)
 
 
 #: The published grouping of the 36 q > 66 rows, by row number.

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fano3 import eliminate
+from fano3.arith import InvariantViolation
 from fano3.certificates import (
     CITED_LEMMA,
     MECHANICAL,
@@ -53,6 +54,8 @@ from oracles import (
     GROUP_B,
     GROUP_C_MINUS,
     GROUP_C_PLUS,
+    case_24_grid,
+    group_c_residues,
     group_of,
     integral_assignments,
     scaled_fractions,
@@ -371,6 +374,16 @@ def test_group_c_closed_form_integral_and_tabulated():
         group_c_closed_form(66)
 
 
+def test_group_c_closed_form_flags_non_integral_value(monkeypatch):
+    # one unit more at the half-point's index-1 entry leaves 1/660 at odd s
+    cols = [list(col) for col in eliminate._GROUP_C_COLUMNS]
+    cols[0][1] += 1
+    monkeypatch.setattr(eliminate, "_GROUP_C_COLUMNS", cols)
+    assert group_c_closed_form(2) == H0_TABLE_1_TO_34[1]
+    with pytest.raises(InvariantViolation):
+        group_c_closed_form(1)
+
+
 def test_group_c_closed_form_matches_wps_oracle():
     w = WeightedP3((5, 6, 22, 33))
     for s in range(1, 66):
@@ -410,6 +423,23 @@ def test_group_c_curves():
 
     with pytest.raises(ValueError):
         _group_c_curves(candidate_for_case(1), EliminationCertificate(1))
+
+
+def test_group_c_shared_steps_match_fraction_oracle():
+    """The column-kernel derivation against Fraction h^0 at every tuple."""
+    assert _group_c_shared_steps()[:3] == group_c_residues()
+
+
+def test_case_24_grid_matches_per_tuple_oracle():
+    """One symbolic-x_A1 system per (y4, s) leaves what one system per
+    (x_A1, y4, s) leaves."""
+    c = candidate_for_case(24)
+    assert case_24_grid(c) == {(10, 1)}
+    steps = eliminate_candidate(24, c).certificate.steps
+    grid = [s for s in steps if "leaves (x_A1, y4) in" in s.description]
+    assert len(grid) == 1
+    assert grid[0].description.endswith(f"in {sorted(case_24_grid(c))}")
+    assert grid[0].domain_size == 340
 
 
 FOLIATION_P_MIN = {3: 66, 6: 71, 11: 64, 13: 61, 21: 57, 22: 68}

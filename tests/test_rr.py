@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from fano3.arith import sigma_pair
+from fano3.arith import sigma_numerator, sigma_pair
 from fano3.basket import Basket
 from fano3.eliminate import _h0_value_sets, candidate_for_case
 from fano3.lb import LBContext, lb
@@ -15,6 +15,7 @@ from fano3.rr import (
     UnknownTerm,
     a2mk,
     c_curve,
+    column_sums,
     delta_lower_bound,
     h0_integral_values,
     h0_orbifold_numerator,
@@ -22,6 +23,7 @@ from fano3.rr import (
     h0_sA,
     km_bound,
     nabla,
+    orbifold_columns,
     residue_term_builder,
 )
 
@@ -88,6 +90,36 @@ def test_h0_sA_matches_term_by_term_sum():
         assert part - Fraction(numerator, 2 * r_x) == expected
         want = expected.numerator if expected.denominator == 1 else None
         assert h0_integral_values(part, r_x, [numerator]) == [want]
+
+
+def _random_basket(rng):
+    while True:
+        points = []
+        for _ in range(rng.randint(1, 4)):
+            r = rng.randint(2, 13)
+            points.append((r, rng.choice([b for b in range(1, r // 2 + 1) if gcd(b, r) == 1])))
+        try:
+            return Basket(points)
+        except ValueError:  # over the admissibility budget
+            continue
+
+
+def test_column_sums_match_per_tuple_numerators():
+    rng = random.Random(6606)
+    for _ in range(60):
+        B = _random_basket(rng)
+        r_x = lcm(*B.R)
+        cols = orbifold_columns(B)
+        assert [len(col) for col in cols] == list(B.R)
+        local = list(product(*(range(p.r) for p in B)))
+        sums = column_sums(cols)
+        assert sums == [h0_orbifold_numerator(B, idx) for idx in local]
+        # and against the terms written out one point at a time
+        assert sums == [
+            sum(sigma_numerator(i * p.b, p.r) * (r_x // p.r) for i, p in zip(idx, B))
+            for idx in local
+        ]
+    assert column_sums([]) == [0]
 
 
 def test_case_24_integer_h0_table_matches_h0_sA():
