@@ -15,6 +15,7 @@ __all__ = [
     "sigma_pair",
     "sigma_numerator",
     "indicator",
+    "factorize",
     "prime_powers",
 ]
 
@@ -48,21 +49,27 @@ def sigma_numerator(x: int, r: int) -> int:
     return u * (r - u)
 
 
-def prime_powers(n: int) -> tuple:
-    """Sorted prime-power factorization, e.g. 84 -> (3, 4, 7)."""
+def factorize(n: int) -> tuple:
+    """Prime factorization as ``((p, e), ...)`` by increasing p, e.g.
+    84 -> ((2, 2), (3, 1), (7, 1)); the one trial division of the engine."""
     out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            pa = 1
+            e = 0
             while n % p == 0:
                 n //= p
-                pa *= p
-            out.append(pa)
+                e += 1
+            out.append((p, e))
         p += 1
     if n > 1:
-        out.append(n)
-    return tuple(sorted(out))
+        out.append((n, 1))
+    return tuple(out)
+
+
+def prime_powers(n: int) -> tuple:
+    """The prime powers of ``factorize``, sorted by value, e.g. 84 -> (3, 4, 7)."""
+    return tuple(sorted(p**e for p, e in factorize(n)))
 
 
 def indicator(statement: bool) -> int:

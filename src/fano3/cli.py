@@ -225,6 +225,8 @@ def cmd_wps(args) -> int:
         space = WeightedP3(weights)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"malformed weights: {exc}")
+    if args.smax < 1:
+        raise UsageError("smax must be positive")
     pairs = [(s, wps_h0(space, s)) for s in range(1, args.smax + 1)]
     _emit(_value_table(pairs, args), args.out)
     return 0

@@ -18,6 +18,10 @@ rows whose h^0 is that of P(5,6,22,33)) tries C- and then C+; any other
 tries Group A and then each Group B script.  The first contradiction wins,
 so the group a candidate falls in is found, not looked up.
 
+Every residue question goes to one of two primitives over the same
+integer tables: ``exists_integral_solution`` (a greedy witness) or
+``_completions`` (the residue tuples of chosen unknowns that complete).
+
 All arithmetic is exact; each step lands in an EliminationCertificate.  A
 route whose argument does not fit the candidate stalls: its certificate
 ends in one inconclusive step.  When every route stalls, the last stall is
@@ -32,7 +36,7 @@ from functools import cache
 from itertools import product as iproduct
 from math import gcd, lcm
 
-from .arith import InvariantViolation, prime_powers, sigma_numerator
+from .arith import InvariantViolation, factorize, sigma_numerator
 from .basket import Basket, gorenstein_index
 from .certificates import CITED_LEMMA, MECHANICAL, CertStep, EliminationCertificate, Verdict
 from .lb import LBContext, lb
@@ -55,10 +59,8 @@ from .search import Candidate, step3
 from .tables import GROUP_C_KEYS, TABLE_MAIN, row
 
 __all__ = [
-    "DomainTooLarge",
     "Undetermined",
     "exists_integral_solution",
-    "integral_solutions",
     "determine_curves",
     "eliminate_group_a",
     "run_group_b_script",
@@ -73,10 +75,6 @@ __all__ = [
     "PipelineReport",
     "candidate_for_case",
 ]
-
-
-class DomainTooLarge(Exception):
-    """The residue system's assignment space exceeds the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -131,65 +129,42 @@ def _suffix_reach(tables, big_l: int):
     return reach
 
 
-def exists_integral_solution(sys: ResidueConstraintSystem, cap: int = 10**9):
+def exists_integral_solution(sys: ResidueConstraintSystem):
     """Exhaustive solvability of ``sys`` over the product of residue ranges.
 
     Returns ``(True, {"witness": assignment})`` or
-    ``(False, {"exhausted": domain, "moduli": [...]})``.  The witness is
-    the first assignment ``integral_solutions`` yields, the
-    lexicographically least one; the certificate domain is always the full
-    logical product.  The witness is re-checked in Fractions by
-    ``sys.total``, independently of the tables.
+    ``(False, {"exhausted": domain, "moduli": [...]})``; the domain is the
+    full logical product.  Each unknown in turn takes the least residue the
+    next suffix can complete (``_suffix_reach``), so the witness is the
+    lexicographically least integral assignment, found without backtracking
+    in work L times the sum of the moduli.  ``sys.total`` re-checks it in
+    Fractions, independently of the tables.
     """
-    domain = sys.domain_size
-    if domain > cap:
-        raise DomainTooLarge(
-            f"residue domain {domain} exceeds cap {cap}; raise the cap explicitly"
-        )
-    witness = next(integral_solutions(sys), None)
-    if witness is None:
-        return False, {"exhausted": domain, "moduli": [t.modulus for t in sys.unknown_terms]}
+    big_l, acc, tables = _scaled(sys)
+    reach = _suffix_reach(tables, big_l)
+    if -acc % big_l not in reach[0]:
+        moduli = [t.modulus for t in sys.unknown_terms]
+        return False, {"exhausted": sys.domain_size, "moduli": moduli}
+    witness = ()
+    for tab, tail in zip(tables, reach[1:]):
+        u = next(u for u, a in enumerate(tab) if -(acc + a) % big_l in tail)
+        witness += (u,)
+        acc += tab[u]
     if sys.total(witness).denominator != 1:
         raise InvariantViolation(f"solver witness {witness} leaves {sys.total(witness)}")
     return True, {"witness": witness}
 
 
-def integral_solutions(sys: ResidueConstraintSystem):
-    """Every assignment making the total integral, in lexicographic order.
-
-    Every term is scaled once, in integers, to a residue mod L, the exact
-    lcm of all reduced denominators (see ``_scaled``).  Term by term from
-    the last unknown, the sets of sums mod L that each suffix of the
-    unknowns can reach are built first; a depth-first walk then tries a
-    residue only when the remaining suffix can still complete it, so every
-    branch it enters ends in a solution.  The work before the first
-    solution grows with L times the moduli rather than with their product.
-    """
+def _completions(sys: ResidueConstraintSystem, positions) -> set:
+    """The residue tuples of the unknowns at ``positions``, in that order,
+    that the other unknowns complete to an integral total.  The kept
+    columns are summed by ``column_sums``; the others enter as one reach
+    set."""
     big_l, base, tables = _scaled(sys)
-    reach = _suffix_reach(tables, big_l)
-
-    def walk(i, acc):
-        if i == len(tables):
-            yield ()
-            return
-        for u, a in enumerate(tables[i]):
-            if -(acc + a) % big_l in reach[i + 1]:
-                for rest in walk(i + 1, (acc + a) % big_l):
-                    yield (u,) + rest
-
-    if -base % big_l in reach[0]:
-        yield from walk(0, base)
-
-
-def _residues_admitting_completion(sys: ResidueConstraintSystem, label: str):
-    """All residues of the labeled unknown that extend to an integral total."""
-    idx = [i for i, t in enumerate(sys.unknown_terms) if t.label == label]
-    if len(idx) != 1:
-        raise ValueError(f"expected exactly one unknown labeled {label!r}")
-    i = idx[0]
-    big_l, base, tables = _scaled(sys)
-    others = _suffix_reach(tables[:i] + tables[i + 1:], big_l)[0]
-    return {u for u, a in enumerate(tables[i]) if -(base + a) % big_l in others}
+    kept = [tables[i] for i in positions]
+    others = _suffix_reach([t for i, t in enumerate(tables) if i not in positions], big_l)[0]
+    tuples = iproduct(*(range(len(t)) for t in kept))
+    return {u for u, a in zip(tuples, column_sums(kept)) if -(base + a) % big_l in others}
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +188,11 @@ def determine_curves(c: Candidate):
         return CurveConfig((), x_A1=None)
 
     ctx = LBContext(c.basket.R)
-    pps = prime_powers(j_a)
-    two_part = next((pa for pa in pps if pa % 2 == 0), 1)
-    odd_pps = [pa for pa in pps if pa % 2 == 1]
-    # the prime p of each prime power p^e
-    odd_primes = [next(p for p in range(3, pa + 1) if pa % p == 0) for pa in odd_pps]
+    factors = factorize(j_a)
+    two_part = next((2**e for p, e in factors if p == 2), 1)
+    odd_primes = [p for p, _ in factors if p > 2]
+    # by value, the order Group A prints its curves in
+    odd_pps = sorted(p**e for p, e in factors if p > 2)
     nab = c.nabla
 
     def cost(m: int) -> Fraction:
@@ -404,12 +379,19 @@ def _a2_degree_solutions(c: Candidate, lb3: int, s: int, ys) -> tuple:
     return system(0).constant, [y for y in ys if exists_integral_solution(system(y))[0]]
 
 
+def _x_a1_completions(sys: ResidueConstraintSystem):
+    """``(residues, modulus)`` of the A_1 aggregate: the residues that
+    complete to an integral total.  Stalls when x_A1 drops out of ``sys``."""
+    at = [i for i, t in enumerate(sys.unknown_terms) if t.label == "x_A1"]
+    _expect(len(at) == 1, "the A_1 aggregate drops out of the residue system")
+    return {u for (u,) in _completions(sys, at)}, sys.unknown_terms[at[0]].modulus
+
+
 def _x_a1_residues_over_s(c, cfg, r_prime, s_values, cert):
     """Intersection over s of the admissible aggregate-A_1 residues."""
     systems = [residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s) for s in s_values]
-    moduli = [t.modulus for sys in systems for t in sys.unknown_terms if t.label == "x_A1"]
-    _expect(len(moduli) == len(systems), "the A_1 aggregate drops out of the residue systems")
-    common = set.intersection(*(_residues_admitting_completion(sys, "x_A1") for sys in systems))
+    goods, moduli = zip(*(_x_a1_completions(sys) for sys in systems))
+    common = set.intersection(*goods)
     cert.mechanical(
         f"integrality for D=sA, s in {list(s_values)}, r'={r_prime} restricts the "
         f"A_1 aggregate degree to residues {sorted(common)} mod {moduli[-1]}",
@@ -542,10 +524,8 @@ def _case_24(c, cert) -> None:
     def admissible_x(y4, s):
         cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=None)
         sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
-        moduli = [t.modulus for t in sys.unknown_terms if t.label == "x_A1"]
-        _expect(len(moduli) == 1, "the A_1 aggregate drops out of the residue system")
-        good = _residues_admitting_completion(sys, "x_A1")
-        return {x for x in range(x_max + 1) if x % moduli[0] in good}
+        good, modulus = _x_a1_completions(sys)
+        return {x for x in range(x_max + 1) if x % modulus in good}
 
     sols = {
         (x, y4) for y4 in range(1, y4_max + 1) for x in admissible_x(y4, 1) & admissible_x(y4, 3)
@@ -622,7 +602,7 @@ def _case_27(c, cert) -> None:
         sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=70, s=s)
         moduli = [t.modulus for t in sys.unknown_terms]
         _expect(moduli == [3, 6], f"r'=70 leaves unknowns mod {moduli}, not [3, 6]")
-        return set(integral_solutions(sys))
+        return _completions(sys, (0, 1))
 
     pairs2, pairs4 = index_sets(2), index_sets(4)
     (i3_2, i6_2), (i3_4, i6_4) = (
@@ -688,8 +668,7 @@ def _case_35(c, cert) -> None:
         )
         half = [i for i, t in enumerate(sys.unknown_terms) if t.modulus == 2]
         _expect(len(half) == 4, f"{len(half)} half-points, not four")
-        out = {tuple(a[i] for i in half) for a in integral_solutions(sys)}
-        return out, sys.domain_size
+        return _completions(sys, half), sys.domain_size
 
     (p1, d1), (p4, d4), (p5, d5) = (parity_sets(s) for s in (1, 4, 5))
     two_two = {t for t in iproduct((0, 1), repeat=4) if sum(t) == 2}

@@ -8,11 +8,12 @@ guards overlap and earlier clauses win.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .arith import indicator
+from .arith import factorize, indicator
 
 __all__ = ["LBContext", "f_p", "lb", "SMALL_PRIMES"]
 
@@ -45,16 +46,7 @@ class LBContext:
 @lru_cache(maxsize=None)
 def _valuation_counts(R: tuple) -> dict:
     """(p, e) -> number of r in R with exact p-valuation e >= 1."""
-    counts = {}
-    for r in R:
-        for p in SMALL_PRIMES:
-            e = 0
-            while r % p == 0:
-                r //= p
-                e += 1
-            if e:
-                counts[p, e] = counts.get((p, e), 0) + 1
-    return counts
+    return Counter(pe for r in R for pe in factorize(r))
 
 
 def f_p(ctx: LBContext, p: int, N: int) -> int:
@@ -84,11 +76,8 @@ def _f3(ctx: LBContext, N: int) -> int:
 
 
 def _f2(ctx: LBContext, N: int) -> int:
-    e = 0
-    r_x = ctx.r_x
-    while r_x % 2 == 0:
-        r_x //= 2
-        e += 1
+    # v2(r_X) is the largest v2(r) over R
+    e = max((e for p, e in ctx._counts if p == 2), default=0)
     if e == 0 or N == 2:
         return 1
     n16, n8, n4, n2 = ctx.n(2, 4), ctx.n(2, 3), ctx.n(2, 2), ctx.n(2, 1)

@@ -223,13 +223,14 @@ def residue_term_builder(
     chosen auxiliary index r'.
 
     The constraint says -(r'/2) D^2.K + sum (-r'K.C) c_C(D) - sum of
-    orbifold corrections is an integer; terms that are integral for every
-    residue choice are dropped, the rest become unknowns.  An unknown
-    x_A1 becomes a linear unknown unless its coefficient is integral (as
-    for every even s).  A divisor that is Cartier in codimension 2 has no
-    curve corrections; pass a config without curves.  ``drop_curve_terms=False`` keeps
-    curve unknowns even when the vanishing rule applies, so a certificate
-    can exhaust the full published residue domain.
+    orbifold corrections is an integer; curve and point terms integral for
+    every residue (one rule, ``_term_integral``) are dropped, the rest
+    become unknowns.  An unknown x_A1 becomes a linear unknown unless its
+    coefficient is integral (as for every even s).  A divisor that is
+    Cartier in codimension 2 has no curve corrections; pass a config
+    without curves.  ``drop_curve_terms=False`` keeps curve unknowns even
+    when the vanishing rule applies, so a certificate can exhaust the full
+    published residue domain.
     """
     r_x = gorenstein_index(B)
     sys = ResidueConstraintSystem(
@@ -237,7 +238,7 @@ def residue_term_builder(
     )
     for c in cfg.curves:
         deg = Fraction(r_prime * c.degree_rXKC, r_x)
-        if drop_curve_terms and deg.denominator == 1 and _curve_term_integral(c.j, int(deg)):
+        if drop_curve_terms and deg.denominator == 1 and _term_integral(c.j, int(deg)):
             continue
         if c.generator_unit is not None:
             sys.fixed_terms.append(deg * c_curve(c.j, c.generator_unit, s))
@@ -254,18 +255,16 @@ def residue_term_builder(
                 UnknownTerm(coeff, coeff.denominator, "linear", "x_A1")
             )
     for p in B:
-        if (p.r % 2 == 1 and r_prime % p.r == 0) or (
-            p.r % 2 == 0 and r_prime % (2 * p.r) == 0
-        ):
-            continue
-        sys.unknown_terms.append(
-            UnknownTerm(Fraction(-r_prime), p.r, "quadratic", f"point ({p.r},{p.b})")
-        )
+        if not _term_integral(p.r, r_prime):
+            sys.unknown_terms.append(
+                UnknownTerm(Fraction(-r_prime), p.r, "quadratic", f"point ({p.r},{p.b})")
+            )
     return sys
 
 
-def _curve_term_integral(j: int, deg: int) -> bool:
-    """Whether deg * sigma_pair(a, j) is integral for every residue a."""
+def _term_integral(j: int, deg: int) -> bool:
+    """Whether deg * sigma_pair(a, j) is integral for every residue a: the
+    vanishing rule of a curve of type A_{j-1} and of a point of order j."""
     if j % 2 == 1:
         return deg % j == 0
     return deg % (2 * j) == 0

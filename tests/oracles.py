@@ -3,9 +3,9 @@
 Each one computes the same thing as an engine routine by a different and
 more direct route: Fractions instead of scaled integers (the budget, step
 1, the solver's residue tables), brute force over the full residue product
-instead of the pruned solution walk, and the old triple-order Step 2
-(every (q, J_A, rXc13) triple tested against every basket) instead of the
-residue-first walk.  Two elimination steps are recomputed tuple by tuple
+instead of the solver's greedy witness and completion readout, and the old
+triple-order Step 2 (every (q, J_A, rXc13) triple tested against every
+basket) instead of the residue-first walk.  Two elimination steps are recomputed tuple by tuple
 instead of from the orbifold columns: case 24's (x_A1, y4) grid, one
 residue system per (x_A1, y4, s), and the Group C residues from Fraction
 ``h0_sA`` over the full local-index product.  The published A / B / C- /

@@ -3,7 +3,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, strategies as st
 
-from fano3.arith import indicator, prime_powers, sigma_pair
+from fano3.arith import factorize, indicator, prime_powers, sigma_pair
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 500))
@@ -42,3 +42,14 @@ def test_prime_powers():
 def test_prime_powers_multiply_back(n):
     expected = sorted(p**e for p, e in sympy.factorint(n).items())
     assert prime_powers(n) == tuple(expected)
+
+
+def test_factorize():
+    assert factorize(84) == ((2, 2), (3, 1), (7, 1))
+    assert factorize(1) == ()
+    assert factorize(45) == ((3, 2), (5, 1))
+
+
+@given(st.integers(1, 10**5))
+def test_factorize_matches_sympy(n):
+    assert factorize(n) == tuple(sorted(sympy.factorint(n).items()))

@@ -88,6 +88,8 @@ def test_bad_flags_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["h0", "--s", "0..70"]) == 2
     assert main(["wps", "--weights", "1,2", "--smax", "5"]) == 2
+    assert main(["wps", "--weights", "5,6,22,33", "--smax", "0"]) == 2
+    assert main(["wps", "--weights", "5,6,22,33", "--smax", "-3"]) == 2
     assert main(["lb", "--R", "0,3", "--N", "3"]) == 2
     assert main(["lb", "--R", "29", "--N", "3"]) == 2
 
