@@ -15,12 +15,23 @@ Every candidate that survives the search is killed by one of four routes:
 
 The routes run in a fixed order.  A candidate on the Group C list (the
 rows whose h^0 is that of P(5,6,22,33)) tries C- and then C+; any other
-tries Group A and then each Group B script.  The first contradiction wins,
-so the group a candidate falls in is found, not looked up.
+tries Group A and then the Group B scripts of cases 10, 23, 24, 27,
+32/33, 35, 36 and 20, in that order.  The first contradiction wins, so the
+group a candidate falls in is found, not looked up.  No table row, and
+no candidate of the searches at q_min 40, 50 or 60, is killed by two Group
+B scripts, so their order only sets the cost of the stalls: case 20's
+script stalls on an open curve configuration after a full residue solve,
+so it runs last.
 
-Every residue question goes to one of two primitives over the same
-integer tables: ``exists_integral_solution`` (a greedy witness) or
-``_completions`` (the residue tuples of chosen unknowns that complete).
+Every residue question goes to one of two primitives over the integer
+tables of ``residue_term_builder``: ``exists_integral_solution`` (a greedy
+witness) or ``_completions`` (the residue tuples of chosen unknowns that
+complete).  Both take one system and a constant per divisor D = sA: the
+routes build one system per family of divisors whose unknown terms agree
+-- case 35's aggregate-A_1 residues over s in {1, 3, 5} (and likewise
+cases 10 and 32/33) and its half-point parities over s in {1, 4, 5},
+case 24's (y4, s) grid, case 27's index pairs over s in {2, 4} and the
+A_2 degrees of cases 27 and 32/33 -- and read every member off it.
 
 All arithmetic is exact; each step lands in an EliminationCertificate.  A
 route whose argument does not fit the candidate stalls: its certificate
@@ -33,10 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product as iproduct
-from math import gcd, lcm
+from itertools import compress, product as iproduct
 
-from .arith import InvariantViolation, factorize, sigma_numerator
+from .arith import InvariantViolation, factorize
 from .basket import Basket, gorenstein_index
 from .certificates import CITED_LEMMA, MECHANICAL, CertStep, EliminationCertificate, Verdict
 from .lb import LBContext, lb
@@ -54,6 +64,7 @@ from .rr import (
     km_bound,
     orbifold_columns,
     residue_term_builder,
+    suffix_reach,
 )
 from .search import Candidate, step3
 from .tables import GROUP_C_KEYS, TABLE_MAIN, row
@@ -93,78 +104,56 @@ _NO_CURVES = CurveConfig((), x_A1=0)
 # Residue-system solver
 # ---------------------------------------------------------------------------
 
-def _scaled(sys: ResidueConstraintSystem):
-    """The system in integer residues: ``(L, base, tables)``.
-
-    L is the lcm of every reduced denominator in the system, ``base`` is
-    the known part of the total times L, and ``tables[i][u]`` is unknown i
-    at residue u times L, all reduced mod L.  The total is integral exactly
-    when the scaled sum is 0 mod L.  Each unknown's values are integer
-    numerators over one denominator, from ``sigma_numerator`` (quadratic
-    terms) or from u (linear terms); dividing out their common gcd leaves
-    the lcm of the term's reduced denominators, so L is the exact lcm.
-    """
-    base = sys.constant + sum(sys.fixed_terms, Fraction(0))
-    terms = []
-    for t in sys.unknown_terms:
-        a, den = t.coeff.numerator, t.coeff.denominator
-        if t.shape == "quadratic":
-            nums = [a * sigma_numerator(u, t.modulus) for u in range(t.modulus)]
-            den *= 2 * t.modulus
-        else:
-            nums = [a * u for u in range(t.modulus)]
-        g = gcd(den, *nums)
-        terms.append((den // g, [n // g for n in nums]))
-    big_l = lcm(base.denominator, *(den for den, _ in terms))
-    tables = [[n * (big_l // den) % big_l for n in nums] for den, nums in terms]
-    return big_l, base.numerator * (big_l // base.denominator) % big_l, tables
-
-
-def _suffix_reach(tables, big_l: int):
-    """``reach[i]``: every sum mod L that unknowns i, i+1, ... can take."""
-    reach = [{0}]
-    for tab in reversed(tables):
-        reach.append({(a + r) % big_l for a in set(tab) for r in reach[-1]})
-    reach.reverse()
-    return reach
-
-
-def exists_integral_solution(sys: ResidueConstraintSystem):
-    """Exhaustive solvability of ``sys`` over the product of residue ranges.
+def exists_integral_solution(sys: ResidueConstraintSystem, constant: Fraction):
+    """Exhaustive solvability of ``constant`` plus the unknown terms of
+    ``sys`` over the product of their residue ranges.
 
     Returns ``(True, {"witness": assignment})`` or
     ``(False, {"exhausted": domain, "moduli": [...]})``; the domain is the
     full logical product.  Each unknown in turn takes the least residue the
-    next suffix can complete (``_suffix_reach``), so the witness is the
-    lexicographically least integral assignment, found without backtracking
-    in work L times the sum of the moduli.  ``sys.total`` re-checks it in
-    Fractions, independently of the tables.
+    next suffix can complete (``sys.reach``, built once per system and
+    shared by every constant), so the witness is the lexicographically
+    least integral assignment, found without backtracking in work L times
+    the sum of the moduli.  ``sys.total`` re-checks it in Fractions,
+    independently of the tables.
     """
-    big_l, acc, tables = _scaled(sys)
-    reach = _suffix_reach(tables, big_l)
-    if -acc % big_l not in reach[0]:
+    big_l, acc = sys.scale, sys.scaled(constant)
+    reach = sys.reach
+    if acc is None or -acc % big_l not in reach[0]:
         moduli = [t.modulus for t in sys.unknown_terms]
         return False, {"exhausted": sys.domain_size, "moduli": moduli}
     witness = ()
-    for tab, tail in zip(tables, reach[1:]):
+    for tab, tail in zip(sys.tables, reach[1:]):
         u = next(u for u, a in enumerate(tab) if -(acc + a) % big_l in tail)
         witness += (u,)
         acc += tab[u]
-    if sys.total(witness).denominator != 1:
-        raise InvariantViolation(f"solver witness {witness} leaves {sys.total(witness)}")
+    if sys.total(constant, witness).denominator != 1:
+        raise InvariantViolation(f"solver witness {witness} leaves {sys.total(constant, witness)}")
     return True, {"witness": witness}
 
 
-def _completions(sys: ResidueConstraintSystem, positions) -> set:
-    """The residue tuples of the unknowns at ``positions``, in that order,
-    that the other unknowns complete to an integral total.  The kept
-    columns are summed by ``column_sums``; the others enter as one reach
-    set."""
-    big_l, base, tables = _scaled(sys)
-    kept = [tables[i] for i in positions]
-    others = _suffix_reach([t for i, t in enumerate(tables) if i not in positions], big_l)[0]
-    tuples = iproduct(*(range(len(t)) for t in kept))
-    return {u for u, a in zip(tuples, column_sums(kept)) if -(base + a) % big_l in others}
+def _completions(sys: ResidueConstraintSystem, positions, constants) -> list:
+    """For each of ``constants``, the residue tuples of the unknowns at
+    ``positions``, in that order, that the other unknowns complete to an
+    integral total.  The kept columns are summed once by ``column_sums``
+    and the others enter as one reach set, so a constant costs one set
+    lookup per tuple; only the tuples that complete are built."""
+    big_l = sys.scale
+    kept = [sys.tables[i] for i in positions]
+    others = suffix_reach([t for i, t in enumerate(sys.tables) if i not in positions], big_l)[0]
+    ranges = [range(len(t)) for t in kept]
+    sums = column_sums(kept)
+    # table entries lie in [0, L), so a kept sum lies in [0, len(kept) L)
+    lifts = range(0, max(len(kept), 1) * big_l, big_l)
+    out = []
+    for constant in constants:
+        base = sys.scaled(constant)
+        if base is None:
+            out.append(set())
+        else:
+            needed = {-(base + r) % big_l + lift for r in others for lift in lifts}
+            out.append(set(compress(iproduct(*ranges), map(needed.__contains__, sums))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +266,17 @@ def _forced(c: Candidate) -> CurveConfig:
     return cfg
 
 
-def _refute(sys, cert, claim: str) -> None:
-    """Contradiction ``claim`` when no residue assignment makes ``sys``
-    integral, with the exhausted domain as its size."""
-    solvable, info = exists_integral_solution(sys)
+def _one_system(c: Candidate, cfg: CurveConfig, r_prime: int, s: int, drop_curve_terms=True):
+    """The residue system of D = sA alone, with its constant."""
+    sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s)], r_prime, drop_curve_terms)
+    return sys, sys.constants[0]
+
+
+def _refute(sys, constant, cert, claim: str) -> None:
+    """Contradiction ``claim`` when no residue assignment makes ``constant``
+    plus the unknowns of ``sys`` integral, with the exhausted domain as its
+    size."""
+    solvable, info = exists_integral_solution(sys, constant)
     _expect(not solvable, f"residue system is solvable; witness {info.get('witness')}")
     cert.mechanical(claim, "contradiction", domain_size=info["exhausted"])
 
@@ -315,13 +311,12 @@ def _group_a(c, cert) -> None:
         "determined",
     )
     r_prime = 2 * c.r_x
-    sys = residue_term_builder(
-        c.q, c.rXc13, c.basket, cfg, r_prime=r_prime, s=2, drop_curve_terms=False
-    )
+    sys, constant = _one_system(c, cfg, r_prime, 2, drop_curve_terms=False)
     _refute(
         sys,
+        constant,
         cert,
-        f"residue system (r'={r_prime}, D=2A) with constant {sys.constant} has no "
+        f"residue system (r'={r_prime}, D=2A) with constant {constant} has no "
         f"integral assignment over moduli {[t.modulus for t in sys.unknown_terms]}",
     )
 
@@ -332,17 +327,28 @@ def _group_a(c, cert) -> None:
 
 def run_group_b_script(case_id: int, c: Candidate) -> Verdict:
     """Each Group B script in turn on the candidate; the first contradiction
-    wins, and when every script stalls the last stall is the verdict."""
-    scripts = (_case_10, _case_20, _case_23, _case_24, _case_27, _case_32_33, _case_35, _case_36)
-    return _first_contradiction(_run_route(case_id, c, script) for script in scripts)
+    wins, and when every script stalls the last stall is the verdict.
+    Each table row is killed by exactly one script, so the order decides
+    only the cost of the stalls: case 20's script comes last, because it
+    stalls on an open curve configuration only after a full residue solve.
+    """
+    return _first_contradiction(_run_route(case_id, c, script) for script in _GROUP_B_SCRIPTS)
+
+
+@cache  # once per candidate, which every script's order check only reads
+def _curve_order_bounds(c: Candidate) -> tuple:
+    """``(bounds, allowed)``: LB(j) for every curve class order j | J_A, and
+    the orders whose minimal degree cost fits the budget."""
+    ctx = LBContext(c.basket.R)
+    bounds = {j: lb(ctx, j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
+    allowed = tuple(j for j, d in bounds.items() if curve_cost(j, d) <= c.nabla)
+    return bounds, allowed
 
 
 def _curve_orders(c: Candidate, cert, expected: tuple) -> dict:
     """LB(j) for every curve class order j | J_A, once the orders whose
     minimal degree cost fits the budget are found to be ``expected``."""
-    ctx = LBContext(c.basket.R)
-    bounds = {j: lb(ctx, j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
-    allowed = tuple(j for j, d in bounds.items() if curve_cost(j, d) <= c.nabla)
+    bounds, allowed = _curve_order_bounds(c)
     excluded = [j for j in bounds if j not in allowed]
     cert.mechanical(
         f"allowed curve class orders {list(allowed)} (minimal cost of each of {excluded} "
@@ -371,34 +377,36 @@ def _a2_degree_solutions(c: Candidate, lb3: int, s: int, ys) -> tuple:
     """Canonical-part integrality for D = sA: with r' = 2 r_X every basket
     term vanishes, and A_2 curves of total degree LB(3) y (unit 1) are the
     only other term -- the A_1 aggregate is absent or, for even s, drops.
-    The system's constant and the y in ``ys`` leaving an integral total."""
-    def system(y):
-        cfg = CurveConfig((CrepantCurve(3, lb3 * y, 1),) if y else (), x_A1=0)
-        return residue_term_builder(c.q, c.rXc13, c.basket, cfg, 2 * c.r_x, s)
+    The constant without A_2 curves and the y in ``ys`` leaving an integral
+    total, all read off one system."""
+    cfgs = [CurveConfig((CrepantCurve(3, lb3 * y, 1),) if y else (), x_A1=0) for y in (0, *ys)]
+    sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s) for cfg in cfgs], 2 * c.r_x)
+    const, *constants = sys.constants
+    return const, [y for y, k in zip(ys, constants) if exists_integral_solution(sys, k)[0]]
 
-    return system(0).constant, [y for y in ys if exists_integral_solution(system(y))[0]]
 
-
-def _x_a1_completions(sys: ResidueConstraintSystem):
-    """``(residues, modulus)`` of the A_1 aggregate: the residues that
-    complete to an integral total.  Stalls when x_A1 drops out of ``sys``."""
+def _x_a1_residues(sys: ResidueConstraintSystem):
+    """``(residues, modulus)`` of the A_1 aggregate: for each member of
+    ``sys``, the residues that complete to an integral total.  Stalls when
+    x_A1 drops out of the system."""
     at = [i for i, t in enumerate(sys.unknown_terms) if t.label == "x_A1"]
     _expect(len(at) == 1, "the A_1 aggregate drops out of the residue system")
-    return {u for (u,) in _completions(sys, at)}, sys.unknown_terms[at[0]].modulus
+    sets = [{u for (u,) in tuples} for tuples in _completions(sys, at, sys.constants)]
+    return sets, sys.unknown_terms[at[0]].modulus
 
 
 def _x_a1_residues_over_s(c, cfg, r_prime, s_values, cert):
     """Intersection over s of the admissible aggregate-A_1 residues."""
-    systems = [residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s) for s in s_values]
-    goods, moduli = zip(*(_x_a1_completions(sys) for sys in systems))
+    sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s) for s in s_values], r_prime)
+    goods, modulus = _x_a1_residues(sys)
     common = set.intersection(*goods)
     cert.mechanical(
         f"integrality for D=sA, s in {list(s_values)}, r'={r_prime} restricts the "
-        f"A_1 aggregate degree to residues {sorted(common)} mod {moduli[-1]}",
+        f"A_1 aggregate degree to residues {sorted(common)} mod {modulus}",
         "narrowed",
-        domain_size=sum(sys.domain_size for sys in systems),
+        domain_size=len(s_values) * sys.domain_size,
     )
-    return common, moduli[-1]
+    return common, modulus
 
 
 def _case_20(c, cert) -> None:
@@ -412,11 +420,12 @@ def _case_20(c, cert) -> None:
         "Cartier in codimension 2, so curve corrections vanish",
         "determined",
     )
-    sys = residue_term_builder(c.q, c.rXc13, c.basket, _NO_CURVES, r_prime=1, s=c.j_a)
+    sys, constant = _one_system(c, _NO_CURVES, 1, c.j_a)
     _refute(
         sys,
+        constant,
         cert,
-        f"residue system (r'=1, D={c.j_a}A) with constant {sys.constant} has no "
+        f"residue system (r'=1, D={c.j_a}A) with constant {constant} has no "
         f"integral assignment over moduli {[t.modulus for t in sys.unknown_terms]}",
     )
 
@@ -427,12 +436,13 @@ def _case_23(c, cert) -> None:
         "forced curves: A_2 and A_3, each of degree 14; A_1 aggregate possible",
     )
     r_prime = c.r_x * c.j_a  # 336: every term vanishes
-    sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s=1)
+    sys, constant = _one_system(c, cfg, r_prime, 1)
     _refute(
         sys,
+        constant,
         cert,
         f"r'={r_prime} makes every curve and basket term vanish, leaving the "
-        f"non-integral constant {sys.constant}",
+        f"non-integral constant {constant}",
     )
 
 
@@ -457,11 +467,12 @@ def _case_36(c, cert) -> None:
         "(their scaled degrees are multiples of 5 and 4)",
         "narrowed",
     )
-    sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s=1)
+    sys, constant = _one_system(c, cfg, r_prime, 1)
     _refute(
         sys,
+        constant,
         cert,
-        f"residue system (r'={r_prime}, D=A) with constant {sys.constant} has no "
+        f"residue system (r'={r_prime}, D=A) with constant {constant} has no "
         "integral assignment over the A_6 class residues",
     )
 
@@ -520,15 +531,20 @@ def _case_24(c, cert) -> None:
 
     # r' = 9, s odd: the A_2 term and the order-3 points drop, leaving
     # s^2/40 - 3 x/20 - 9 y4/8 - 9 a(5-a)/10, which must be integral.  x_A1
-    # stays symbolic, so one system per (y4, s) gives every admissible x mod 20
-    def admissible_x(y4, s):
-        cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=None)
-        sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
-        good, modulus = _x_a1_completions(sys)
-        return {x for x in range(x_max + 1) if x % modulus in good}
-
+    # stays symbolic and y4 enters only the constant, so one system serves
+    # every (y4, s) and gives every admissible x mod 20
+    members = [
+        (CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=None), s)
+        for y4 in range(1, y4_max + 1)
+        for s in (1, 3)
+    ]
+    sys = residue_term_builder(c.q, c.rXc13, c.basket, members, r_prime=9)
+    goods, modulus = _x_a1_residues(sys)
     sols = {
-        (x, y4) for y4 in range(1, y4_max + 1) for x in admissible_x(y4, 1) & admissible_x(y4, 3)
+        (x, y4)
+        for y4, good1, good3 in zip(range(1, y4_max + 1), goods[::2], goods[1::2])
+        for x in range(x_max + 1)
+        if x % modulus in good1 & good3
     }
     cert.mechanical(
         f"integrality for D=sA, s in [1, 3], r'=9 leaves (x_A1, y4) in {sorted(sols)}",
@@ -564,7 +580,8 @@ def _h0_value_sets(c: Candidate, cfg: CurveConfig, s_values) -> dict:
     """s -> every integral value of h^0(sA) over all local-index tuples.
 
     The numerators are the ``column_sums`` of the basket's ``orbifold_columns``
-    and the s-part is built once per s, so a tuple costs one compare per s.
+    and the integer s-part is built once per s, so a tuple costs one compare
+    per s.
     """
     numerators = column_sums(orbifold_columns(c.basket))
     minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
@@ -597,14 +614,11 @@ def _case_27(c, cert) -> None:
     )
 
     # r' = 70, s in {2, 4}: local indices at the order-3 and order-6 points
-    def index_sets(s):
-        cfg = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=0)
-        sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=70, s=s)
-        moduli = [t.modulus for t in sys.unknown_terms]
-        _expect(moduli == [3, 6], f"r'=70 leaves unknowns mod {moduli}, not [3, 6]")
-        return _completions(sys, (0, 1))
-
-    pairs2, pairs4 = index_sets(2), index_sets(4)
+    cfg = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=0)
+    sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, 2), (cfg, 4)], r_prime=70)
+    moduli = [t.modulus for t in sys.unknown_terms]
+    _expect(moduli == [3, 6], f"r'=70 leaves unknowns mod {moduli}, not [3, 6]")
+    pairs2, pairs4 = _completions(sys, (0, 1), sys.constants)
     (i3_2, i6_2), (i3_4, i6_4) = (
         ({p[0] for p in pairs}, {p[1] for p in pairs}) for pairs in (pairs2, pairs4)
     )
@@ -662,22 +676,18 @@ def _case_35(c, cert) -> None:
     )
 
     # parities of the four half-point indices, s in {1, 4, 5}
-    def parity_sets(s):
-        sys = residue_term_builder(
-            c.q, c.rXc13, c.basket, CurveConfig(unit_curves, x_A1=0), r_prime=1, s=s
-        )
-        half = [i for i, t in enumerate(sys.unknown_terms) if t.modulus == 2]
-        _expect(len(half) == 4, f"{len(half)} half-points, not four")
-        return _completions(sys, half), sys.domain_size
-
-    (p1, d1), (p4, d4), (p5, d5) = (parity_sets(s) for s in (1, 4, 5))
+    cfg = CurveConfig(unit_curves, x_A1=0)
+    sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s) for s in (1, 4, 5)], r_prime=1)
+    half = [i for i, t in enumerate(sys.unknown_terms) if t.modulus == 2]
+    _expect(len(half) == 4, f"{len(half)} half-points, not four")
+    p1, p4, p5 = _completions(sys, half, sys.constants)
     two_two = {t for t in iproduct((0, 1), repeat=4) if sum(t) == 2}
     all_equal = {(0, 0, 0, 0), (1, 1, 1, 1)}
     cert.mechanical(
         "half-point parities: for D=A exactly two of the four indices are odd; "
         "for D=4A and D=5A all four parities agree",
         "narrowed",
-        domain_size=d1 + d4 + d5,
+        domain_size=3 * sys.domain_size,
     )
     _expect(
         p1 == two_two and p4 <= all_equal and p5 <= all_equal,
@@ -708,6 +718,11 @@ def _case_35(c, cert) -> None:
     )
 
 
+_GROUP_B_SCRIPTS = (
+    _case_10, _case_23, _case_24, _case_27, _case_32_33, _case_35, _case_36, _case_20
+)
+
+
 # ---------------------------------------------------------------------------
 # Group C: closed form, residue derivation, movable set
 # ---------------------------------------------------------------------------
@@ -721,7 +736,8 @@ _GROUP_C_A2MK = a2mk(66, 4356, _GROUP_C_R_X)
 _GROUP_C_COLUMNS = orbifold_columns(_GROUP_C_BASKET)
 
 
-def _group_c_s_part(s: int) -> Fraction:
+def _group_c_s_part(s: int) -> int:
+    """The integer s-part of the shared h^0, over 2 r_X."""
     return h0_s_part(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, s)
 
 
@@ -851,7 +867,10 @@ def foliation_bounds(c: Candidate, delta: Fraction) -> int:
     The 16/5 slope bound must already fail (otherwise the curve-degree
     excess could not reach ``delta``); the remaining Kawamata-Miyaoka shape
     bounds the volume by 4q^2/(-4p^2+6pq-q^2), and the slope ordering of
-    the Harder-Narasimhan filtration confines p to (2q/3, q).
+    the Harder-Narasimhan filtration confines p to (2q/3, q).  Each p is
+    tested cross-multiplied in integers: with delta = n/d,
+    r_Xc2c1 - r_Xc1^3 / km_bound(3, 1, p, q) >= delta exactly when
+    4q^2 (r_Xc2c1 d - n) >= r_Xc1^3 d (-4p^2 + 6pq - q^2).
     """
     q = c.q
     if not c.rXc2c1 - c.rXc13 / km_bound(2, 1) < delta:
@@ -859,8 +878,10 @@ def foliation_bounds(c: Candidate, delta: Fraction) -> int:
             "16/5 precondition fails: the candidate would satisfy the stronger "
             "slope bound and no rank-2 foliation is forced"
         )
+    n, d = delta.numerator, delta.denominator
+    slack = 4 * q * q * (c.rXc2c1 * d - n)
     for p in range(2 * q // 3 + 1, q):
-        if c.rXc2c1 - c.rXc13 / km_bound(3, 1, p, q) >= delta:
+        if slack >= c.rXc13 * d * (-4 * p * p + 6 * p * q - q * q):
             return p
     raise ValueError("no admissible foliation index below q")
 
@@ -872,7 +893,8 @@ def _group_c_curves(c: Candidate, cert) -> CurveConfig:
     Integrality of h^0(2A) fixes the even-multiple residues up to sign;
     integrality of h^0(A) - h^0(3A) fixes the odd corrections; h^0(A) = 0
     then ties the A_1 aggregate to r_X (or to 0 when no A_1 curve can
-    exist because the polarization is Cartier at the half-points).  Only
+    exist because the polarization is Cartier at the half-points); when
+    r_X and J_A are both even it pins neither, and the route stalls.  Only
     that last step depends on the candidate; the others are computed once.
     The derivation holds only for candidates on the Group C list; any other
     raises ValueError, and so do both Group C routes, which start here.
@@ -890,7 +912,7 @@ def _group_c_curves(c: Candidate, cert) -> CurveConfig:
             "curve exists and the half-point correction absorbs the 1/4"
         )
     else:
-        raise InvariantViolation("unreachable for the Group C table")
+        raise _Stall("r_X and J_A are both even, so h^0(A) = 0 does not pin x_A1")
     cert.steps.extend(steps)
     cert.mechanical(
         f"h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = {residual}; {why}", "determined"
@@ -1017,7 +1039,7 @@ def _group_c_plus(c, cert) -> None:
     )
     worst = f"{60 * p_min * p_min}/{330 * q}"
     _expect(
-        all(Fraction(60 * p * p, 330 * q) > 8 for p in range(p_min, q)),
+        all(60 * p * p > 8 * 330 * q for p in range(p_min, q)),
         f"leaf square {worst} does not exceed 8",
     )
     cert.mechanical(

@@ -5,23 +5,30 @@ evaluator, the slack functional ``nabla`` that budgets total crepant-curve
 degree, the Kawamata-Miyaoka bound, and the translation of integrality
 constraints into finite residue systems.
 
-``h0_sA`` is the one h^0 formula: the s-part ``h0_s_part`` (volume, curve
-and A_1-aggregate terms, which depend on s alone) minus the orbifold
-corrections ``h0_orbifold_numerator``, an integer over 2 r_X that sums
-one term per basket point.  ``orbifold_columns`` gives each point's term
-at each local index and ``column_sums`` adds the columns over their index
-product, so a table over many local-index tuples costs one integer
-addition per tuple and each s-part once per s; ``h0_integral_values``
-reads integrality and the value from one integer compare per tuple.
+``h0_sA`` is the one h^0 formula: the s-part (volume, curve and A_1-aggregate
+terms, which depend on s alone) minus the orbifold corrections
+``h0_orbifold_numerator``, an integer over 2 r_X that sums one term per
+basket point.  ``h0_s_part`` gives the s-part as an integer numerator over
+the same 2 r_X, ``orbifold_columns`` each point's term at each local index,
+and ``column_sums`` adds the columns over their index product, so a table
+over many local-index tuples costs one integer addition per tuple and one
+integer s-part per s; ``h0_integral_values`` reads integrality and the
+value from one integer compare per tuple.
+
+``residue_term_builder`` turns the integrality constraint of several
+divisors D = sA at one auxiliary index r' into one residue system: the
+unknown terms they share, in integer residues over one L, and one known
+constant per divisor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
-from .arith import sigma_numerator, sigma_pair
+from .arith import InvariantViolation, sigma_numerator, sigma_pair
 from .basket import Basket, gorenstein_index
 
 __all__ = [
@@ -29,13 +36,13 @@ __all__ = [
     "CurveConfig",
     "UnknownTerm",
     "ResidueConstraintSystem",
-    "c_curve",
     "h0_sA",
     "h0_s_part",
     "h0_orbifold_numerator",
     "orbifold_columns",
     "column_sums",
     "h0_integral_values",
+    "suffix_reach",
     "residue_term_builder",
     "km_bound",
     "nabla",
@@ -85,35 +92,37 @@ class CurveConfig:
             raise ValueError("x_A1 must be nonnegative")
 
 
-def c_curve(j: int, unit: int, s: int) -> Fraction:
-    """Riemann-Roch correction of a crepant curve of type A_{j-1}:
-    -sigma_pair(s * unit, j)."""
-    if j < 2:
-        raise ValueError("need j >= 2")
-    if gcd(unit, j) != 1:
-        raise ValueError("unit must be coprime to j")
-    return -sigma_pair(s * unit, j)
-
-
-def h0_s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> Fraction:
-    """The part of h^0(sA) that does not depend on the local indices:
-    s^2/2 (-A^2.K) + 2 plus the crepant-curve and A_1-aggregate corrections.
+def h0_s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> int | None:
+    """The part of h^0(sA) that does not depend on the local indices --
+    s^2/2 (-A^2.K) + 2 plus the crepant-curve and A_1-aggregate corrections
+    -- as an integer numerator over 2 r_X, the denominator of
+    ``h0_orbifold_numerator``.  None when 2 r_X times the s-part is not an
+    integer: then h^0(sA) is integral at no local indices.
 
     Valid for 0 < s < q; needs concrete curve units and a concrete x_A1.
     """
+    num, den = _s_part(q, A2mK, cfg, B, s)
+    return None if num % den else num // den
+
+
+def _s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> tuple:
+    """``(num, den)`` with 2 r_X times the s-part equal to num / den: the
+    volume term s^2 r_X (-A^2.K), 4 r_X, and -deg * sigma_numerator(s u, j)
+    / j per curve (-x_A1 sigma_numerator(s, 2) / 2 for the aggregate)."""
     if not 0 < s < q:
         raise ValueError(f"need 0 < s < q, got s={s}, q={q}")
     if cfg.x_A1 is None:
         raise ValueError("h0_sA needs a concrete x_A1")
+    if any(c.generator_unit is None for c in cfg.curves):
+        raise ValueError("h0_sA needs concrete generator units")
     r_x = gorenstein_index(B)
-    val = Fraction(s * s, 2) * Fraction(A2mK) + 2
+    n, d = A2mK.numerator, A2mK.denominator
+    den = lcm(d, 2, *(c.j for c in cfg.curves))
+    num = s * s * r_x * n * (den // d) + 4 * r_x * den
     for c in cfg.curves:
-        if c.generator_unit is None:
-            raise ValueError("h0_sA needs concrete generator units")
-        val += Fraction(c.degree_rXKC, r_x) * c_curve(c.j, c.generator_unit, s)
-    if cfg.x_A1:
-        val += Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
-    return val
+        num -= c.degree_rXKC * sigma_numerator(s * c.generator_unit, c.j) * (den // c.j)
+    num -= cfg.x_A1 * sigma_numerator(s, 2) * (den // 2)
+    return num, den
 
 
 def orbifold_columns(B: Basket) -> list:
@@ -127,8 +136,10 @@ def orbifold_columns(B: Basket) -> list:
 def column_sums(cols) -> list:
     """Every sum of one entry per column, in ``itertools.product`` order
     of the entries' positions."""
-    sums = [0]
-    for col in cols:
+    if not cols:
+        return [0]
+    sums = list(cols[0])
+    for col in cols[1:]:
         sums = [a + t for a in sums for t in col]
     return sums
 
@@ -145,27 +156,25 @@ def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
 
     ``A2mK`` is the exact value -A^2.K, see ``a2mk``; ``idx`` lists the
     local index i at each basket point, in basket order.  The result is
-    the s-part ``h0_s_part`` minus ``h0_orbifold_numerator`` / (2 r_X).  It
-    is an integer whenever the inputs describe a genuine variety, but the
-    function does not assume it.
+    the s-part minus ``h0_orbifold_numerator`` / (2 r_X).  It is an integer
+    whenever the inputs describe a genuine variety, but the function does
+    not assume it.
     """
-    orbifold = Fraction(h0_orbifold_numerator(B, idx), 2 * gorenstein_index(B))
-    return h0_s_part(q, A2mK, cfg, B, s) - orbifold
+    orbifold = h0_orbifold_numerator(B, idx)
+    num, den = _s_part(q, A2mK, cfg, B, s)
+    return Fraction(num - orbifold * den, 2 * gorenstein_index(B) * den)
 
 
-def h0_integral_values(part, r_x: int, numerators) -> list:
-    """``part - n / (2 r_X)`` for each orbifold numerator n, as in ``h0_sA``:
-    the integer where it is integral and None elsewhere.
-
-    ``part`` is read once, so a table over many local-index tuples costs
-    one integer compare per tuple.
+def h0_integral_values(part: int | None, r_x: int, numerators) -> list:
+    """``(part - n) / (2 r_X)`` for each orbifold numerator n, with ``part``
+    the integer s-part of ``h0_s_part`` (or a difference of two): the
+    integer where it is integral and None elsewhere, and None throughout
+    when ``part`` is None.  One integer compare per tuple.
     """
-    two_rx = 2 * r_x
-    top = part * two_rx
-    if top.denominator != 1:
+    if part is None:
         return [None for _ in numerators]
-    top = int(top)
-    return [None if (top - n) % two_rx else (top - n) // two_rx for n in numerators]
+    two_rx = 2 * r_x
+    return [None if (part - n) % two_rx else (part - n) // two_rx for n in numerators]
 
 
 @dataclass(frozen=True)
@@ -188,19 +197,44 @@ class UnknownTerm:
         return self.coeff * u
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidueConstraintSystem:
-    """Does some assignment of the unknown residues make the total integral?"""
+    """Does some assignment of the unknown residues make a total integral?
 
-    constant: Fraction
-    fixed_terms: list = field(default_factory=list)
-    unknown_terms: list = field(default_factory=list)
+    One system serves a family of divisors D = sA whose unknown terms are
+    the same: member k brings only its known part ``constants[k]`` (the
+    volume term and every fixed curve term).  ``unknown_terms`` hold the
+    shared unknowns in Fractions, with which ``total`` re-checks a
+    witness; ``scale`` L and ``tables`` hold them in integers:
+    ``tables[i][u]`` is L times unknown i at residue u, mod L, and L is the
+    lcm of their reduced denominators.  A total is integral exactly when
+    its constant times L is an integer (``scaled``) and the scaled sum is
+    0 mod L.
+    """
 
-    def total(self, assignment) -> Fraction:
-        val = self.constant + sum(self.fixed_terms, Fraction(0))
+    constants: tuple
+    unknown_terms: tuple = ()
+    scale: int = 1
+    tables: tuple = ()
+
+    def total(self, constant, assignment) -> Fraction:
+        val = Fraction(constant)
         for t, u in zip(self.unknown_terms, assignment):
             val += t.value(u)
         return val
+
+    def scaled(self, constant: Fraction) -> int | None:
+        """``constant`` times L, mod L; None when that is not an integer,
+        since the unknowns then leave every total non-integral."""
+        if self.scale % constant.denominator:
+            return None
+        return constant.numerator * (self.scale // constant.denominator) % self.scale
+
+    @cached_property
+    def reach(self) -> list:
+        """``reach[i]``: every sum mod L that unknowns i, i+1, ... can take;
+        built on first use and shared by every constant."""
+        return suffix_reach(self.tables, self.scale)
 
     @property
     def domain_size(self) -> int:
@@ -210,56 +244,101 @@ class ResidueConstraintSystem:
         return size
 
 
+def suffix_reach(tables, big_l: int) -> list:
+    """``reach[i]``: every sum mod L that tables i, i+1, ... can take, one
+    entry from each."""
+    reach = [{0}]
+    for tab in reversed(tables):
+        reach.append({(a + r) % big_l for a in set(tab) for r in reach[-1]})
+    reach.reverse()
+    return reach
+
+
 def residue_term_builder(
     q: int,
     rXc13: int,
     B: Basket,
-    cfg: CurveConfig,
+    members,
     r_prime: int,
-    s: int,
     drop_curve_terms: bool = True,
 ) -> ResidueConstraintSystem:
-    """Instantiate the general integrality constraint for D = sA and a
-    chosen auxiliary index r'.
+    """Instantiate the general integrality constraint at the auxiliary
+    index r' for each member ``(cfg, s)``: D = sA with crepant curves cfg.
 
     The constraint says -(r'/2) D^2.K + sum (-r'K.C) c_C(D) - sum of
     orbifold corrections is an integer; curve and point terms integral for
-    every residue (one rule, ``_term_integral``) are dropped, the rest
-    become unknowns.  An unknown x_A1 becomes a linear unknown unless its
-    coefficient is integral (as for every even s).  A divisor that is
+    every residue (one rule, ``_term_integral``) are dropped, curves with a
+    known unit and a known nonzero x_A1 join the member's constant, and the
+    rest become unknowns.  An unknown x_A1 becomes a linear unknown unless
+    its coefficient is integral (as for every even s).  A divisor that is
     Cartier in codimension 2 has no curve corrections; pass a config
     without curves.  ``drop_curve_terms=False`` keeps curve unknowns even
     when the vanishing rule applies, so a certificate can exhaust the full
     published residue domain.
+
+    Every term is an integer numerator over N = 4 r_X q^2 lcm(j), so the
+    tables come out in integers; L is N over the gcd of N and every unknown
+    numerator.  The members share the first member's unknown terms: one
+    whose unknowns differ raises InvariantViolation.
     """
     r_x = gorenstein_index(B)
-    sys = ResidueConstraintSystem(
-        constant=Fraction(r_prime * s * s, 2) * a2mk(q, rXc13, r_x)
-    )
-    for c in cfg.curves:
-        deg = Fraction(r_prime * c.degree_rXKC, r_x)
-        if drop_curve_terms and deg.denominator == 1 and _term_integral(c.j, int(deg)):
-            continue
-        if c.generator_unit is not None:
-            sys.fixed_terms.append(deg * c_curve(c.j, c.generator_unit, s))
-        else:
-            sys.unknown_terms.append(
-                UnknownTerm(-deg, c.j, "quadratic", f"A_{c.j - 1} class")
-            )
-    if cfg.x_A1 != 0:
-        coeff = Fraction(r_prime, r_x) * c_curve(2, 1, s)
+    minus_a2k = a2mk(q, rXc13, r_x)
+    big_n = 4 * r_x * q * q * lcm(*(c.j for cfg, _ in members for c in cfg.curves))
+    volume = big_n // (2 * minus_a2k.denominator) * minus_a2k.numerator * r_prime
+    a1_unit = -r_prime * (big_n // (4 * r_x))  # the x_A1 coefficient at odd s, over N
+
+    # an unknown is (label, shape, modulus, a): its value at residue u is
+    # a * sigma_numerator(u, modulus) / N (quadratic) or a * u / N (linear)
+    shared, constants = None, []
+    for cfg, s in members:
+        known = volume * s * s
+        unknown = []
+        for c in cfg.curves:
+            deg = r_prime * c.degree_rXKC  # r_X times the curve's degree at r'
+            if drop_curve_terms and deg % r_x == 0 and _term_integral(c.j, deg // r_x):
+                continue
+            a = -deg * (big_n // (2 * c.j * r_x))
+            if c.generator_unit is None:
+                unknown.append((f"A_{c.j - 1} class", "quadratic", c.j, a))
+            else:
+                known += a * sigma_numerator(s * c.generator_unit, c.j)
+        a = a1_unit * sigma_numerator(s, 2)
         if cfg.x_A1 is not None:
-            sys.fixed_terms.append(coeff * cfg.x_A1)
-        elif coeff.denominator != 1:
-            sys.unknown_terms.append(
-                UnknownTerm(coeff, coeff.denominator, "linear", "x_A1")
+            known += a * cfg.x_A1
+        elif a % big_n:
+            unknown.append(("x_A1", "linear", big_n // gcd(a, big_n), a))
+        if shared is None:
+            shared = unknown
+        elif unknown != shared:
+            raise InvariantViolation(
+                f"D={s}A has unknown terms {unknown}, not its family's {shared}"
             )
-    for p in B:
-        if not _term_integral(p.r, r_prime):
-            sys.unknown_terms.append(
-                UnknownTerm(Fraction(-r_prime), p.r, "quadratic", f"point ({p.r},{p.b})")
-            )
-    return sys
+        constants.append(Fraction(known, big_n))
+    shared += [
+        (f"point ({p.r},{p.b})", "quadratic", p.r, -r_prime * (big_n // (2 * p.r)))
+        for p in B
+        if not _term_integral(p.r, r_prime)
+    ]
+
+    # the gcd of a column is taken once, so L = N / gcd(N, every value)
+    # costs one gcd per term
+    columns = [
+        [sigma_numerator(u, m) for u in range(m)] if shape == "quadratic" else range(m)
+        for _, shape, m, _ in shared
+    ]
+    g = big_n
+    for (*_, a), col in zip(shared, columns):
+        g = gcd(g, a * gcd(*col))
+    big_l = big_n // g
+    return ResidueConstraintSystem(
+        constants=tuple(constants),
+        unknown_terms=tuple(
+            UnknownTerm(Fraction(a * 2 * m if shape == "quadratic" else a, big_n), m, shape, label)
+            for label, shape, m, a in shared
+        ),
+        scale=big_l,
+        tables=tuple(tuple([a * x // g % big_l for x in col]) for (*_, a), col in zip(shared, columns)),
+    )
 
 
 def _term_integral(j: int, deg: int) -> bool:

@@ -2,10 +2,11 @@
 
 Each one computes the same thing as an engine routine by a different and
 more direct route: Fractions instead of scaled integers (the budget, step
-1, the solver's residue tables), brute force over the full residue product
-instead of the solver's greedy witness and completion readout, and the old
-triple-order Step 2 (every (q, J_A, rXc13) triple tested against every
-basket) instead of the residue-first walk.  Two elimination steps are recomputed tuple by tuple
+1, the residue builder and its tables, the h^0 s-part, the foliation index
+scan), brute force over the full residue product instead of the solver's
+greedy witness and completion readout, and the old triple-order Step 2
+(every (q, J_A, rXc13) triple tested against every basket) instead of the
+residue-first walk.  Two elimination steps are recomputed tuple by tuple
 instead of from the orbifold columns: case 24's (x_A1, y4) grid, one
 residue system per (x_A1, y4, s), and the Group C residues from Fraction
 ``h0_sA`` over the full local-index product.  The published A / B / C- /
@@ -23,11 +24,13 @@ from fano3.lb import LBContext, lb
 from fano3.rr import (
     CrepantCurve,
     CurveConfig,
+    ResidueConstraintSystem,
+    UnknownTerm,
     a2mk,
     curve_cost,
     h0_sA,
+    km_bound,
     nabla,
-    residue_term_builder,
 )
 from fano3.search import EQUAL, Candidate
 
@@ -139,22 +142,73 @@ def run_search(q_min: int, mode: str):
     return sorted(found, key=lambda c: c.key)
 
 
-def scaled_fractions(sys):
-    """``eliminate._scaled`` through ``UnknownTerm.value``: every residue's
-    value as its own Fraction, L the lcm of their denominators."""
-    base = sys.constant + sum(sys.fixed_terms, Fraction(0))
-    values = [[t.value(u) for u in range(t.modulus)] for t in sys.unknown_terms]
-    big_l = lcm(base.denominator, *(v.denominator for tab in values for v in tab))
-    tables = [[int(v * big_l) % big_l for v in tab] for tab in values]
-    return big_l, int(base * big_l) % big_l, tables
+def c_curve(j: int, unit: int, s: int) -> Fraction:
+    """Riemann-Roch correction of a crepant curve of type A_{j-1}:
+    -sigma_pair(s * unit, j)."""
+    if j < 2:
+        raise ValueError("need j >= 2")
+    if gcd(unit, j) != 1:
+        raise ValueError("unit must be coprime to j")
+    return -sigma_pair(s * unit, j)
 
 
-def integral_assignments(sys):
-    """Every assignment making the total integral, in lexicographic order:
-    brute force over the full product of residue ranges, on the tables of
-    ``scaled_fractions``.  Each prefix is summed once and every residue of
-    the last unknown is tested against it."""
-    big_l, base, tables = scaled_fractions(sys)
+def vanishes(j: int, deg) -> bool:
+    """Whether deg * sigma_pair(a, j) is integral for every residue a."""
+    return all((deg * sigma_pair(a, j)).denominator == 1 for a in range(j))
+
+
+def fraction_builder(q, rXc13, B, cfg, r_prime, s, drop_curve_terms=True):
+    """``(constant, unknown_terms)`` of D = sA at r', term by term in
+    Fractions: the constant is the volume term plus every fixed curve and
+    A_1-aggregate term, and each unknown keeps its Fraction coefficient.
+    A term integral at every residue (``vanishes``) is dropped."""
+    r_x = gorenstein_index(B)
+    constant = Fraction(r_prime * s * s, 2) * a2mk(q, rXc13, r_x)
+    unknown = []
+    for c in cfg.curves:
+        deg = Fraction(r_prime * c.degree_rXKC, r_x)
+        if drop_curve_terms and vanishes(c.j, deg):
+            continue
+        if c.generator_unit is not None:
+            constant += deg * c_curve(c.j, c.generator_unit, s)
+        else:
+            unknown.append(UnknownTerm(-deg, c.j, "quadratic", f"A_{c.j - 1} class"))
+    if cfg.x_A1 != 0:
+        coeff = Fraction(r_prime, r_x) * c_curve(2, 1, s)
+        if cfg.x_A1 is not None:
+            constant += coeff * cfg.x_A1
+        elif coeff.denominator != 1:
+            unknown.append(UnknownTerm(coeff, coeff.denominator, "linear", "x_A1"))
+    for p in B:
+        if not vanishes(p.r, r_prime):
+            unknown.append(UnknownTerm(Fraction(-r_prime), p.r, "quadratic", f"point ({p.r},{p.b})"))
+    return constant, tuple(unknown)
+
+
+def scaled_fractions(terms):
+    """``(L, tables)`` of unknown terms through ``UnknownTerm.value``: every
+    residue's value as its own Fraction, L the lcm of their denominators."""
+    values = [[t.value(u) for u in range(t.modulus)] for t in terms]
+    big_l = lcm(*(v.denominator for tab in values for v in tab))
+    return big_l, tuple(tuple(int(v * big_l) % big_l for v in tab) for tab in values)
+
+
+def fraction_system(constants, terms) -> ResidueConstraintSystem:
+    """A residue system over hand-written Fraction terms, its integer tables
+    from ``scaled_fractions``."""
+    big_l, tables = scaled_fractions(terms)
+    return ResidueConstraintSystem(tuple(constants), tuple(terms), big_l, tables)
+
+
+def integral_assignments(sys, constant):
+    """Every assignment making ``constant`` plus the unknowns of ``sys``
+    integral, in lexicographic order: brute force over the full product of
+    residue ranges, on the tables of ``scaled_fractions``.  Each prefix is
+    summed once and every residue of the last unknown is tested against it."""
+    big_l, tables = scaled_fractions(sys.unknown_terms)
+    if (constant * big_l).denominator != 1:
+        return
+    base = int(constant * big_l)
     if not tables:
         if base % big_l == 0:
             yield ()
@@ -165,6 +219,29 @@ def integral_assignments(sys):
         for u, a in enumerate(last):
             if (acc + a) % big_l == 0:
                 yield prefix + (u,)
+
+
+def h0_s_part_fraction(q, A2mK, cfg, B, s) -> Fraction:
+    """The s-part of h^0(sA) summed term by term in Fractions:
+    s^2/2 (-A^2.K) + 2 plus (deg/r_X) c_curve(j, unit, s) per curve and
+    (x_A1/r_X) c_curve(2, 1, s)."""
+    r_x = gorenstein_index(B)
+    val = Fraction(s * s, 2) * Fraction(A2mK) + 2
+    for c in cfg.curves:
+        val += Fraction(c.degree_rXKC, r_x) * c_curve(c.j, c.generator_unit, s)
+    return val + Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
+
+
+def foliation_p_min_fraction(c: Candidate, delta: Fraction) -> int:
+    """The least p in (2q/3, q) with r_Xc2c1 - r_Xc1^3 / km_bound(3, 1, p, q)
+    >= delta, scanned in Fractions; ValueError when the 16/5 precondition
+    fails or no p qualifies."""
+    if not c.rXc2c1 - c.rXc13 / km_bound(2, 1) < delta:
+        raise ValueError("16/5 precondition fails")
+    for p in range(2 * c.q // 3 + 1, c.q):
+        if c.rXc2c1 - c.rXc13 / km_bound(3, 1, p, c.q) >= delta:
+            return p
+    raise ValueError("no admissible foliation index below q")
 
 
 def case_24_grid(c: Candidate) -> set:
@@ -178,8 +255,9 @@ def case_24_grid(c: Candidate) -> set:
 
     def solvable(x, y4, s):
         cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=x)
-        sys = residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
-        return next(integral_assignments(sys), None) is not None
+        constant, terms = fraction_builder(c.q, c.rXc13, c.basket, cfg, r_prime=9, s=s)
+        sys = fraction_system([constant], terms)
+        return next(integral_assignments(sys, constant), None) is not None
 
     return {
         (x, y4)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 from dataclasses import replace
@@ -22,7 +23,6 @@ from fano3.eliminate import (
     _completions,
     _group_c_curves,
     _group_c_shared_steps,
-    _scaled,
     candidate_for_case,
     decompose,
     determine_curves,
@@ -37,6 +37,7 @@ from fano3.eliminate import (
     run_group_b_script,
 )
 from fano3.rr import (
+    CrepantCurve,
     CurveConfig,
     ResidueConstraintSystem,
     UnknownTerm,
@@ -53,6 +54,9 @@ from oracles import (
     GROUP_C_MINUS,
     GROUP_C_PLUS,
     case_24_grid,
+    foliation_p_min_fraction,
+    fraction_builder,
+    fraction_system,
     group_c_residues,
     group_of,
     integral_assignments,
@@ -62,21 +66,22 @@ from oracles import (
 GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
 
 
-def reference_solve(sys):
+def reference_solve(sys, constant):
     """Direct enumerator with a deliberately different iteration order:
     every Fraction prefix of the unknowns but the last, in reversed residue
     order, is tested against the fractional parts that the last unknown's
     values need to make the total integral."""
-    base = sys.constant + sum(sys.fixed_terms, Fraction(0))
     tables = [[t.value(u) for u in reversed(range(t.modulus))] for t in sys.unknown_terms]
     if not tables:
-        return base.denominator == 1
+        return constant.denominator == 1
     *head, last = tables
     needed = {-v % 1 for v in last}
-    return any((base + sum(values)) % 1 in needed for values in product(*head))
+    return any((constant + sum(values)) % 1 in needed for values in product(*head))
 
 
 def _random_system(rng):
+    """``(sys, constant)``: random Fraction terms, the constant with its
+    fixed terms folded in, and the integer tables of ``fraction_system``."""
     n = rng.randint(1, 4)
     terms = []
     while True:
@@ -92,73 +97,175 @@ def _random_system(rng):
         terms.append(UnknownTerm(coeff, m, shape, f"u{len(terms)}"))
     constant = Fraction(rng.randint(-100, 100), rng.randint(1, 60))
     fixed = [Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(rng.randint(0, 2))]
-    return ResidueConstraintSystem(constant, fixed, terms)
+    constant += sum(fixed, Fraction(0))
+    return fraction_system([constant], terms), constant
 
 
 def test_solver_matches_reference_on_random_systems():
     rng = random.Random(271828)
     for trial in range(1000):
-        sys = _random_system(rng)
-        got, record = exists_integral_solution(sys)
-        want = reference_solve(sys)
+        sys, constant = _random_system(rng)
+        got, record = exists_integral_solution(sys, constant)
+        want = reference_solve(sys, constant)
         assert got == want, (trial, sys)
         if got:
-            assert sys.total(record["witness"]).denominator == 1
+            assert sys.total(constant, record["witness"]).denominator == 1
         else:
             assert record["exhausted"] == sys.domain_size
 
 
 def _table_systems():
-    """The residue systems of the 36 table candidates at r' in {1, 2 r_X}
-    and s in {1, 2}, with the forced curves where the budget pins them."""
+    """``(sys, constant)`` for the residue systems of the 36 table
+    candidates at r' in {1, 2 r_X} and s in {1, 2}, with the forced curves
+    where the budget pins them."""
     for r in TABLE_MAIN:
         c = candidate_for_case(r.no)
         cfg = determine_curves(c)
         if isinstance(cfg, Undetermined):
             cfg = CurveConfig((), x_A1=None)
         for r_prime, s in product((1, 2 * c.r_x), (1, 2)):
-            yield residue_term_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s)
+            sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s)], r_prime)
+            yield sys, sys.constants[0]
+
+
+def _builder_inputs():
+    """``(c, cfg, r_prime, s, drop)`` over the 36 table candidates: the
+    forced (or open) curves with unknown units, with unit 1 and with a known
+    x_A1, at every r' a route uses, s in 1..4, and both drop rules."""
+    for r in TABLE_MAIN:
+        c = candidate_for_case(r.no)
+        forced = determine_curves(c)
+        curves = () if isinstance(forced, Undetermined) else forced.curves
+        unit_one = tuple(CrepantCurve(cc.j, cc.degree_rXKC, 1) for cc in curves)
+        configs = [
+            CurveConfig(curves, x_A1=None),
+            CurveConfig(unit_one, x_A1=None),
+            CurveConfig(unit_one, x_A1=c.r_x),
+            CurveConfig((), x_A1=0),
+        ]
+        r_primes = {1, 9, 18, 40, 70, 120, 2 * c.r_x, c.r_x * c.j_a}
+        for cfg, r_prime, s in product(configs, sorted(r_primes), range(1, 5)):
+            yield c, cfg, r_prime, s, s == 2
 
 
 def test_integer_tables_match_fraction_oracle():
-    rng = random.Random(271828)
-    systems = [_random_system(rng) for _ in range(1000)]
-    systems += list(_table_systems())
-    assert len(systems) == 1000 + 36 * 4
-    for k, sys in enumerate(systems):
-        assert _scaled(sys) == scaled_fractions(sys), (k, sys)
+    """The builder's integer tables, unknown terms and constant against the
+    same constraint built term by term in Fractions and scaled value by
+    value."""
+    count = 0
+    for c, cfg, r_prime, s, drop in _builder_inputs():
+        sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s)], r_prime, drop)
+        constant, terms = fraction_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s, drop)
+        assert sys.constants == (constant,), (c.key, cfg, r_prime, s)
+        assert sys.unknown_terms == terms, (c.key, cfg, r_prime, s)
+        assert (sys.scale, sys.tables) == scaled_fractions(terms), (c.key, cfg, r_prime, s)
+        count += 1
+    assert count >= 36 * 4 * 4 * 6  # at least six distinct r' per row
 
 
 def test_solver_witness_and_completions_match_oracle():
     rng = random.Random(31415)
     for trial in range(200):
-        sys = _random_system(rng)
-        solutions = list(integral_assignments(sys))
-        ok, record = exists_integral_solution(sys)
+        sys, constant = _random_system(rng)
+        solutions = list(integral_assignments(sys, constant))
+        ok, record = exists_integral_solution(sys, constant)
         assert ok == bool(solutions), trial
         if ok:
             # the least integral assignment in lexicographic order
             assert record["witness"] == solutions[0], trial
         for i in range(len(sys.unknown_terms)):
-            assert _completions(sys, [i]) == {(a[i],) for a in solutions}, (trial, i)
+            assert _completions(sys, [i], [constant]) == [{(a[i],) for a in solutions}], (trial, i)
         everyone = range(len(sys.unknown_terms))
-        assert _completions(sys, everyone) == set(solutions), trial
+        assert _completions(sys, everyone, [constant]) == [set(solutions)], trial
 
 
 def test_solver_witness_matches_brute_force():
     rng = random.Random(31415)
     systems = [_random_system(rng) for _ in range(200)] + list(_table_systems())
-    for k, sys in enumerate(systems):
-        first = next(integral_assignments(sys), None)
-        ok, record = exists_integral_solution(sys)
+    for k, (sys, constant) in enumerate(systems):
+        first = next(integral_assignments(sys, constant), None)
+        ok, record = exists_integral_solution(sys, constant)
         assert record.get("witness") == first and ok == (first is not None), (k, sys)
 
 
 def test_solver_trivial_systems():
-    ok, record = exists_integral_solution(ResidueConstraintSystem(Fraction(3)))
+    sys = ResidueConstraintSystem((Fraction(3), Fraction(1, 2)))
+    ok, record = exists_integral_solution(sys, Fraction(3))
     assert ok and record["witness"] == ()
-    bad, record = exists_integral_solution(ResidueConstraintSystem(Fraction(1, 2)))
+    bad, record = exists_integral_solution(sys, Fraction(1, 2))
     assert not bad and record["exhausted"] == 1
+    assert _completions(sys, [], sys.constants) == [{()}, set()]
+
+
+def _route_families(monkeypatch):
+    """Every residue system the routes build on the 36 rows, with the
+    builder's arguments: each route eliminate_candidate may try, run on
+    every row whether or not an earlier route kills it."""
+    built = []
+    inner = eliminate.residue_term_builder
+
+    def recording(*args, **kwargs):
+        sys = inner(*args, **kwargs)
+        built.append((inspect.signature(inner).bind(*args, **kwargs).arguments, sys))
+        return sys
+
+    monkeypatch.setattr(eliminate, "residue_term_builder", recording)
+    for r in TABLE_MAIN:
+        c = candidate_for_case(r.no)
+        eliminate_group_a(r.no, c)
+        for script in eliminate._GROUP_B_SCRIPTS:
+            eliminate._run_route(r.no, c, script)
+        if c.key in GROUP_C_KEYS:
+            eliminate_group_c_minus(r.no, c)
+            eliminate_group_c_plus(r.no, c)
+    return built
+
+
+def test_family_readout_matches_per_system(monkeypatch):
+    """Each member of a family, read off the shared tables, against the
+    system built for that member alone and, where the domain is small
+    enough, against brute force over the member's Fraction terms."""
+    built = _route_families(monkeypatch)
+    assert sum(len(sys.constants) > 1 for _, sys in built) >= 8
+    for arguments, family in built:
+        positions = [[i] for i in range(len(family.unknown_terms))]
+        positions.append(range(len(family.unknown_terms)))
+        readouts = {tuple(p): _completions(family, p, family.constants) for p in positions}
+        for k, member in enumerate(arguments["members"]):
+            alone = residue_term_builder(**dict(arguments, members=[member]))
+            (constant,) = alone.constants
+            assert family.constants[k] == constant
+            assert exists_integral_solution(family, constant) == exists_integral_solution(
+                alone, constant
+            )
+            for p in positions:
+                assert readouts[tuple(p)][k] == _completions(alone, p, [constant])[0]
+            if family.domain_size <= 2 * 10**5:
+                solutions = set(integral_assignments(alone, constant))
+                assert readouts[tuple(positions[-1])][k] == solutions
+
+
+def test_each_row_killed_by_exactly_one_route():
+    """Group A, every Group B script, C- and C+: on each row exactly one of
+    the routes eliminate_candidate may try kills, so their order changes
+    no certificate."""
+    for r in TABLE_MAIN:
+        c = candidate_for_case(r.no)
+        if c.key in GROUP_C_KEYS:
+            verdicts = [route(r.no, c) for route in (eliminate_group_c_minus, eliminate_group_c_plus)]
+        else:
+            verdicts = [eliminate_group_a(r.no, c)]
+            verdicts += [eliminate._run_route(r.no, c, s) for s in eliminate._GROUP_B_SCRIPTS]
+        assert sum(v.eliminated for v in verdicts) == 1, r.no
+
+
+def test_group_b_stall_order_puts_case_20_last():
+    """A candidate every script stalls on reports case 20's stall."""
+    assert eliminate._GROUP_B_SCRIPTS[-1] is eliminate._case_20
+    c = candidate_for_case(1)  # a Group A row: every Group B script stalls
+    last = run_group_b_script(1, c).certificate.steps[-1]
+    assert last.outcome == "inconclusive"
+    assert last.description == "the curve configuration is forced, not open"
 
 
 def test_candidate_for_case_matches_search(candidates_greater):
@@ -423,6 +530,20 @@ def test_group_c_curves():
         _group_c_curves(candidate_for_case(1), EliminationCertificate(1))
 
 
+def test_group_c_both_even_stalls(monkeypatch):
+    """When r_X and J_A are both even, h^0(A) = 0 does not pin x_A1: both
+    Group C routes stall and the candidate stands."""
+    c = candidate_for_case(10)
+    assert c.r_x % 2 == 0 and c.j_a % 2 == 0
+    monkeypatch.setattr(eliminate, "GROUP_C_KEYS", GROUP_C_KEYS | {c.key})
+    for route in (eliminate_group_c_minus, eliminate_group_c_plus):
+        verdict = route(10, c)
+        assert not verdict.eliminated
+        assert [s.outcome for s in verdict.certificate.steps] == ["inconclusive"]
+        assert "both even" in verdict.certificate.steps[-1].description
+    assert not eliminate_candidate(10, c).eliminated
+
+
 def test_group_c_shared_steps_match_fraction_oracle():
     """The column-kernel derivation against Fraction h^0 at every tuple."""
     assert _group_c_shared_steps()[:3] == group_c_residues()
@@ -459,6 +580,29 @@ def test_foliation_bounds_table():
         assert foliation_bounds(c, delta) == expected, cid
     # spot value from the table
     assert _group_c_delta(3)[1] == Fraction(2079, 10)
+
+
+def test_foliation_bounds_match_fraction_scan():
+    """The integer scan against the Fraction km_bound scan on each C+ row,
+    at its own delta and over a sweep of delta through the 16/5 threshold
+    and past the last admissible p."""
+    for cid in sorted(GROUP_C_PLUS):
+        c, delta = _group_c_delta(cid)
+        assert foliation_bounds(c, delta) == foliation_p_min_fraction(c, delta), cid
+        outcomes = set()
+        for k in range(-400, 2400, 7):
+            sweep = c.rXc2c1 - Fraction(5 * c.rXc13, 16) + Fraction(k, 13)
+            try:
+                want = foliation_p_min_fraction(c, sweep)
+            except ValueError as exc:
+                with pytest.raises(ValueError):
+                    foliation_bounds(c, sweep)
+                outcomes.add(str(exc))
+                continue
+            assert foliation_bounds(c, sweep) == want, (cid, sweep)
+            outcomes.add(want)
+        # the sweep meets both refusals and several indices
+        assert len(outcomes) > 4, (cid, outcomes)
 
 
 def test_foliation_precondition_guard():

@@ -5,16 +5,15 @@ from math import gcd, lcm
 
 import pytest
 
-from fano3.arith import sigma_numerator, sigma_pair
+from fano3.arith import InvariantViolation, sigma_numerator, sigma_pair
 from fano3.basket import Basket
-from fano3.eliminate import _h0_value_sets, candidate_for_case
+from fano3.eliminate import _h0_value_sets, candidate_for_case, determine_curves
 from fano3.lb import LBContext, lb
 from fano3.rr import (
     CrepantCurve,
     CurveConfig,
     UnknownTerm,
     a2mk,
-    c_curve,
     column_sums,
     delta_lower_bound,
     h0_integral_values,
@@ -27,7 +26,9 @@ from fano3.rr import (
     residue_term_builder,
 )
 
-from oracles import c_orbifold
+from fano3.tables import TABLE_MAIN
+
+from oracles import c_curve, c_orbifold, h0_s_part_fraction
 
 
 def test_c_orbifold_periodicity():
@@ -84,12 +85,36 @@ def test_h0_sA_matches_term_by_term_sum():
         for i, p in zip(idx, B):
             expected -= sigma_pair(i * p.b, p.r)
         assert h0_sA(q, a2mk_value, cfg, B, idx, s) == expected
-        # the split kernels: s-part minus the orbifold numerator over 2 r_X
+        # the split kernels: the integer s-part minus the orbifold numerator,
+        # both over 2 r_X; no s-part when 2 r_X times it is not an integer
         part = h0_s_part(q, a2mk_value, cfg, B, s)
         numerator = h0_orbifold_numerator(B, idx)
-        assert part - Fraction(numerator, 2 * r_x) == expected
+        if part is not None:
+            assert Fraction(part - numerator, 2 * r_x) == expected
         want = expected.numerator if expected.denominator == 1 else None
         assert h0_integral_values(part, r_x, [numerator]) == [want]
+
+
+def test_integer_s_part_matches_fraction_oracle():
+    """On every table row, with no curves and with the forced curves at
+    every unit, x_A1 in {0, 1, r_X}: 2 r_X times the Fraction s-part, or
+    None where that is not an integer, for s in 1..65."""
+    checked = 0
+    for r in TABLE_MAIN:
+        c = candidate_for_case(r.no)
+        minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
+        forced = determine_curves(c)
+        orders = [cc.j for cc in getattr(forced, "curves", ())]
+        configs = [CurveConfig((), x_A1=x) for x in (0, 1, c.r_x)]
+        for units in product(*([u for u in range(1, j) if gcd(u, j) == 1] for j in orders)):
+            curves = tuple(CrepantCurve(j, 7 * j, u) for j, u in zip(orders, units))
+            configs += [CurveConfig(curves, x_A1=x) for x in (0, 1, c.r_x)]
+        for cfg, s in product(configs, range(1, 66)):
+            top = 2 * c.r_x * h0_s_part_fraction(c.q, minus_a2k, cfg, c.basket, s)
+            want = top.numerator if top.denominator == 1 else None
+            assert h0_s_part(c.q, minus_a2k, cfg, c.basket, s) == want, (r.no, cfg, s)
+            checked += want is not None
+    assert checked > 0
 
 
 def _random_basket(rng):
@@ -178,7 +203,7 @@ def test_delta_lower_bound():
 def test_builder_drops_and_keeps():
     basket = Basket([(2, 1), (2, 1), (3, 1), (9, 4)])
     cfg = CurveConfig((CrepantCurve(5, 18),), x_A1=None)
-    sys = residue_term_builder(70, 980, basket, cfg, r_prime=40, s=1)
+    sys = residue_term_builder(70, 980, basket, [(cfg, 1)], r_prime=40)
     labels = [t.label for t in sys.unknown_terms]
     # A_4 curve drops (5 | 40 * 18 / 18 is false; 40*18/18=40, 5|40), the
     # half points drop (4 | 40), the (9,4) point and x_A1 stay
@@ -191,9 +216,7 @@ def test_builder_drops_and_keeps():
 def test_builder_keep_curve_terms_flag():
     basket = Basket([(2, 1), (2, 1), (3, 1), (9, 4)])
     cfg = CurveConfig((CrepantCurve(5, 18),), x_A1=None)
-    kept = residue_term_builder(
-        70, 980, basket, cfg, r_prime=40, s=1, drop_curve_terms=False
-    )
+    kept = residue_term_builder(70, 980, basket, [(cfg, 1)], r_prime=40, drop_curve_terms=False)
     assert any(t.label.startswith("A_4") for t in kept.unknown_terms)
 
 
@@ -201,23 +224,38 @@ def test_builder_cartier_codim2():
     # Cartier in codimension 2: no curve corrections, only the basket terms
     basket = Basket([(2, 1), (3, 1)])
     cfg = CurveConfig((), x_A1=0)
-    sys = residue_term_builder(66, 66, basket, cfg, r_prime=1, s=6)
-    assert sys.fixed_terms == []
+    sys = residue_term_builder(66, 66, basket, [(cfg, 6)], r_prime=1)
+    assert sys.constants == (Fraction(1 * 36 * 66, 2 * 6 * 66 * 66),)
     assert [t.label for t in sys.unknown_terms] == ["point (2,1)", "point (3,1)"]
 
 
 def test_builder_even_multiple_drops_a1():
     basket = Basket([(2, 1)])
     cfg = CurveConfig((), x_A1=None)
-    sys = residue_term_builder(66, 66, basket, cfg, r_prime=3, s=2)
+    sys = residue_term_builder(66, 66, basket, [(cfg, 2)], r_prime=3)
     assert all(t.label != "x_A1" for t in sys.unknown_terms)
-    assert sys.fixed_terms == []
+    assert sys.constants == (Fraction(3 * 4 * 66, 2 * 2 * 66 * 66),)
     # an odd multiple keeps it: (3/2) c_curve(2, 1, 1) = -3/8
-    odd = residue_term_builder(66, 66, basket, cfg, r_prime=3, s=1)
+    odd = residue_term_builder(66, 66, basket, [(cfg, 1)], r_prime=3)
     assert (odd.unknown_terms[0].label, odd.unknown_terms[0].coeff) == ("x_A1", Fraction(-3, 8))
-    # a known x_A1 is a fixed term, and x_A1 = 0 (no A_1 curves) none
-    fixed = [
-        residue_term_builder(66, 66, basket, CurveConfig((), x_A1=x), r_prime=3, s=1).fixed_terms
-        for x in (0, 5)
-    ]
-    assert fixed == [[], [Fraction(-15, 8)]]
+    # a known x_A1 joins the constant, and x_A1 = 0 (no A_1 curves) adds nothing
+    members = [(CurveConfig((), x_A1=x), 1) for x in (0, 5)]
+    none, five = residue_term_builder(66, 66, basket, members, r_prime=3).constants
+    assert five - none == Fraction(-15, 8)
+
+
+def test_builder_family_rejects_differing_unknowns():
+    """Members share the first member's unknown terms; an odd and an even
+    multiple of A differ in the A_1 aggregate, so they cannot share."""
+    basket = Basket([(2, 1)])
+    cfg = CurveConfig((), x_A1=None)
+    with pytest.raises(InvariantViolation):
+        residue_term_builder(66, 66, basket, [(cfg, 1), (cfg, 2)], r_prime=3)
+    # curves with an unknown unit are unknowns, so their degree must agree too
+    members = [(CurveConfig((CrepantCurve(5, d),), x_A1=0), 1) for d in (1, 2)]
+    with pytest.raises(InvariantViolation):
+        residue_term_builder(66, 66, basket, members, r_prime=1)
+    # fixed curve terms only move the constant
+    members = [(CurveConfig((CrepantCurve(5, d, 1),), x_A1=0), 1) for d in (1, 2)]
+    sys = residue_term_builder(66, 66, basket, members, r_prime=1)
+    assert len(sys.constants) == 2 and sys.constants[0] != sys.constants[1]
