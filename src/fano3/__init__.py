@@ -6,7 +6,7 @@ Riemann-Roch residue systems, degree-budget bounds, and foliation index
 arguments, all over exact rationals.
 """
 
-from .basket import Basket, OrbifoldPoint
+from .basket import Basket
 from .certificates import EliminationCertificate, Verdict
 from .eliminate import (
     eliminate_candidate,
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basket",
-    "OrbifoldPoint",
     "Candidate",
     "run_search",
     "EliminationCertificate",

@@ -4,6 +4,11 @@ A basket is a multiset of virtual orbifold points (r, b) attached to a
 canonical threefold.  The admissibility budget sum(r - 1/r) < 24 makes the
 set of possible baskets finite, which is what turns the whole index search
 into a terminating computation.
+
+A point is a plain ``(r, b)`` tuple everywhere in the engine.  ``Basket``
+is the one type that validates such tuples: it holds them sorted, with the
+sorted multiset ``R`` of their indices and the Gorenstein index
+``r_x`` = lcm(R).
 """
 
 from __future__ import annotations
@@ -17,10 +22,8 @@ from math import gcd, lcm
 from .arith import sigma_numerator, sigma_pair
 
 __all__ = [
-    "OrbifoldPoint",
     "Basket",
     "BUDGET",
-    "gorenstein_index",
     "rX_c2c1",
     "enumerate_R",
     "enumerate_R_c2c1",
@@ -36,43 +39,29 @@ __all__ = [
 BUDGET = 24
 
 
-@dataclass(frozen=True, order=True)
-class OrbifoldPoint:
-    r: int
-    b: int
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"orbifold point needs r >= 2, got r={self.r}")
-        if not (0 < self.b * 2 <= self.r):
-            raise ValueError(f"need 0 < b <= r/2, got (r,b)=({self.r},{self.b})")
-        if gcd(self.b, self.r) != 1:
-            raise ValueError(f"need gcd(b,r)=1, got (r,b)=({self.r},{self.b})")
-
-    def __str__(self):
-        return f"({self.r},{self.b})"
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Basket:
-    """A canonically sorted multiset of orbifold points."""
+    """A sorted multiset of orbifold points (r, b), with the sorted indices
+    ``R`` and the Gorenstein index ``r_x`` = lcm(R), 1 when empty."""
 
     points: tuple
 
     def __init__(self, points):
-        pts = tuple(
-            sorted(p if isinstance(p, OrbifoldPoint) else OrbifoldPoint(*p) for p in points)
-        )
-        object.__setattr__(self, "points", pts)
-        # the multiset of local indices r, as a sorted tuple
-        object.__setattr__(self, "R", tuple(p.r for p in pts))
-        r_x, total = _scaled_budget(self.R)
+        pts = tuple(sorted((r, b) for r, b in points))
+        for r, b in pts:
+            if r < 2:
+                raise ValueError(f"orbifold point needs r >= 2, got r={r}")
+            if not (0 < b * 2 <= r):
+                raise ValueError(f"need 0 < b <= r/2, got (r,b)=({r},{b})")
+            if gcd(b, r) != 1:
+                raise ValueError(f"need gcd(b,r)=1, got (r,b)=({r},{b})")
+        R = tuple(r for r, _ in pts)
+        r_x, total = _scaled_budget(R)
         if total >= BUDGET * r_x:
             raise ValueError(f"basket {pts} violates the admissibility budget")
-
-    def as_tuples(self):
-        """The points as plain (r, b) pairs."""
-        return tuple((p.r, p.b) for p in self.points)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "r_x", r_x)
 
     def __iter__(self):
         return iter(self.points)
@@ -81,7 +70,7 @@ class Basket:
         return len(self.points)
 
     def __str__(self):
-        return "{" + ",".join(str(p) for p in self.points) + "}"
+        return "{" + ",".join(f"({r},{b})" for r, b in self.points) + "}"
 
 
 def budget_units(r: int, scale: int) -> int:
@@ -100,11 +89,6 @@ def r_budget(R) -> Fraction:
     """sum(r - 1/r) over the multiset R, exactly."""
     r_x, total = _scaled_budget(R)
     return Fraction(total, r_x)
-
-
-def gorenstein_index(B: Basket) -> int:
-    """lcm of the local indices; 1 for the empty basket."""
-    return lcm(*B.R)
 
 
 def rX_c2c1(R) -> int:
@@ -173,6 +157,6 @@ def rr_fano_integral(B: Basket, c1cubed) -> bool:
     data coming from an actual variety; re-checked for every candidate.
     """
     chi = Fraction(c1cubed) / 2 + 3
-    for p in B:
-        chi -= sigma_pair(p.b, p.r)
+    for r, b in B:
+        chi -= sigma_pair(b, r)
     return chi.denominator == 1

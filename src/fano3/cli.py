@@ -32,7 +32,7 @@ def _rat(value) -> dict:
 
 def _candidate_record(c) -> dict:
     return {
-        "basket": [list(p) for p in c.basket.as_tuples()],
+        "basket": [list(p) for p in c.basket.points],
         "q": c.q,
         "r_X": c.r_x,
         "J_A": c.j_a,

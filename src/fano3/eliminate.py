@@ -47,7 +47,7 @@ from functools import cache
 from itertools import compress, product as iproduct
 
 from .arith import InvariantViolation, factorize
-from .basket import Basket, gorenstein_index
+from .basket import Basket
 from .certificates import CITED_LEMMA, MECHANICAL, CertStep, EliminationCertificate, Verdict
 from .lb import LBContext, lb
 from .rr import (
@@ -494,7 +494,7 @@ def _case_10(c, cert) -> None:
 def _case_32_33(c, cert) -> None:
     lb3 = _curve_orders(c, cert, (2, 3))[3]
     cert.mechanical(
-        f"both primes of J_A force a curve: at least one A_2 (total degree 35y, "
+        f"both primes of J_A force a curve: at least one A_2 (total degree {lb3}y, "
         f"y >= 1, since LB(3) = {lb3}) and at least one A_1",
         "determined",
     )
@@ -731,8 +731,7 @@ _GROUP_B_SCRIPTS = (
 # {(2,1),(3,1),(5,2),(11,2)}, r_X(-K)^3 = 330 * 66^3 / (5*6*22*33) = 4356
 # and no crepant curves.
 _GROUP_C_BASKET = Basket({(2, 1), (3, 1), (5, 2), (11, 2)})
-_GROUP_C_R_X = gorenstein_index(_GROUP_C_BASKET)
-_GROUP_C_A2MK = a2mk(66, 4356, _GROUP_C_R_X)
+_GROUP_C_A2MK = a2mk(66, 4356, _GROUP_C_BASKET.r_x)
 _GROUP_C_COLUMNS = orbifold_columns(_GROUP_C_BASKET)
 
 
@@ -747,7 +746,7 @@ def group_c_closed_form(s: int) -> int:
     if not 0 < s < 66:
         raise ValueError(f"need 0 < s < 66, got {s}")
     numerator = sum(col[s % len(col)] for col in _GROUP_C_COLUMNS)
-    [val] = h0_integral_values(_group_c_s_part(s), _GROUP_C_R_X, [numerator])
+    [val] = h0_integral_values(_group_c_s_part(s), _GROUP_C_BASKET.r_x, [numerator])
     if val is None:
         raise InvariantViolation(f"closed form not integral at s={s}")
     return val
@@ -764,13 +763,15 @@ def _group_c_shared_steps():
     steps = []
 
     # a point (r, b) with local index i contributes F_r(i b)
-    values = h0_integral_values(_group_c_s_part(2), _GROUP_C_R_X, column_sums(_GROUP_C_COLUMNS))
+    values = h0_integral_values(
+        _group_c_s_part(2), _GROUP_C_BASKET.r_x, column_sums(_GROUP_C_COLUMNS)
+    )
     sols = {
-        (tuple(i * p.b % p.r for i, p in zip(idx, _GROUP_C_BASKET)), v)
-        for idx, v in zip(iproduct(*(range(p.r) for p in _GROUP_C_BASKET)), values)
+        (tuple(i * b % r for i, (r, b) in zip(idx, _GROUP_C_BASKET)), v)
+        for idx, v in zip(iproduct(*(range(r) for r in _GROUP_C_BASKET.R)), values)
         if v is not None
     }
-    even = {p.r: sorted({x[k] for x, _ in sols}) for k, p in enumerate(_GROUP_C_BASKET)}
+    even = {r: sorted({x[k] for x, _ in sols}) for k, r in enumerate(_GROUP_C_BASKET.R)}
     h0_2a_vals = {v for _, v in sols}
     steps.append(
         CertStep(
@@ -789,12 +790,12 @@ def _group_c_shared_steps():
     # difference of the orbifold numerators over 2 r_X: one column of
     # differences per odd-order point (r, b), whose residue y is at index y/b.
     differences = []
-    for col, p, shift in zip(_GROUP_C_COLUMNS[1:], _GROUP_C_BASKET.points[1:], (2, 4, 4)):
-        at = [col[y * pow(p.b, -1, p.r) % p.r] for y in range(p.r)]
-        differences.append([at[y] - at[(y + shift) % p.r] for y in range(p.r)])
+    for col, (r, b), shift in zip(_GROUP_C_COLUMNS[1:], _GROUP_C_BASKET.points[1:], (2, 4, 4)):
+        at = [col[y * pow(b, -1, r) % r] for y in range(r)]
+        differences.append([at[y] - at[(y + shift) % r] for y in range(r)])
     odd_residues = list(iproduct(range(3), range(5), range(11)))
     values = h0_integral_values(
-        _group_c_s_part(1) - _group_c_s_part(3), _GROUP_C_R_X, column_sums(differences)
+        _group_c_s_part(1) - _group_c_s_part(3), _GROUP_C_BASKET.r_x, column_sums(differences)
     )
     odd_sols = {y for y, v in zip(odd_residues, values) if v is not None}
     odd = {r: sorted({y[k] for y in odd_sols}) for k, r in enumerate((3, 5, 11))}
@@ -1100,11 +1101,6 @@ class PipelineReport:
     verdicts: list  # (case_id, Verdict), ordered by case id
     mechanical_steps: int
     cited_steps: int
-    cited_cases: list
-
-    @property
-    def all_eliminated(self) -> bool:
-        return self.eliminated == self.total and not self.survivors
 
 
 def eliminate_candidate(case_id: int, c: Candidate) -> Verdict:
@@ -1139,7 +1135,6 @@ def run_full_pipeline(workers: int = 1) -> PipelineReport:
     survivors = [no for no, v in verdicts if not v.eliminated]
     mech = sum(v.certificate.kind_counts()[MECHANICAL] for _, v in verdicts)
     cited = sum(v.certificate.kind_counts()[CITED_LEMMA] for _, v in verdicts)
-    cited_cases = [no for no, v in verdicts if not v.certificate.fully_mechanical]
     return PipelineReport(
         total=len(verdicts),
         eliminated=sum(1 for _, v in verdicts if v.eliminated),
@@ -1147,5 +1142,4 @@ def run_full_pipeline(workers: int = 1) -> PipelineReport:
         verdicts=verdicts,
         mechanical_steps=mech,
         cited_steps=cited,
-        cited_cases=cited_cases,
     )

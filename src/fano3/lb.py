@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
 from .arith import factorize, indicator
 
@@ -37,10 +36,6 @@ class LBContext:
     def n(self, p: int, e: int) -> int:
         """Number of r in R with p-valuation exactly e."""
         return self._counts.get((p, e), 0)
-
-    @property
-    def r_x(self) -> int:
-        return lcm(*self.R)
 
 
 @lru_cache(maxsize=None)
@@ -99,9 +94,9 @@ def _f2(ctx: LBContext, N: int) -> int:
     if n16 == 0 and n8 <= 1 and n4 + n8 > 0 and N - 1 >= 2 * (n4 // 2) + 2:
         if n4 <= 1 and N - 1 >= 2 * ((n2 + n8) // 2) + 2:
             return 2**e
-        if n4 == 2 and _contains(ctx.R, [4, 4]) and N - 1 >= 2 * ((n2 + n8 + 2) // 2) + 2:
+        if n4 == 2 and ctx.R.count(4) == 2 and N - 1 >= 2 * ((n2 + n8 + 2) // 2) + 2:
             return 2**e
-        if n4 == 3 and _contains(ctx.R, [4, 4, 4]) and n2 == 0 and n8 == 0:
+        if n4 == 3 and ctx.R.count(4) == 3 and n2 == 0 and n8 == 0:
             return 2**e
         return 2 ** (e - 1)
     # (d)
@@ -115,15 +110,6 @@ def _f2(ctx: LBContext, N: int) -> int:
             return 2
     # (f)
     return 1
-
-
-def _contains(R, needed) -> bool:
-    pool = list(R)
-    for x in needed:
-        if x not in pool:
-            return False
-        pool.remove(x)
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .arith import InvariantViolation, sigma_numerator, sigma_pair
-from .basket import Basket, gorenstein_index
+from .basket import Basket
 
 __all__ = [
     "CrepantCurve",
@@ -115,7 +115,7 @@ def _s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> tuple:
         raise ValueError("h0_sA needs a concrete x_A1")
     if any(c.generator_unit is None for c in cfg.curves):
         raise ValueError("h0_sA needs concrete generator units")
-    r_x = gorenstein_index(B)
+    r_x = B.r_x
     n, d = A2mK.numerator, A2mK.denominator
     den = lcm(d, 2, *(c.j for c in cfg.curves))
     num = s * s * r_x * n * (den // d) + 4 * r_x * den
@@ -129,8 +129,7 @@ def orbifold_columns(B: Basket) -> list:
     """One column per basket point, in basket order: the point's orbifold
     term sigma_numerator(i b, r) * r_X / r at each local index i in [0, r),
     over the common denominator 2 r_X.  The term has period r in i."""
-    r_x = gorenstein_index(B)
-    return [[sigma_numerator(i * p.b, p.r) * (r_x // p.r) for i in range(p.r)] for p in B]
+    return [[sigma_numerator(i * b, r) * (B.r_x // r) for i in range(r)] for r, b in B]
 
 
 def column_sums(cols) -> list:
@@ -162,7 +161,7 @@ def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
     """
     orbifold = h0_orbifold_numerator(B, idx)
     num, den = _s_part(q, A2mK, cfg, B, s)
-    return Fraction(num - orbifold * den, 2 * gorenstein_index(B) * den)
+    return Fraction(num - orbifold * den, 2 * B.r_x * den)
 
 
 def h0_integral_values(part: int | None, r_x: int, numerators) -> list:
@@ -281,7 +280,7 @@ def residue_term_builder(
     numerator.  The members share the first member's unknown terms: one
     whose unknowns differ raises InvariantViolation.
     """
-    r_x = gorenstein_index(B)
+    r_x = B.r_x
     minus_a2k = a2mk(q, rXc13, r_x)
     big_n = 4 * r_x * q * q * lcm(*(c.j for cfg, _ in members for c in cfg.curves))
     volume = big_n // (2 * minus_a2k.denominator) * minus_a2k.numerator * r_prime
@@ -315,9 +314,9 @@ def residue_term_builder(
             )
         constants.append(Fraction(known, big_n))
     shared += [
-        (f"point ({p.r},{p.b})", "quadratic", p.r, -r_prime * (big_n // (2 * p.r)))
-        for p in B
-        if not _term_integral(p.r, r_prime)
+        (f"point ({r},{b})", "quadratic", r, -r_prime * (big_n // (2 * r)))
+        for r, b in B
+        if not _term_integral(r, r_prime)
     ]
 
     # the gcd of a column is taken once, so L = N / gcd(N, every value)

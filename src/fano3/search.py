@@ -19,7 +19,7 @@ from itertools import product, repeat
 from math import gcd, lcm
 
 from .arith import InvariantViolation, prime_powers
-from .basket import Basket, enumerate_baskets, enumerate_R_c2c1, gorenstein_index
+from .basket import Basket, enumerate_baskets, enumerate_R_c2c1
 from .basket import point_classes, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb
 from .rr import curve_cost, nabla
@@ -40,7 +40,7 @@ GREATER = "greater"
 EQUAL = "equal"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Candidate:
     basket: Basket
     q: int
@@ -53,11 +53,11 @@ class Candidate:
 
     @property
     def r_x(self) -> int:
-        return gorenstein_index(self.basket)
+        return self.basket.r_x
 
     @property
     def key(self):
-        return (self.basket.as_tuples(), self.q, self.j_a, self.rXc13)
+        return (self.basket.points, self.q, self.j_a, self.rXc13)
 
     @property
     def nabla_display(self) -> str:

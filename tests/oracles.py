@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd, lcm
 
 from fano3.arith import prime_powers, sigma_numerator, sigma_pair
-from fano3.basket import BUDGET, Basket, enumerate_baskets, gorenstein_index
+from fano3.basket import BUDGET, Basket, enumerate_baskets
 from fano3.lb import LBContext, lb
 from fano3.rr import (
     CrepantCurve,
@@ -121,8 +121,8 @@ def step2(R, rXc2c1: int, q_min: int, mode: str):
     Riemann-Roch offset."""
     triples = step2_tuples(rXc2c1, q_min, mode)
     for basket in enumerate_baskets(R):
-        r_x = gorenstein_index(basket)
-        offset = sum(sigma_numerator(p.b, p.r) * (r_x // p.r) for p in basket)
+        r_x = lcm(*basket.R)
+        offset = sum(sigma_numerator(b, r) * (r_x // r) for r, b in basket)
         for q, j_a, rXc13 in triples:
             if (rXc13 - offset) % (2 * r_x) == 0:
                 yield basket, q, j_a, rXc13
@@ -162,7 +162,7 @@ def fraction_builder(q, rXc13, B, cfg, r_prime, s, drop_curve_terms=True):
     Fractions: the constant is the volume term plus every fixed curve and
     A_1-aggregate term, and each unknown keeps its Fraction coefficient.
     A term integral at every residue (``vanishes``) is dropped."""
-    r_x = gorenstein_index(B)
+    r_x = lcm(*B.R)
     constant = Fraction(r_prime * s * s, 2) * a2mk(q, rXc13, r_x)
     unknown = []
     for c in cfg.curves:
@@ -179,9 +179,9 @@ def fraction_builder(q, rXc13, B, cfg, r_prime, s, drop_curve_terms=True):
             constant += coeff * cfg.x_A1
         elif coeff.denominator != 1:
             unknown.append(UnknownTerm(coeff, coeff.denominator, "linear", "x_A1"))
-    for p in B:
-        if not vanishes(p.r, r_prime):
-            unknown.append(UnknownTerm(Fraction(-r_prime), p.r, "quadratic", f"point ({p.r},{p.b})"))
+    for r, b in B:
+        if not vanishes(r, r_prime):
+            unknown.append(UnknownTerm(Fraction(-r_prime), r, "quadratic", f"point ({r},{b})"))
     return constant, tuple(unknown)
 
 
@@ -225,7 +225,7 @@ def h0_s_part_fraction(q, A2mK, cfg, B, s) -> Fraction:
     """The s-part of h^0(sA) summed term by term in Fractions:
     s^2/2 (-A^2.K) + 2 plus (deg/r_X) c_curve(j, unit, s) per curve and
     (x_A1/r_X) c_curve(2, 1, s)."""
-    r_x = gorenstein_index(B)
+    r_x = lcm(*B.R)
     val = Fraction(s * s, 2) * Fraction(A2mK) + 2
     for c in cfg.curves:
         val += Fraction(c.degree_rXKC, r_x) * c_curve(c.j, c.generator_unit, s)
@@ -277,19 +277,19 @@ def group_c_residues():
     indices (0, 1, 1, 1).
     """
     B = Basket([(2, 1), (3, 1), (5, 2), (11, 2)])
-    minus_a2k = a2mk(66, 4356, gorenstein_index(B))
+    minus_a2k = a2mk(66, 4356, lcm(*B.R))
 
     def h0(idx, s):
         return h0_sA(66, minus_a2k, CurveConfig(), B, idx, s)
 
     def index(residues):
-        return tuple(y * pow(p.b, -1, p.r) % p.r for y, p in zip(residues, B))
+        return tuple(y * pow(b, -1, r) % r for y, (r, b) in zip(residues, B))
 
-    even = {p.r: set() for p in B}
-    for idx in product(*(range(p.r) for p in B)):
+    even = {r: set() for r in B.R}
+    for idx in product(*(range(r) for r in B.R)):
         if h0(idx, 2).denominator == 1:
-            for i, p in zip(idx, B):
-                even[p.r].add(i * p.b % p.r)
+            for i, (r, b) in zip(idx, B):
+                even[r].add(i * b % r)
     odd = {3: set(), 5: set(), 11: set()}
     for y3, y5, y11 in product(range(3), range(5), range(11)):
         diff = h0(index((0, y3, y5, y11)), 1) - h0(index((0, y3 + 2, y5 + 4, y11 + 4)), 3)

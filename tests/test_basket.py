@@ -7,10 +7,8 @@ import pytest
 from fano3.basket import (
     BUDGET,
     Basket,
-    OrbifoldPoint,
     enumerate_R,
     enumerate_baskets,
-    gorenstein_index,
     point_classes,
     r_budget,
     rX_c2c1,
@@ -20,20 +18,28 @@ from fano3.basket import (
 from oracles import admissible_R
 
 
-def test_orbifold_point_validation():
-    OrbifoldPoint(5, 2)
-    with pytest.raises(ValueError):
-        OrbifoldPoint(1, 1)
-    with pytest.raises(ValueError):
-        OrbifoldPoint(4, 2)  # gcd
-    with pytest.raises(ValueError):
-        OrbifoldPoint(5, 3)  # b > r/2
+def test_basket_point_validation():
+    assert Basket([(5, 2)]).points == ((5, 2),)
+    with pytest.raises(ValueError, match="r >= 2"):
+        Basket([(1, 1)])
+    with pytest.raises(ValueError, match="gcd"):
+        Basket([(4, 2)])
+    with pytest.raises(ValueError, match="b <= r/2"):
+        Basket([(5, 3)])
+    with pytest.raises(ValueError, match="b <= r/2"):
+        Basket([(5, 0)])
 
 
-def test_gorenstein_index():
-    assert gorenstein_index(Basket([(2, 1), (3, 1), (5, 2), (11, 1)])) == 330
-    assert gorenstein_index(Basket([])) == 1
-    assert gorenstein_index(Basket([(5, 1), (5, 2)])) == 5
+def test_basket_sorts_points_and_carries_R_and_r_x():
+    B = Basket([(11, 1), (5, 2), (3, 1), (2, 1)])
+    assert B.points == ((2, 1), (3, 1), (5, 2), (11, 1))
+    assert B.R == (2, 3, 5, 11)
+    assert B.r_x == 330
+    assert str(B) == "{(2,1),(3,1),(5,2),(11,1)}"
+    assert B == Basket(B.points) and hash(B) == hash(Basket(B.points))
+    assert Basket([[5, 2], [2, 1]]) == Basket([(2, 1), (5, 2)])  # pairs become tuples
+    assert Basket([]).r_x == 1 and Basket([]).R == ()
+    assert Basket([(5, 1), (5, 2)]).r_x == 5
 
 
 def test_rX_c2c1_values():
@@ -72,12 +78,12 @@ def test_enumerate_R_canonical_and_admissible():
 
 
 def test_enumerate_baskets():
-    five = sorted(b.as_tuples() for b in enumerate_baskets((5,)))
+    five = sorted(b.points for b in enumerate_baskets((5,)))
     assert five == [((5, 1),), ((5, 2),)]
-    assert [b.as_tuples() for b in enumerate_baskets((2,))] == [((2, 1),)]
-    assert [b.as_tuples() for b in enumerate_baskets((4, 4))] == [((4, 1), (4, 1))]
+    assert [b.points for b in enumerate_baskets((2,))] == [((2, 1),)]
+    assert [b.points for b in enumerate_baskets((4, 4))] == [((4, 1), (4, 1))]
     # multiset dedup: {(5,1),(5,2)} appears once
-    pairs = sorted(b.as_tuples() for b in enumerate_baskets((5, 5)))
+    pairs = sorted(b.points for b in enumerate_baskets((5, 5)))
     assert pairs == [
         (((5, 1), (5, 1))),
         (((5, 1), (5, 2))),

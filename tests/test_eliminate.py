@@ -268,6 +268,15 @@ def test_group_b_stall_order_puts_case_20_last():
     assert last.description == "the curve configuration is forced, not open"
 
 
+def test_case_32_33_prints_the_candidates_lb3():
+    """Row 20 has LB(3) = 10, so case 32/33's stalled certificate states
+    total degree 10y (rows 32 and 33 have LB(3) = 35)."""
+    verdict = eliminate._run_route(20, candidate_for_case(20), eliminate._case_32_33)
+    assert not verdict.eliminated
+    forced = verdict.certificate.steps[1].description
+    assert "(total degree 10y, y >= 1, since LB(3) = 10)" in forced
+
+
 def test_candidate_for_case_matches_search(candidates_greater):
     by_key = {c.key: c for c in candidates_greater}
     for r in TABLE_MAIN:
@@ -363,7 +372,7 @@ def test_group_a_negative_control(candidates_equal):
     """On the q = 66 rows Group A kills only two baskets; the realised
     P(5,6,22,33) row must survive."""
     assert len(candidates_equal) == 7
-    verdicts = {c.basket.as_tuples(): (c, eliminate_group_a(-1, c)) for c in candidates_equal}
+    verdicts = {c.basket.points: (c, eliminate_group_a(-1, c)) for c in candidates_equal}
     eliminated = {key for key, (_, v) in verdicts.items() if v.eliminated}
     assert eliminated == {((2, 1), (2, 1), (5, 1)), ((7, 2),)}
     realised, verdict = verdicts[((5, 2),)]
@@ -406,7 +415,7 @@ def test_group_b_and_c_negative_control(candidates_equal):
         for route in (eliminate_group_c_minus, eliminate_group_c_plus):
             with pytest.raises(ValueError):
                 route(-1, c)
-    (realised,) = (c for c in candidates_equal if c.basket.as_tuples() == ((5, 2),))
+    (realised,) = (c for c in candidates_equal if c.basket.points == ((5, 2),))
     assert not eliminate_candidate(-1, realised).eliminated
 
 
@@ -648,9 +657,9 @@ def test_full_pipeline_report(pipeline_report):
     assert rep.total == 36
     assert rep.eliminated == 36
     assert rep.survivors == []
-    assert rep.all_eliminated
     assert [cid for cid, _ in rep.verdicts] == list(range(1, 37))
-    assert set(rep.cited_cases) == set(GROUP_C_PLUS) | {27, 35}
+    cited = {cid for cid, v in rep.verdicts if not v.certificate.fully_mechanical}
+    assert cited == set(GROUP_C_PLUS) | {27, 35}
     assert rep.mechanical_steps > 100 and rep.cited_steps > 0
 
 

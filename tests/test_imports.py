@@ -1,6 +1,6 @@
 """Import hygiene: every module-level import in the package is used or
-re-exported, every exported name exists, and `import fano3` loads no
-process-pool machinery."""
+re-exported, every exported name exists, no module holds an assert
+statement, and `import fano3` loads no process-pool machinery."""
 
 import ast
 import importlib
@@ -50,6 +50,13 @@ def test_exported_names_exist(path):
         return  # importing __main__ would run the command line
     module = importlib.import_module("fano3" if path.stem == "__init__" else f"fano3.{path.stem}")
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # `python -O` strips asserts; every check in the package is an explicit raise
+    tree = ast.parse(path.read_text())
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
 
 
 def test_unused_import_detection():

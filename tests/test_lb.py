@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -45,6 +45,26 @@ def test_lb_examples():
     assert lb(LBContext((2, 4, 4, 7)), 3) == 14
 
 
+@pytest.mark.parametrize(
+    "R, f2_values, lb_values",
+    [
+        ((4, 4), [1, 2, 2, 4, 4, 4, 4], [1, 2, 2, 4, 4, 4, 4]),
+        ((4, 4, 4), [1, 1, 1, 4, 4, 4, 4], [1, 1, 1, 4, 4, 4, 4]),
+        # indices of 2-adic valuation 2 that are 12 or 20, not 4
+        ((4, 12), [1, 2, 2, 2, 2, 2, 2], [1, 2, 6, 6, 6, 6, 6]),
+        ((12, 12), [1, 2, 2, 2, 2, 2, 2], [1, 2, 6, 6, 6, 6, 6]),
+        ((4, 4, 12), [1, 1, 1, 2, 2, 2, 2], [1, 1, 3, 6, 6, 6, 6]),
+        ((12, 20), [1, 2, 2, 2, 2, 2, 2], [1, 10, 30, 30, 30, 30, 30]),
+    ],
+)
+def test_f2_clause_c_needs_index_four_itself(R, f2_values, lb_values):
+    """Clause (c) gives 2^e at n4 = 2 or 3 only when those indices are 4
+    itself; LB(N) for N = 2..8."""
+    ctx = LBContext(R)
+    assert [f_p(ctx, 2, N) for N in range(2, 9)] == f2_values
+    assert [lb(ctx, N) for N in range(2, 9)] == lb_values
+
+
 def test_lb_table_regression():
     # every frozen table row's LB column is reproduced from its R alone
     for row in TABLE_MAIN:
@@ -71,7 +91,7 @@ def test_lb2_is_one_and_divides_rx():
         ctx = LBContext(_random_admissible_R(rng))
         assert lb(ctx, 2) == 1
         for N in (2, 3, 4, 7, 12, 24):
-            assert ctx.r_x % lb(ctx, N) == 0
+            assert lcm(*ctx.R) % lb(ctx, N) == 0
 
 
 def test_lb_divisibility_monotone_random():
@@ -96,7 +116,8 @@ def test_lb4_for_coprime_squarefree():
         if not R:
             continue
         ctx = LBContext(tuple(sorted(R)))
-        assert lb(ctx, 4) == ctx.r_x, ctx.R
-        if ctx.r_x % 3:
-            assert lb(ctx, 3) == ctx.r_x, ctx.R
+        r_x = lcm(*ctx.R)
+        assert lb(ctx, 4) == r_x, ctx.R
+        if r_x % 3:
+            assert lb(ctx, 3) == r_x, ctx.R
         checked += 1

@@ -75,15 +75,15 @@ def test_h0_sA_matches_term_by_term_sum():
             unit = rng.choice([u for u in range(1, j) if gcd(u, j) == 1])
             curves.append(CrepantCurve(j, rng.randint(1, 40), unit))
         cfg = CurveConfig(tuple(curves), x_A1=rng.randint(0, 20))
-        idx = tuple(rng.randrange(3 * p.r) for p in B)
+        idx = tuple(rng.randrange(3 * r) for r in B.R)
         q, s = 70, rng.randint(1, 69)
         a2mk_value = Fraction(rng.randint(1, 500), r_x * q * q)
         expected = Fraction(s * s, 2) * a2mk_value + 2
         for c in curves:
             expected += Fraction(c.degree_rXKC, r_x) * c_curve(c.j, c.generator_unit, s)
         expected += Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
-        for i, p in zip(idx, B):
-            expected -= sigma_pair(i * p.b, p.r)
+        for i, (r, b) in zip(idx, B):
+            expected -= sigma_pair(i * b, r)
         assert h0_sA(q, a2mk_value, cfg, B, idx, s) == expected
         # the split kernels: the integer s-part minus the orbifold numerator,
         # both over 2 r_X; no s-part when 2 r_X times it is not an integer
@@ -136,12 +136,12 @@ def test_column_sums_match_per_tuple_numerators():
         r_x = lcm(*B.R)
         cols = orbifold_columns(B)
         assert [len(col) for col in cols] == list(B.R)
-        local = list(product(*(range(p.r) for p in B)))
+        local = list(product(*(range(r) for r in B.R)))
         sums = column_sums(cols)
         assert sums == [h0_orbifold_numerator(B, idx) for idx in local]
         # and against the terms written out one point at a time
         assert sums == [
-            sum(sigma_numerator(i * p.b, p.r) * (r_x // p.r) for i, p in zip(idx, B))
+            sum(sigma_numerator(i * b, r) * (r_x // r) for i, (r, b) in zip(idx, B))
             for idx in local
         ]
     assert column_sums([]) == [0]
@@ -152,7 +152,7 @@ def test_case_24_integer_h0_table_matches_h0_sA():
     ctx = LBContext(c.basket.R)
     cfg = CurveConfig((CrepantCurve(3, lb(ctx, 3), 1), CrepantCurve(4, lb(ctx, 4), 1)), x_A1=10)
     minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
-    local = list(product(*(range(p.r) for p in c.basket)))
+    local = list(product(*(range(r) for r in c.basket.R)))
     assert len(local) == 135
     s_values = (2, 3, 6, 30, 31)
     tables = _h0_value_sets(c, cfg, s_values)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -38,11 +39,11 @@ def test_step2_matches_triple_order_oracle():
     yielded."""
     yielded = kept = 0
     for R, c2c1 in step1(66):
-        walk = [(b.as_tuples(), q, j_a, x) for b, q, j_a, x in step2(R, c2c1, 66, "equal")]
+        walk = [(b.points, q, j_a, x) for b, q, j_a, x in step2(R, c2c1, 66, "equal")]
         assert len(set(walk)) == len(walk)
         oracle = {}
         for b, q, j_a, x in oracles.step2(R, c2c1, 66, "equal"):
-            oracle[(b.as_tuples(), q, j_a, x)] = b
+            oracle[(b.points, q, j_a, x)] = b
         assert set(walk) <= set(oracle)
         for key, basket in oracle.items():
             if step3(basket, *key[1:], c2c1) is not None:
@@ -78,7 +79,7 @@ def test_table_main_regression(candidates_greater):
 def test_rows_33_34_share_numerics_but_not_j_a(candidates_greater):
     pairs = [
         c for c in candidates_greater
-        if (c.basket.as_tuples(), c.q, c.rXc13) in {
+        if (c.basket.points, c.q, c.rXc13) in {
             (r.basket, r.q, r.rXc13) for r in TABLE_MAIN if r.no in (33, 34)
         }
     ]
@@ -93,6 +94,25 @@ def test_table_eq66_regression(candidates_equal):
         row = table.get(cand.key)
         assert row is not None, f"unexpected candidate {cand}"
         assert cand.nabla_display == row.nabla_display
+
+
+#: (count, sha256 of repr of the key list) of run_search(q_min, mode);
+#: q_min = 66 is pinned by the contract bytes in test_cli.py
+SEARCH_KEYS = {
+    (40, "greater"): (453, "9491db91afaebb5d0155283673f0fbc478bdaba6e6a19c8b61538d7da7c990c3"),
+    (40, "equal"): (112, "a037486de8851247b9d7154ab505521545c5578a544451bdc0336c189164ac28"),
+    (50, "greater"): (187, "57d605b06738887aa58f88ffa3863b4ab2ea5a69073863cd3fefbebcaecc8e7e"),
+    (50, "equal"): (23, "31886aeff574430d0ca37bdd3feaa6e80c75d7b4547b34941534d927b7aec1a1"),
+    (60, "greater"): (60, "e3ddfc1b84ebe334fd9c0c1e88d9a664c60d7f0bddd429c07eba091c9c58d4c0"),
+    (60, "equal"): (43, "cf2f267e8644375b928afbee03a63419feb8deb91704965f42ae2805ca8c96c5"),
+}
+
+
+@pytest.mark.parametrize("q_min, mode", sorted(SEARCH_KEYS))
+def test_search_keys_pinned(q_min, mode):
+    """The candidate keys, in order, below the frozen tables' threshold."""
+    keys = [c.key for c in run_search(q_min, mode)]
+    assert (len(keys), hashlib.sha256(repr(keys).encode()).hexdigest()) == SEARCH_KEYS[q_min, mode]
 
 
 def test_worker_determinism(candidates_greater, candidates_greater_w4, candidates_greater_w8):
