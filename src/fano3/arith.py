@@ -2,8 +2,9 @@
 
 Everything downstream (Riemann-Roch corrections, degree bounds, the whole
 candidate search) is built from a handful of residue-flavoured helpers over
-exact rationals.  No floating point is used anywhere in the engine; display
-rounding happens only in the CLI.
+exact rationals.  No floating point is used anywhere in the engine; the one
+display rounding, ``search.ceil_display`` (the two-decimal nabla of the
+tables), also rounds an exact rational.
 """
 
 from __future__ import annotations

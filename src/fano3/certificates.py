@@ -9,7 +9,6 @@ honest boundary of what a computer check establishes here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "Verdict",
     "certificate_to_dict",
     "certificate_from_dict",
-    "dumps_certificates",
-    "loads_certificates",
 ]
 
 MECHANICAL = "mechanical"
@@ -159,10 +156,3 @@ def certificate_from_dict(data: dict) -> EliminationCertificate:
         )
     return cert
 
-
-def dumps_certificates(certs, **kwargs) -> str:
-    return json.dumps([certificate_to_dict(c) for c in certs], **kwargs)
-
-
-def loads_certificates(text: str):
-    return [certificate_from_dict(d) for d in json.loads(text)]

@@ -49,45 +49,51 @@ CANDIDATE_COLUMNS = [
     "no", "basket", "q", "r_X", "rXc13", "rXc2c1", "prime_powers",
     "lb_values", "nabla", "nabla_display",
 ]
+#: Markdown headings of a search table: every CSV column but the exact nabla
+CANDIDATE_HEADINGS = ["No", "B", "q", "r_X", "r_X c1^3", "r_X c2c1", "{p^a}", "{LB(p^a)}", "nabla"]
+STEP_COLUMNS = ["case_id", "step", "kind", "outcome", "domain_size", "citation", "description"]
 
 
-def _candidates_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CANDIDATE_COLUMNS)
-    for i, r in enumerate(records, 1):
-        writer.writerow([
-            i,
-            ";".join(f"({a},{b})" for a, b in r["basket"]),
-            r["q"], r["r_X"], r["rXc13"], r["rXc2c1"],
-            ";".join(str(x) for x in r["prime_powers"]),
-            ";".join(str(x) for x in r["lb_values"]),
-            f"{r['nabla']['num']}/{r['nabla']['den']}",
-            r["nabla_display"],
-        ])
-    return buf.getvalue()
-
-
-def _candidates_md(records) -> str:
-    header = ["No", "B", "q", "r_X", "r_X c1^3", "r_X c2c1", "{p^a}", "{LB(p^a)}", "nabla"]
+def _render(fmt: str, doc: dict, header, rows) -> str:
+    """``doc`` in the JSON envelope that carries ``schema_version``, or
+    ``rows`` under ``header`` as CSV or as a Markdown table."""
+    if fmt == "json":
+        return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for i, r in enumerate(records, 1):
-        basket = ",".join(f"({a},{b})" for a, b in r["basket"])
-        lines.append(
-            "| " + " | ".join(str(x) for x in [
-                i, basket, r["q"], r["r_X"], r["rXc13"], r["rXc2c1"],
-                ",".join(str(x) for x in r["prime_powers"]),
-                ",".join(str(x) for x in r["lb_values"]),
-                r["nabla_display"],
-            ]) + " |"
-        )
+    lines += ["| " + " | ".join(str(x) for x in row) + " |" for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _candidate_rows(records, fmt: str):
+    """The search table's rows: CSV joins lists with ';' and keeps the exact
+    nabla, Markdown joins them with ',' and shows only its display."""
+    sep = ";" if fmt == "csv" else ","
+    for i, r in enumerate(records, 1):
+        exact = [f"{r['nabla']['num']}/{r['nabla']['den']}"] if fmt == "csv" else []
+        yield [
+            i,
+            sep.join(f"({a},{b})" for a, b in r["basket"]),
+            r["q"], r["r_X"], r["rXc13"], r["rXc2c1"],
+            sep.join(str(x) for x in r["prime_powers"]),
+            sep.join(str(x) for x in r["lb_values"]),
+            *exact,
+            r["nabla_display"],
+        ]
 
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -96,16 +102,20 @@ def _load_config(path: str | None) -> dict:
     """Plain key-value file: 'qmin = 66' style lines, '#' comments."""
     if not path:
         return {}
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read --config {path}: {exc.strerror}") from exc
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"malformed config line: {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"malformed config line: {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        out[key] = val
     allowed = {"qmin", "jobs", "outdir"}
     unknown = set(out) - allowed
     if unknown:
@@ -122,15 +132,9 @@ def cmd_search(args) -> int:
         out = f"{cfg['outdir']}/search.{args.format}"
     candidates = run_search(qmin, args.mode, jobs)
     records = [_candidate_record(c) for c in candidates]
-    if args.format == "json":
-        text = json.dumps(
-            {"schema_version": SCHEMA_VERSION, "payload": records}, indent=2
-        ) + "\n"
-    elif args.format == "csv":
-        text = _candidates_csv(records)
-    else:
-        text = _candidates_md(records)
-    _emit(text, out)
+    header = CANDIDATE_COLUMNS if args.format == "csv" else CANDIDATE_HEADINGS
+    rows = _candidate_rows(records, args.format)
+    _emit(_render(args.format, {"payload": records}, header, rows), out)
     return 0
 
 
@@ -155,24 +159,7 @@ def cmd_eliminate(args) -> int:
         if not verdict.eliminated:
             print(f"case {args.case} not eliminated", file=sys.stderr)
             return 1
-    if args.format == "json":
-        text = json.dumps(
-            {"schema_version": SCHEMA_VERSION, "summary": summary, "payload": payload},
-            indent=2,
-        ) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["case_id", "step", "kind", "outcome", "domain_size", "citation", "description"])
-        for cert in payload:
-            for i, s in enumerate(cert["steps"], 1):
-                writer.writerow([
-                    cert["case_id"], i, s["kind"], s["outcome"],
-                    s["domain_size"] if s["domain_size"] is not None else "",
-                    s["citation"] or "", s["description"],
-                ])
-        text = buf.getvalue()
-    else:
+    if args.format == "md":
         lines = []
         for cert in payload:
             lines.append(f"### Case {cert['case_id']}")
@@ -182,6 +169,17 @@ def cmd_eliminate(args) -> int:
                 lines.append(f"{i}. **{s['kind']}**{tag}: {s['description']}{dom} -> {s['outcome']}")
             lines.append("")
         text = "\n".join(lines)
+    else:
+        rows = (
+            [
+                cert["case_id"], i, s["kind"], s["outcome"],
+                s["domain_size"] if s["domain_size"] is not None else "",
+                s["citation"] or "", s["description"],
+            ]
+            for cert in payload
+            for i, s in enumerate(cert["steps"], 1)
+        )
+        text = _render(args.format, {"summary": summary, "payload": payload}, STEP_COLUMNS, rows)
     _emit(text, args.out)
     return 0
 
@@ -194,20 +192,7 @@ def _parse_range(text: str):
 
 
 def _value_table(pairs, args) -> str:
-    if args.format == "json":
-        return json.dumps(
-            {"schema_version": SCHEMA_VERSION, "payload": [list(p) for p in pairs]},
-            indent=2,
-        ) + "\n"
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerows(pairs)
-        return buf.getvalue()
-    lines = ["| key | value |", "|---|---|"]
-    lines += [f"| {k} | {v} |" for k, v in pairs]
-    return "\n".join(lines) + "\n"
+    return _render(args.format, {"payload": pairs}, ["key", "value"], pairs)
 
 
 def cmd_h0(args) -> int:

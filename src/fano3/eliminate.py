@@ -499,9 +499,12 @@ def _case_32_33(c, cert) -> None:
         "determined",
     )
     const, y_sols = _a2_degree_solutions(c, lb3, s=2, ys=range(3))
+    # the least positive y in the residues, where residue 0 gives y = 3
+    least = min((y or 3 for y in y_sols), default=None)
     cert.mechanical(
         f"canonical-part integrality for D=2A, r'={2 * c.r_x}: {const} - {2 * lb3}y/3 "
-        f"is integral only for y = {y_sols} mod 3, so y >= 2",
+        f"is integral only for y = {y_sols} mod 3, so "
+        + (f"y >= {least}" if least else "no y fits"),
         "narrowed",
         domain_size=3,
     )

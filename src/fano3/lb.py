@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorize, indicator
+from .basket import rX_c2c1
 
 __all__ = ["LBContext", "f_p", "lb", "SMALL_PRIMES"]
 
@@ -21,13 +22,15 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 @dataclass(frozen=True)
 class LBContext:
-    """The multiset R of basket indices with its p-valuation counts cached."""
+    """An admissible multiset R of basket indices with its p-valuation
+    counts cached; an inadmissible R raises ``ValueError``."""
 
     R: tuple
 
     def __init__(self, R):
         R = tuple(sorted(R))
-        # r - 1/r < 24 fails at r = 25, so SMALL_PRIMES cover every index
+        # r - 1/r < 24 fails at r = 25, so SMALL_PRIMES cover every index;
+        # checked before the budget, whose units divide by r
         if R and not 2 <= R[0] <= R[-1] <= 24:
             raise ValueError(f"basket indices must lie in 2..24, got R={R}")
         object.__setattr__(self, "R", R)
@@ -40,7 +43,9 @@ class LBContext:
 
 @lru_cache(maxsize=None)
 def _valuation_counts(R: tuple) -> dict:
-    """(p, e) -> number of r in R with exact p-valuation e >= 1."""
+    """(p, e) -> number of r in R with exact p-valuation e >= 1, once R
+    passes the admissibility budget (checked once per R)."""
+    rX_c2c1(R)
     return Counter(pe for r in R for pe in factorize(r))
 
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fano3.certificates import (
@@ -7,9 +9,10 @@ from fano3.certificates import (
     CertStep,
     EliminationCertificate,
     Verdict,
-    dumps_certificates,
-    loads_certificates,
+    certificate_from_dict,
 )
+from fano3.cli import main
+from fano3.eliminate import candidate_for_case, eliminate_candidate
 
 
 def test_step_validation():
@@ -43,15 +46,15 @@ def test_fully_mechanical_flag():
     assert counts[MECHANICAL] == 1 and counts[CITED_LEMMA] == 1
 
 
-def test_json_round_trip():
-    cert = EliminationCertificate(7)
-    cert.mechanical("exhausted 180 assignments", "contradiction", 180)
-    cert.cite("rational-connectedness", "leaf family is a line")
-    text = dumps_certificates([cert])
-    back = loads_certificates(text)
-    assert len(back) == 1
-    assert back[0].case_id == 7
-    assert back[0].steps == cert.steps
+def test_json_round_trip(capsys):
+    """The CLI's JSON envelope loads back into the engine's certificate;
+    case 3 is a C+ case, so cited steps ride along with mechanical ones."""
+    assert main(["eliminate", "--case", "3", "--format", "json"]) == 0
+    (data,) = json.loads(capsys.readouterr().out)["payload"]
+    back = certificate_from_dict(data)
+    assert back.case_id == 3
+    assert back.kind_counts()[CITED_LEMMA] == 4
+    assert back.steps == eliminate_candidate(3, candidate_for_case(3)).certificate.steps
 
 
 def test_axioms_have_descriptions():

@@ -92,6 +92,9 @@ def test_bad_flags_exit_2(capsys):
     assert main(["wps", "--weights", "5,6,22,33", "--smax", "-3"]) == 2
     assert main(["lb", "--R", "0,3", "--N", "3"]) == 2
     assert main(["lb", "--R", "29", "--N", "3"]) == 2
+    # inadmissible: sum(r - 1/r) >= 24
+    assert main(["lb", "--R", "24,24,24", "--N", "4"]) == 2
+    assert main(["lb", "--R", "12,20", "--N", "4"]) == 2
 
 
 def test_h0_values(capsys):
@@ -145,6 +148,16 @@ def test_config_file_and_out(tmp_path, capsys):
     assert code == 2
 
 
+def test_unreadable_config_and_unwritable_out_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, text, err = run_cli(capsys, "search", "--mode", "equal", "--config", str(missing / "x.cfg"))
+    assert (code, text) == (2, "")
+    assert err.startswith("error: cannot read --config") and err.count("\n") == 1
+    code, text, err = run_cli(capsys, "lb", "--R", "2,3", "--N", "3", "--out", str(missing / "x.json"))
+    assert (code, text) == (2, "")
+    assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+
 def test_search_bytes_under_optimize():
     """`python -O` prints the contract bytes of the q = 66 search."""
     done = run_python(
@@ -192,6 +205,55 @@ def test_contract_bytes(monkeypatch, capsys, pipeline_report, candidates_greater
             code, text, _ = run_cli(capsys, *argv, "--format", fmt)
             assert code == 0, (argv, fmt)
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (argv, fmt)
+
+
+#: sha256 of the value tables and of one certificate per elimination route
+#: (Group A, Group B, C-, C+), by command line and format
+OUTPUT_SHA256 = {
+    ("h0", "--s", "1..65"): {
+        "json": "b962c2cd80ec2d3037dad35a5a486a11483c1fdda1f22c60ef71112010cd0013",
+        "csv": "768dfe77f55ee9c3bdb965fb05021f9bc63d8fb171266a4c7346b4e369658f00",
+        "md": "b05184d2c9c44adbb4a20cf601ab819fb35b1109c02d9d5dd4cf79c8077d8517",
+    },
+    ("wps", "--weights", "5,6,22,33", "--smax", "65"): {
+        "json": "b962c2cd80ec2d3037dad35a5a486a11483c1fdda1f22c60ef71112010cd0013",
+        "csv": "768dfe77f55ee9c3bdb965fb05021f9bc63d8fb171266a4c7346b4e369658f00",
+        "md": "b05184d2c9c44adbb4a20cf601ab819fb35b1109c02d9d5dd4cf79c8077d8517",
+    },
+    ("lb", "--R", "2,4,4,7", "--N", "3"): {
+        "json": "7f3a79ab974c0784179143cee38b486ba8d43bd741e0039dfe049833fd7e7af8",
+        "csv": "fc2bdec6ec15d78868f7064a42b9703d11b744a949be6ecbf0e1eee33f639fea",
+        "md": "9b763e54bb8774b2c1369205ab76db5e3a08d731b30f9e3319a1a9f788f6e76c",
+    },
+    ("eliminate", "--case", "1"): {
+        "json": "3a2c3a6a4e5b095f0d082a18c9bc56fe24ffef314c73c89bc1de86a9ef07da6a",
+        "csv": "6a3943a6c887210eeb34374c76cb0967aa2fa94478d66a76da3ebc982f70bc7f",
+        "md": "4e47c5f19430f71dfa2dba3554acdf79eaebee5a0f50c187d944ded372bb5fe0",
+    },
+    ("eliminate", "--case", "35"): {
+        "json": "ad26951078066b70b72409a01d5b5d856c4d3538882050f1e44d3811a1147a24",
+        "csv": "45918a6335b2d49069177b9d225c05aa5ec505251b80998578cef77c4844cee9",
+        "md": "aa311b1f0279bba8ccc1fc708ddb82a288d2917d30644e2e92fce1e822a091fb",
+    },
+    ("eliminate", "--case", "4"): {
+        "json": "52e132c995baf7e8df01725dacdbd8748056c057aeba514673c93337a229dc55",
+        "csv": "b0b80c8c05124bc237e8fd1822228e75b0312059aac4f0e4475dc0f7da69144e",
+        "md": "0b3466c398986849c84f5a30e3531d1c40349f74d43a5383a397a2a839280fc7",
+    },
+    ("eliminate", "--case", "3"): {
+        "json": "c9425e4e756dce289066a2a9a8fe94adbce861cad0db1a546a332bf8d985676d",
+        "csv": "f7bb11cc50c43705ba5108d16a6372570f2c2fed8abb67de02fc242a1f16ef74",
+        "md": "ee93144514c229e94e66cb6813c72f7f9487dc515a5d91a69a6ec97514b3b717",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_SHA256), ids=" ".join)
+def test_output_bytes(capsys, argv):
+    for fmt, digest in OUTPUT_SHA256[argv].items():
+        code, text, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0, fmt
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):

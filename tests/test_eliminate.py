@@ -270,11 +270,14 @@ def test_group_b_stall_order_puts_case_20_last():
 
 def test_case_32_33_prints_the_candidates_lb3():
     """Row 20 has LB(3) = 10, so case 32/33's stalled certificate states
-    total degree 10y (rows 32 and 33 have LB(3) = 35)."""
+    total degree 10y (rows 32 and 33 have LB(3) = 35), and its one residue
+    y = 1 mod 3 bounds y below by 1, not by rows 32 and 33's 2."""
     verdict = eliminate._run_route(20, candidate_for_case(20), eliminate._case_32_33)
     assert not verdict.eliminated
     forced = verdict.certificate.steps[1].description
     assert "(total degree 10y, y >= 1, since LB(3) = 10)" in forced
+    narrowed = verdict.certificate.steps[2].description
+    assert narrowed.endswith("is integral only for y = [1] mod 3, so y >= 1")
 
 
 def test_candidate_for_case_matches_search(candidates_greater):

@@ -81,3 +81,16 @@ def test_import_loads_no_process_machinery():
     done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_renders_through_one_writer_per_format():
+    # every command's JSON envelope and CSV table come from cli._render
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [
+        f"{n.func.value.id}.{n.func.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name)
+    ]
+    assert (calls.count("json.dumps"), calls.count("csv.writer")) == (1, 1)

@@ -33,6 +33,14 @@ def test_context_rejects_indices_above_24():
         LBContext((2, 25))
 
 
+def test_context_rejects_inadmissible_R():
+    # sum(r - 1/r) >= 24: 478/15 for (12, 20), 575/8 for (24, 24, 24)
+    with pytest.raises(ValueError):
+        LBContext((12, 20))
+    with pytest.raises(ValueError):
+        LBContext((24, 24, 24))
+
+
 def test_f_p_examples():
     assert f_p(LBContext((5,)), 5, 3) == 5
     assert f_p(LBContext((2, 4, 4, 7)), 2, 3) == 2
@@ -54,7 +62,6 @@ def test_lb_examples():
         ((4, 12), [1, 2, 2, 2, 2, 2, 2], [1, 2, 6, 6, 6, 6, 6]),
         ((12, 12), [1, 2, 2, 2, 2, 2, 2], [1, 2, 6, 6, 6, 6, 6]),
         ((4, 4, 12), [1, 1, 1, 2, 2, 2, 2], [1, 1, 3, 6, 6, 6, 6]),
-        ((12, 20), [1, 2, 2, 2, 2, 2, 2], [1, 10, 30, 30, 30, 30, 30]),
     ],
 )
 def test_f2_clause_c_needs_index_four_itself(R, f2_values, lb_values):
