@@ -57,7 +57,9 @@ from .rr import (
     a2mk,
     column_sums,
     curve_cost,
+    curve_degrees,
     delta_lower_bound,
+    demand_units,
     h0_integral_values,
     h0_s_part,
     h0_sA,
@@ -65,6 +67,7 @@ from .rr import (
     orbifold_columns,
     residue_term_builder,
     suffix_reach,
+    within_budget,
 )
 from .search import Candidate, step3
 from .tables import GROUP_C_KEYS, TABLE_MAIN, row
@@ -136,22 +139,21 @@ def _completions(sys: ResidueConstraintSystem, positions, constants) -> list:
     """For each of ``constants``, the residue tuples of the unknowns at
     ``positions``, in that order, that the other unknowns complete to an
     integral total.  The kept columns are summed once by ``column_sums``
-    and the others enter as one reach set, so a constant costs one set
-    lookup per tuple; only the tuples that complete are built."""
+    and reduced mod L, and the others enter as one reach set, so a constant
+    costs one set lookup per tuple; only the tuples that complete are
+    built."""
     big_l = sys.scale
     kept = [sys.tables[i] for i in positions]
     others = suffix_reach([t for i, t in enumerate(sys.tables) if i not in positions], big_l)[0]
     ranges = [range(len(t)) for t in kept]
-    sums = column_sums(kept)
-    # table entries lie in [0, L), so a kept sum lies in [0, len(kept) L)
-    lifts = range(0, max(len(kept), 1) * big_l, big_l)
+    sums = [t % big_l for t in column_sums(kept)]
     out = []
     for constant in constants:
         base = sys.scaled(constant)
         if base is None:
             out.append(set())
         else:
-            needed = {-(base + r) % big_l + lift for r in others for lift in lifts}
+            needed = {-(base + r) % big_l for r in others}
             out.append(set(compress(iproduct(*ranges), map(needed.__contains__, sums))))
     return out
 
@@ -168,7 +170,9 @@ def determine_curves(c: Candidate):
     forces a curve whose degree is a multiple of the LB bound.  When the
     budget nabla is smaller than the cost of doubling any forced curve,
     the configuration is pinned to exactly one curve per prime power
-    (plus, possibly, an aggregate of transverse-A_1 curves).
+    (plus, possibly, an aggregate of transverse-A_1 curves).  The threshold
+    is compared in integers scaled by 4q^2 against the candidate's own
+    nabla; its Fraction is built only for an ``Undetermined`` reason.
     """
     j_a = c.j_a
     if j_a == 1:
@@ -182,36 +186,21 @@ def determine_curves(c: Candidate):
     odd_primes = [p for p, _ in factors if p > 2]
     # by value, the order Group A prints its curves in
     odd_pps = sorted(p**e for p, e in factors if p > 2)
-    nab = c.nabla
-
-    def cost(m: int) -> Fraction:
-        return curve_cost(m, lb(ctx, m))
-
-    threshold = sum((cost(pa) for pa in odd_pps), Fraction(0))
-    curves = [CrepantCurve(pa, lb(ctx, pa)) for pa in odd_pps]
-
     if two_part <= 2:
         # doubling the cheapest odd-prime curve must already overshoot
-        p1 = min(odd_primes)
-        threshold += cost(p1)
-        if not nab < threshold:
-            return Undetermined(
-                f"budget {nab} admits more curves than the forced set (threshold {threshold})"
-            )
-        if two_part == 1:
-            return CurveConfig(tuple(curves), x_A1=0)
-        return CurveConfig(tuple(curves), x_A1=None)
-
-    # even part 2^a >= 4 contributes its own curve
-    p_prime = min([4] + odd_primes)
-    threshold += cost(two_part) + cost(p_prime)
-    if not nab < threshold:
+        orders = [*odd_pps, min(odd_primes)]
+    else:
+        # even part 2^a >= 4 contributes its own curve
+        orders = [*odd_pps, two_part, min([4] + odd_primes)]
+    threshold = demand_units(c.q, orders, [lb(ctx, j) for j in orders])
+    if within_budget(c.nabla, c.q, threshold):
         return Undetermined(
-            f"budget {nab} admits more curves than the forced set (threshold {threshold})"
+            f"budget {c.nabla} admits more curves than the forced set "
+            f"(threshold {Fraction(threshold, 4 * c.q * c.q)})"
         )
-    curves.append(CrepantCurve(two_part, lb(ctx, two_part)))
-    curves.sort(key=lambda cc: cc.j)
-    return CurveConfig(tuple(curves), x_A1=None)
+    forced = sorted(odd_pps + [two_part]) if two_part > 2 else odd_pps
+    curves = tuple(CrepantCurve(j, lb(ctx, j)) for j in forced)
+    return CurveConfig(curves, x_A1=0 if two_part == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +270,17 @@ def _refute(sys, constant, cert, claim: str) -> None:
     cert.mechanical(claim, "contradiction", domain_size=info["exhausted"])
 
 
+def _demand(c: Candidate, cfg: CurveConfig) -> tuple:
+    """Whether ``delta_lower_bound(cfg)`` fits the budget, compared in
+    integers, and that demand as the Fraction a certificate prints."""
+    units = demand_units(c.q, *curve_degrees(cfg))
+    return within_budget(c.nabla, c.q, units), Fraction(units, 4 * c.q * c.q)
+
+
 def _refute_budget(c, cfg, cert, context: str) -> None:
     """Contradiction when the pinned curves demand more than the budget."""
-    demand = delta_lower_bound(cfg)
-    _expect(demand > c.nabla, f"{context}: curve demand {demand} fits budget {c.nabla}")
+    fits, demand = _demand(c, cfg)
+    _expect(not fits, f"{context}: curve demand {demand} fits budget {c.nabla}")
     cert.mechanical(
         f"{context}: total curve demand {demand} exceeds budget {c.nabla}",
         "contradiction",
@@ -341,7 +337,9 @@ def _curve_order_bounds(c: Candidate) -> tuple:
     the orders whose minimal degree cost fits the budget."""
     ctx = LBContext(c.basket.R)
     bounds = {j: lb(ctx, j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
-    allowed = tuple(j for j, d in bounds.items() if curve_cost(j, d) <= c.nabla)
+    allowed = tuple(
+        j for j, d in bounds.items() if within_budget(c.nabla, c.q, demand_units(c.q, (j,), (d,)))
+    )
     return bounds, allowed
 
 
@@ -582,16 +580,21 @@ def _case_24(c, cert) -> None:
 def _h0_value_sets(c: Candidate, cfg: CurveConfig, s_values) -> dict:
     """s -> every integral value of h^0(sA) over all local-index tuples.
 
-    The numerators are the ``column_sums`` of the basket's ``orbifold_columns``
-    and the integer s-part is built once per s, so a tuple costs one compare
-    per s.
+    The numerators are the ``column_sums`` of the basket's ``orbifold_columns``,
+    grouped once by their residue mod 2 r_X; h^0(sA) is integral exactly at
+    the numerators congruent to the integer s-part, so each s costs one
+    lookup.
     """
-    numerators = column_sums(orbifold_columns(c.basket))
+    two_rx = 2 * c.r_x
+    by_residue = {}
+    for n in column_sums(orbifold_columns(c.basket)):
+        by_residue.setdefault(n % two_rx, set()).add(n)
     minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
     tables = {}
     for s in s_values:
         part = h0_s_part(c.q, minus_a2k, cfg, c.basket, s)
-        tables[s] = {v for v in h0_integral_values(part, c.r_x, numerators) if v is not None}
+        numerators = () if part is None else by_residue.get(part % two_rx, ())
+        tables[s] = {(part - n) // two_rx for n in numerators}
     return tables
 
 
@@ -671,8 +674,8 @@ def _case_35(c, cert) -> None:
         c, CurveConfig(unit_curves, x_A1=None), r_prime=1, s_values=(1, 3, 5), cert=cert
     )
     _expect(not any(u % 35 for u in good), f"A_1 residues {sorted(good)} not multiples of 35")
-    demand = delta_lower_bound(CurveConfig(unit_curves, x_A1=35))
-    _expect(demand > c.nabla, "x_A1 = 35 fits the budget")
+    fits, demand = _demand(c, CurveConfig(unit_curves, x_A1=35))
+    _expect(not fits, "x_A1 = 35 fits the budget")
     cert.mechanical(
         f"a positive multiple of 35 would cost {demand} > {c.nabla}, so x_A1 = 0",
         "narrowed",
@@ -842,9 +845,22 @@ def movable_thresholds(h0) -> set:
     return out
 
 
-@cache  # the same for every candidate; callers only read it
-def _group_c_h0_table() -> dict:
-    return {s: group_c_closed_form(s) for s in range(1, 35)}
+@cache  # no part of it depends on the candidate
+def _leaf_degree_classification() -> tuple:
+    """The candidate-free data of the C+ leaf-degree decision tree:
+    ``(movable, g_floor, bad_g, shapes44, excess_degrees)`` -- the movable
+    set of the closed-form h^0 table, its least positive degree, the leaf
+    degrees g in [g_floor, 60) other than 44 with a generator-free
+    non-reduced member, the writings of 44 over (5, 6, 22) and the excess
+    degrees of a non-reduced member at g = 44."""
+    movable = movable_thresholds({s: group_c_closed_form(s) for s in range(1, 35)})
+    g_floor = min(m for m in movable if m > 0)
+    bad_g = [
+        g for g in range(g_floor, 60)
+        if g != 44 and any(not uses_gen for _, uses_gen in _nonreduced_excesses(g, movable))
+    ]
+    excess_degrees = sorted({e for e, _ in _nonreduced_excesses(44, movable)})
+    return movable, g_floor, bad_g, decompose(44), excess_degrees
 
 
 def decompose(n: int, parts=(5, 6, 22)):
@@ -930,8 +946,8 @@ def eliminate_group_c_minus(case_id: int, c: Candidate) -> Verdict:
 
 def _group_c_minus(c, cert) -> None:
     cfg = _group_c_curves(c, cert)
-    demand = delta_lower_bound(cfg)
-    _expect(demand > c.nabla, f"curve demand {demand} fits budget {c.nabla}")
+    fits, demand = _demand(c, cfg)
+    _expect(not fits, f"curve demand {demand} fits budget {c.nabla}")
     r0 = cfg.curves[0].j if cfg.curves else 1
     cert.mechanical(
         f"x_A1 = {cfg.x_A1} plus the forced curve (order r0 = {r0}) demands "
@@ -949,8 +965,7 @@ def _group_c_plus(c, cert) -> None:
     delta = delta_lower_bound(_group_c_curves(c, cert))
     cert.mechanical(f"total crepant-curve demand delta = {delta}", "determined")
 
-    h0 = _group_c_h0_table()
-    movable = movable_thresholds(h0)
+    movable, g_floor, bad_g, shapes44, excess_degrees = _leaf_degree_classification()
     cert.mechanical(
         f"closed-form h^0 gives admissible generator-avoiding degrees {sorted(movable)}",
         "determined",
@@ -991,7 +1006,6 @@ def _group_c_plus(c, cert) -> None:
     )
 
     # Leaf-degree decision tree: suppose the leaf degree g is at most 59.
-    g_floor = min(m for m in movable if m > 0)
     gens = (5, 6)
     _expect(
         g_floor > max(1, d_max) and sum(gens) > d_max,
@@ -1008,10 +1022,6 @@ def _group_c_plus(c, cert) -> None:
     )
 
     # classification of non-reduced degrees: g != 44 always consumes a generator
-    bad_g = [
-        g for g in range(g_floor, 60)
-        if g != 44 and any(not uses_gen for _, uses_gen in _nonreduced_excesses(g, movable))
-    ]
     _expect(not bad_g, f"leaf degrees {bad_g} admit a generator-free non-reduced member")
     cert.mechanical(
         "for every leaf degree g <= 59 except g = 44, each non-reduced member "
@@ -1021,8 +1031,6 @@ def _group_c_plus(c, cert) -> None:
         domain_size=60 - g_floor,
     )
 
-    shapes44 = decompose(44)
-    excess_degrees = sorted({e for e, _ in _nonreduced_excesses(44, movable)})
     _expect(
         all(e % 11 == 0 for e in excess_degrees)
         and all((88 - d) % 11 != 0 for d in range(1, d_max + 1)),

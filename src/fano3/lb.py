@@ -120,8 +120,11 @@ def _f2(ctx: LBContext, N: int) -> int:
 @lru_cache(maxsize=None)
 def lb(ctx: LBContext, N: int) -> int:
     """The degree lower bound LB(N) = product of the per-prime factors;
-    cached, since it depends only on R and N."""
+    cached, since it depends only on R and N.  Only the primes dividing
+    some r in R enter: f_p is 1 for every other prime."""
+    if N < 2:
+        raise ValueError("N must be at least 2")
     out = 1
-    for p in SMALL_PRIMES:
+    for p in {p for p, _ in ctx._counts}:
         out *= f_p(ctx, p, N)
     return out

@@ -15,6 +15,12 @@ over many local-index tuples costs one integer addition per tuple and one
 integer s-part per s; ``h0_integral_values`` reads integrality and the
 value from one integer compare per tuple.
 
+``nabla_units`` and ``demand_units`` are the one budget kernel: the budget
+inequality nabla >= sum (j - 1/j) d over the forced curves, scaled by 4q^2
+so that both sides are integers.  ``nabla`` builds its Fraction from
+``nabla_units``, and ``within_budget`` compares a scaled demand against a
+candidate's own Fraction budget cross-multiplied.
+
 ``residue_term_builder`` turns the integrality constraint of several
 divisors D = sA at one auxiliary index r' into one residue system: the
 unknown terms they share, in integer residues over one L, and one known
@@ -46,8 +52,12 @@ __all__ = [
     "residue_term_builder",
     "km_bound",
     "nabla",
+    "nabla_units",
+    "demand_units",
+    "within_budget",
     "a2mk",
     "curve_cost",
+    "curve_degrees",
     "delta_lower_bound",
 ]
 
@@ -369,7 +379,30 @@ def nabla(q: int, rXc13, rXc2c1) -> Fraction:
     """Slack budget: r_Xc2c1 - ((q^2+2q-4)/(4q^2)) * r_Xc1^3."""
     if q < 1:
         raise ValueError("q must be positive")
-    return Fraction(rXc2c1) - Fraction(q * q + 2 * q - 4, 4 * q * q) * Fraction(rXc13)
+    return Fraction(nabla_units(q, rXc13, rXc2c1), 4 * q * q)
+
+
+def nabla_units(q: int, rXc13: int, rXc2c1: int) -> int:
+    """4q^2 * nabla, an integer."""
+    return 4 * q * q * rXc2c1 - (q * q + 2 * q - 4) * rXc13
+
+
+def demand_units(q: int, orders, degrees) -> int:
+    """4q^2 times the total ``curve_cost`` of curves of the given orders j
+    and total degrees d, pairwise: (j^2 - 1)(4q^2/j) d each.  An integer
+    for every j dividing 4q^2: every divisor of J_A, since J_A divides q,
+    and j = 2 (the A_1 aggregate)."""
+    q4 = 4 * q * q
+    total = 0
+    for j, d in zip(orders, degrees):
+        total += (j * j - 1) * (q4 // j) * d
+    return total
+
+
+def within_budget(nab: Fraction, q: int, units: int) -> bool:
+    """Whether a demand of ``units`` over 4q^2 is at most the budget
+    ``nab``, cross-multiplied in integers."""
+    return units * nab.denominator <= nab.numerator * 4 * q * q
 
 
 def a2mk(q: int, rXc13: int, r_x: int) -> Fraction:
@@ -383,12 +416,16 @@ def curve_cost(j: int, degree) -> Fraction:
     return Fraction(j * j - 1, j) * degree
 
 
+def curve_degrees(cfg: CurveConfig) -> tuple:
+    """``(orders, degrees)`` of the A_1 aggregate (order 2) and of every
+    curve of ``cfg``, as ``demand_units`` takes them.  Needs all degrees
+    known."""
+    if cfg.x_A1 is None:
+        raise ValueError("x_A1 still symbolic; pin it before bounding")
+    return (2, *(c.j for c in cfg.curves)), (cfg.x_A1, *(c.degree_rXKC for c in cfg.curves))
+
+
 def delta_lower_bound(cfg: CurveConfig) -> Fraction:
     """Total crepant-curve demand: the curve_cost of every curve and of the
     A_1 aggregate.  Needs all degrees known."""
-    if cfg.x_A1 is None:
-        raise ValueError("x_A1 still symbolic; pin it before bounding")
-    total = curve_cost(2, cfg.x_A1)
-    for c in cfg.curves:
-        total += curve_cost(c.j, c.degree_rXKC)
-    return total
+    return sum(map(curve_cost, *curve_degrees(cfg)), Fraction(0))

@@ -22,7 +22,7 @@ from .arith import InvariantViolation, prime_powers
 from .basket import Basket, enumerate_baskets, enumerate_R_c2c1
 from .basket import point_classes, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb
-from .rr import curve_cost, nabla
+from .rr import curve_cost, demand_units, nabla, nabla_units
 
 __all__ = [
     "Candidate",
@@ -119,7 +119,7 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
     choices, baskets = {}, {}
     for rXc13 in walk:
         for q, j_a in _index_pairs(rXc13, q_min, mode):
-            if _budget_excess(q, rXc13, rXc2c1, _prime_powers(j_a), repeat(1)) < 0:
+            if nabla_units(q, rXc13, rXc2c1) < demand_units(q, _prime_powers(j_a), repeat(1)):
                 continue
             offset = rXc13 % modulus
             if not choices:  # first survivor: R's choices of a class per group, by offset
@@ -150,26 +150,15 @@ def _index_pairs(rXc13: int, q_min: int, mode: str):
 _prime_powers = lru_cache(maxsize=None)(prime_powers)
 
 
-def _budget_excess(q: int, rXc13: int, rXc2c1: int, pas, lbs) -> int:
-    """4q^2 * (nabla - demand): the budget inequality holds iff it is >= 0.
-
-    An integer because every prime power of J_A divides q.
-    """
-    q4 = 4 * q * q
-    excess = q4 * rXc2c1 - (q * q + 2 * q - 4) * rXc13
-    for pa, val in zip(pas, lbs):
-        excess -= (pa * pa - 1) * (q4 // pa) * val
-    return excess
-
-
 def step3(basket: Basket, q: int, j_a: int, rXc13: int, rXc2c1: int):
-    """Attach prime powers, degree bounds and nabla; filter by the budget."""
+    """Attach prime powers, degree bounds and nabla; filter by the budget,
+    compared in integers scaled by 4q^2."""
     if q % j_a:
         raise ValueError(f"J_A = {j_a} does not divide q = {q}")
     ctx = LBContext(basket.R)
     pas = _prime_powers(j_a)
     lbs = tuple(lb(ctx, pa) for pa in pas)
-    if _budget_excess(q, rXc13, rXc2c1, pas, lbs) < 0:
+    if nabla_units(q, rXc13, rXc2c1) < demand_units(q, pas, lbs):
         return None
     return Candidate(basket, q, j_a, rXc13, rXc2c1, pas, lbs, nabla(q, rXc13, rXc2c1))
 

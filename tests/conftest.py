@@ -54,6 +54,12 @@ def candidates_equal():
 
 
 @pytest.fixture(scope="session")
+def candidates_q40():
+    """Every candidate of ``run_search(40, mode)``, both modes together."""
+    return run_search(40, "greater", 1) + run_search(40, "equal", 1)
+
+
+@pytest.fixture(scope="session")
 def pipeline_report(candidates_greater):
     """``run_full_pipeline(workers=1)`` on the session's serial search."""
 

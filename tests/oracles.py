@@ -1,10 +1,11 @@
 """Slow reference implementations that the engine is checked against.
 
 Each one computes the same thing as an engine routine by a different and
-more direct route: Fractions instead of scaled integers (the budget, step
-1, the residue builder and its tables, the h^0 s-part, the foliation index
-scan), brute force over the full residue product instead of the solver's
-greedy witness and completion readout, and the old triple-order Step 2
+more direct route: Fractions instead of scaled integers (nabla, the
+search budget, step 1, the residue builder and its tables, the h^0
+s-part, the foliation index scan, the curve-configuration thresholds and
+allowed curve orders), brute force over the full residue product instead
+of the solver's greedy witness and completion readout, and the old triple-order Step 2
 (every (q, J_A, rXc13) triple tested against every basket) instead of the
 residue-first walk.  Two elimination steps are recomputed tuple by tuple
 instead of from the orbifold columns: case 24's (x_A1, y4) grid, one
@@ -18,8 +19,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from fano3.arith import prime_powers, sigma_numerator, sigma_pair
+from fano3.arith import factorize, prime_powers, sigma_numerator, sigma_pair
 from fano3.basket import BUDGET, Basket, enumerate_baskets
+from fano3.eliminate import Undetermined
 from fano3.lb import LBContext, lb
 from fano3.rr import (
     CrepantCurve,
@@ -30,7 +32,6 @@ from fano3.rr import (
     curve_cost,
     h0_sA,
     km_bound,
-    nabla,
 )
 from fano3.search import EQUAL, Candidate
 
@@ -128,6 +129,11 @@ def step2(R, rXc2c1: int, q_min: int, mode: str):
                 yield basket, q, j_a, rXc13
 
 
+def nabla_fraction(q: int, rXc13: int, rXc2c1: int) -> Fraction:
+    """nabla from three Fractions: r_Xc2c1 - ((q^2+2q-4)/(4q^2)) r_Xc1^3."""
+    return Fraction(rXc2c1) - Fraction(q * q + 2 * q - 4, 4 * q * q) * Fraction(rXc13)
+
+
 def run_search(q_min: int, mode: str):
     """The candidate list in triple order with the Fraction budget test."""
     found = []
@@ -136,10 +142,55 @@ def run_search(q_min: int, mode: str):
         for basket, q, j_a, rXc13 in step2(R, c2c1, q_min, mode):
             pas = prime_powers(j_a)
             lbs = tuple(lb(ctx, pa) for pa in pas)
-            nab = nabla(q, rXc13, c2c1)
+            nab = nabla_fraction(q, rXc13, c2c1)
             if nab >= sum(curve_cost(pa, val) for pa, val in zip(pas, lbs)):
                 found.append(Candidate(basket, q, j_a, rXc13, c2c1, pas, lbs, nab))
     return sorted(found, key=lambda c: c.key)
+
+
+def determine_curves(c: Candidate):
+    """``eliminate.determine_curves`` with its threshold summed in Fractions
+    of ``curve_cost`` and compared as a Fraction against ``c.nabla``."""
+    j_a = c.j_a
+    if j_a == 1:
+        return CurveConfig((), x_A1=0)
+    if j_a == 2:
+        return CurveConfig((), x_A1=None)
+    ctx = LBContext(c.basket.R)
+    factors = factorize(j_a)
+    two_part = next((2**e for p, e in factors if p == 2), 1)
+    odd_primes = [p for p, _ in factors if p > 2]
+    odd_pps = sorted(p**e for p, e in factors if p > 2)
+    nab = c.nabla
+
+    def cost(m: int) -> Fraction:
+        return curve_cost(m, lb(ctx, m))
+
+    threshold = sum((cost(pa) for pa in odd_pps), Fraction(0))
+    curves = [CrepantCurve(pa, lb(ctx, pa)) for pa in odd_pps]
+    if two_part <= 2:
+        threshold += cost(min(odd_primes))
+        if not nab < threshold:
+            return Undetermined(
+                f"budget {nab} admits more curves than the forced set (threshold {threshold})"
+            )
+        return CurveConfig(tuple(curves), x_A1=0 if two_part == 1 else None)
+    threshold += cost(two_part) + cost(min([4] + odd_primes))
+    if not nab < threshold:
+        return Undetermined(
+            f"budget {nab} admits more curves than the forced set (threshold {threshold})"
+        )
+    curves.append(CrepantCurve(two_part, lb(ctx, two_part)))
+    curves.sort(key=lambda cc: cc.j)
+    return CurveConfig(tuple(curves), x_A1=None)
+
+
+def curve_order_bounds(c: Candidate) -> tuple:
+    """``eliminate._curve_order_bounds`` with each order's minimal cost a
+    Fraction ``curve_cost`` compared against ``c.nabla``."""
+    ctx = LBContext(c.basket.R)
+    bounds = {j: lb(ctx, j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
+    return bounds, tuple(j for j, d in bounds.items() if curve_cost(j, d) <= c.nabla)
 
 
 def c_curve(j: int, unit: int, s: int) -> Fraction:

@@ -47,6 +47,7 @@ from fano3.rr import (
 from fano3.tables import GROUP_C_KEYS, TABLE_MAIN, row
 from fano3.wps import WeightedP3, h0 as wps_h0
 
+import oracles
 from conftest import run_python
 from oracles import (
     GROUP_A,
@@ -289,6 +290,41 @@ def test_candidate_for_case_matches_search(candidates_greater):
 # ---------------------------------------------------------------------------
 # Curve determination
 # ---------------------------------------------------------------------------
+
+def test_budget_thresholds_match_fraction_oracle(candidates_equal, candidates_q40):
+    """The integer thresholds of determine_curves and _curve_order_bounds
+    against the Fraction ones, on every table row, every candidate of the
+    q_min 66 and 40 searches, and the table rows with their nabla moved
+    across the thresholds.  An Undetermined compares by its reason text."""
+    rows = [candidate_for_case(n) for n in range(1, 37)]
+    moved = [replace(c, nabla=c.nabla + Fraction(k, 7)) for c in rows for k in range(-140, 141, 20)]
+    outcomes = set()
+    for c in rows + candidates_equal + candidates_q40 + moved:
+        cfg = determine_curves(c)
+        assert cfg == oracles.determine_curves(c), c
+        assert eliminate._curve_order_bounds(c) == oracles.curve_order_bounds(c), c
+        outcomes.add(type(cfg))
+    assert outcomes == {Undetermined, CurveConfig}
+
+
+def test_leaf_degree_classification_runs_once(monkeypatch):
+    """The C+ routes share one candidate-free leaf-degree classification:
+    one _nonreduced_excesses call per leaf degree g in [22, 60) other than
+    44 and one for g = 44, however many C+ rows run."""
+    calls = []
+    nonreduced = eliminate._nonreduced_excesses
+
+    def counting(g, movable):
+        calls.append(g)
+        return nonreduced(g, movable)
+
+    monkeypatch.setattr(eliminate, "_nonreduced_excesses", counting)
+    eliminate._leaf_degree_classification.cache_clear()
+    for cid in sorted(GROUP_C_PLUS):
+        assert eliminate_group_c_plus(cid, candidate_for_case(cid)).eliminated, cid
+    assert eliminate._leaf_degree_classification.cache_info().misses == 1
+    assert sorted(calls) == list(range(22, 60))
+
 
 def test_determine_curves_trivial_j_a():
     c21 = candidate_for_case(21)

@@ -47,6 +47,20 @@ def test_f_p_examples():
     assert f_p(LBContext((3, 3)), 7, 10) == 1
 
 
+def test_lb_reads_only_the_primes_of_R():
+    """LB(N) is the product of f_p over every small prime: f_p is 1 for a
+    prime that divides no r in R, so lb skips those primes."""
+    for R in enumerate_R():
+        ctx = LBContext(R)
+        for N in (2, 3, 4, 5, 7, 8, 9, 16, 24):
+            full = 1
+            for p in SMALL_PRIMES:
+                full *= f_p(ctx, p, N)
+            assert lb(ctx, N) == full, (R, N)
+    with pytest.raises(ValueError):
+        lb(LBContext(()), 1)
+
+
 def test_lb_examples():
     assert lb(LBContext((3, 3)), 5) == 3
     assert lb(LBContext((5,)), 7) == 5

@@ -15,20 +15,24 @@ from fano3.rr import (
     UnknownTerm,
     a2mk,
     column_sums,
+    curve_cost,
     delta_lower_bound,
+    demand_units,
     h0_integral_values,
     h0_orbifold_numerator,
     h0_s_part,
     h0_sA,
     km_bound,
     nabla,
+    nabla_units,
     orbifold_columns,
     residue_term_builder,
+    within_budget,
 )
 
 from fano3.tables import TABLE_MAIN
 
-from oracles import c_curve, c_orbifold, h0_s_part_fraction
+from oracles import c_curve, c_orbifold, h0_s_part_fraction, nabla_fraction
 
 
 def test_c_orbifold_periodicity():
@@ -170,6 +174,32 @@ def test_h0_sA_needs_one_index_per_point():
 def test_nabla():
     # budget formula against a hand evaluation
     assert nabla(66, 198, 162) == Fraction(162) - Fraction(66**2 + 2 * 66 - 4, 4 * 66**2) * 198
+
+
+def test_nabla_matches_three_fraction_formula(candidates_equal, candidates_q40):
+    """The Fraction built from the integer numerator, on every table row and
+    every candidate of the q_min 66 and 40 searches."""
+    rows = [candidate_for_case(n) for n in range(1, 37)]
+    for c in rows + candidates_equal + candidates_q40:
+        want = nabla_fraction(c.q, c.rXc13, c.rXc2c1)
+        assert nabla(c.q, c.rXc13, c.rXc2c1) == want == c.nabla, c
+        assert nabla_units(c.q, c.rXc13, c.rXc2c1) == want * 4 * c.q * c.q, c
+
+
+def test_budget_kernel_matches_fractions():
+    """demand_units is 4q^2 times the Fraction curve_cost sum for orders
+    dividing 4q^2, and within_budget is the Fraction comparison."""
+    rng = random.Random(4096)
+    for _ in range(3000):
+        q = rng.randint(1, 400)
+        orders = [2, 4] + [j for j in range(2, q + 1) if q % j == 0]
+        pairs = [(rng.choice(orders), rng.randint(0, 300)) for _ in range(rng.randint(0, 4))]
+        units = demand_units(q, [j for j, _ in pairs], [d for _, d in pairs])
+        demand = sum((curve_cost(j, d) for j, d in pairs), Fraction(0))
+        assert units == demand * 4 * q * q, (q, pairs)
+        shift = Fraction(rng.randint(-9, 9), rng.randint(1, 50))
+        for nab in (demand, demand - Fraction(1, 4 * q * q), demand + shift):
+            assert within_budget(nab, q, units) == (demand <= nab), (q, pairs, nab)
 
 
 def test_km_bound_shapes():
