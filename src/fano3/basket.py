@@ -101,18 +101,19 @@ def rX_c2c1(R) -> int:
     return BUDGET * r_x - total
 
 
-def enumerate_R(max_r: int = 24):
+def enumerate_R():
     """All admissible multisets of local indices as sorted tuples, in
     lexicographic order; at most 24 each, as r - 1/r < 24 fails at r = 25."""
-    return (R for R, _ in enumerate_R_c2c1(max_r))
+    return (R for R, _ in enumerate_R_c2c1())
 
 
-def enumerate_R_c2c1(max_r: int = 24):
+def enumerate_R_c2c1():
     """(R, rX_c2c1(R)) for every admissible R, in ``enumerate_R`` order.
-    The budget is counted in integer units of 1/scale, scale = lcm(2..max_r);
+    The budget is counted in integer units of 1/scale, scale = lcm(2..24);
     the recursion carries r_X and the units left; r_X c2c1 = r_X * left / scale."""
-    scale = lcm(*range(2, max_r + 1))
-    costs = [(r, budget_units(r, scale)) for r in range(2, max_r + 1)]
+    indices = range(2, BUDGET + 1)  # r - 1/r < BUDGET fails at r = BUDGET + 1
+    scale = lcm(*indices)
+    costs = [(r, budget_units(r, scale)) for r in indices]
 
     def rec(prefix, i, r_x, remaining):
         yield prefix, r_x * remaining // scale

@@ -100,8 +100,8 @@ class EliminationCertificate:
     def mechanical(self, description, outcome, domain_size=None):
         return self.add(MECHANICAL, description, outcome, domain_size)
 
-    def cite(self, citation, description, outcome="assumed"):
-        return self.add(CITED_LEMMA, description, outcome, None, citation)
+    def cite(self, citation, description):
+        return self.add(CITED_LEMMA, description, "assumed", None, citation)
 
     @property
     def has_contradiction(self) -> bool:

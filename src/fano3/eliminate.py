@@ -31,19 +31,25 @@ routes build one system per family of divisors whose unknown terms agree
 -- case 35's aggregate-A_1 residues over s in {1, 3, 5} (and likewise
 cases 10 and 32/33) and its half-point parities over s in {1, 4, 5},
 case 24's (y4, s) grid, case 27's index pairs over s in {2, 4} and the
-A_2 degrees of cases 27 and 32/33 -- and read every member off it.
+A_2 degrees of cases 27 and 32/33 -- and read every member off it.  Group
+A and the scripts of cases 20, 23 and 36 are each one ``_refute_at`` call
+with their case data: the system of one divisor D = sA at one auxiliary
+index r' has no integral assignment.
 
 All arithmetic is exact; each step lands in an EliminationCertificate.  A
-route whose argument does not fit the candidate stalls: its certificate
-ends in one inconclusive step.  When every route stalls, the last stall is
-the verdict and the candidate stands.
+route is a body ``(c, cert)`` that ``@_route`` turns into the
+``(case_id, c) -> Verdict`` callable: Group A, C-, C+ and every Group B
+script.  A body that finishes has recorded its contradiction; one whose
+argument does not fit the candidate stalls, and its certificate ends in
+one inconclusive step.  When every route stalls, the last stall is the
+verdict and the candidate stands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from itertools import compress, product as iproduct
 
 from .arith import InvariantViolation, factorize
@@ -111,20 +117,18 @@ def exists_integral_solution(sys: ResidueConstraintSystem, constant: Fraction):
     """Exhaustive solvability of ``constant`` plus the unknown terms of
     ``sys`` over the product of their residue ranges.
 
-    Returns ``(True, {"witness": assignment})`` or
-    ``(False, {"exhausted": domain, "moduli": [...]})``; the domain is the
-    full logical product.  Each unknown in turn takes the least residue the
-    next suffix can complete (``sys.reach``, built once per system and
-    shared by every constant), so the witness is the lexicographically
-    least integral assignment, found without backtracking in work L times
-    the sum of the moduli.  ``sys.total`` re-checks it in Fractions,
+    Returns ``(True, {"witness": assignment})`` or ``(False, {"exhausted":
+    domain})``; the domain is the full logical product.  Each unknown in
+    turn takes the least residue the next suffix can complete
+    (``sys.reach``, built once per system and shared by every constant), so
+    the witness is the lexicographically least integral assignment, found
+    without backtracking in work L times the sum of the moduli.  ``sys.total`` re-checks it in Fractions,
     independently of the tables.
     """
     big_l, acc = sys.scale, sys.scaled(constant)
     reach = sys.reach
     if acc is None or -acc % big_l not in reach[0]:
-        moduli = [t.modulus for t in sys.unknown_terms]
-        return False, {"exhausted": sys.domain_size, "moduli": moduli}
+        return False, {"exhausted": sys.domain_size}
     witness = ()
     for tab, tail in zip(sys.tables, reach[1:]):
         u = next(u for u, a in enumerate(tab) if -(acc + a) % big_l in tail)
@@ -234,17 +238,22 @@ def _first_contradiction(verdicts) -> Verdict:
     return verdict
 
 
-def _run_route(case_id: int, c: Candidate, route) -> Verdict:
-    """Run ``route(c, cert)`` on the candidate.  A route that finishes has
-    recorded its contradiction; a stall becomes one inconclusive step and
-    leaves the candidate standing."""
-    cert = EliminationCertificate(case_id)
-    try:
-        route(c, cert)
-    except _Stall as stall:
-        cert.mechanical(str(stall), "inconclusive")
-        return Verdict(False, cert)
-    return Verdict(True, cert)
+def _route(body):
+    """The route ``(case_id, c) -> Verdict`` that runs ``body(c, cert)``.  A
+    body that finishes has recorded its contradiction; a stall becomes one
+    inconclusive step and leaves the candidate standing.  ``case_id`` only
+    labels the certificate."""
+    @wraps(body)
+    def route(case_id: int, c: Candidate) -> Verdict:
+        cert = EliminationCertificate(case_id)
+        try:
+            body(c, cert)
+        except _Stall as stall:
+            cert.mechanical(str(stall), "inconclusive")
+            return Verdict(False, cert)
+        return Verdict(True, cert)
+
+    return route
 
 
 def _forced(c: Candidate) -> CurveConfig:
@@ -255,19 +264,22 @@ def _forced(c: Candidate) -> CurveConfig:
     return cfg
 
 
-def _one_system(c: Candidate, cfg: CurveConfig, r_prime: int, s: int, drop_curve_terms=True):
-    """The residue system of D = sA alone, with its constant."""
+def _refute_at(c, cfg, r_prime, s, cert, claim=None, drop_curve_terms=True) -> None:
+    """Contradiction when the residue system of D = sA alone, with
+    auxiliary index ``r_prime``, has no integral assignment; the exhausted
+    domain is its size.  ``claim`` is a ``str.format`` template over
+    ``r_prime``, ``s``, ``constant`` and ``moduli``."""
     sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s)], r_prime, drop_curve_terms)
-    return sys, sys.constants[0]
-
-
-def _refute(sys, constant, cert, claim: str) -> None:
-    """Contradiction ``claim`` when no residue assignment makes ``constant``
-    plus the unknowns of ``sys`` integral, with the exhausted domain as its
-    size."""
+    [constant] = sys.constants
     solvable, info = exists_integral_solution(sys, constant)
     _expect(not solvable, f"residue system is solvable; witness {info.get('witness')}")
-    cert.mechanical(claim, "contradiction", domain_size=info["exhausted"])
+    claim = claim or (
+        "residue system (r'={r_prime}, D={s}A) with constant {constant} has no "
+        "integral assignment over moduli {moduli}"
+    )
+    moduli = [t.modulus for t in sys.unknown_terms]
+    text = claim.format(r_prime=r_prime, s=s, constant=constant, moduli=moduli)
+    cert.mechanical(text, "contradiction", domain_size=info["exhausted"])
 
 
 def _demand(c: Candidate, cfg: CurveConfig) -> tuple:
@@ -291,14 +303,11 @@ def _refute_budget(c, cfg, cert, context: str) -> None:
 # Group A
 # ---------------------------------------------------------------------------
 
-def eliminate_group_a(case_id: int, c: Candidate) -> Verdict:
+@_route
+def eliminate_group_a(c, cert) -> None:
     """One unsolvable residue system kills the candidate: D = 2A with
     auxiliary index r' = 2 r_X makes every basket term vanish, leaving the
     curve-class residues; no assignment makes the total integral."""
-    return _run_route(case_id, c, _group_a)
-
-
-def _group_a(c, cert) -> None:
     cfg = _forced(c)
     curve_desc = ", ".join(f"A_{cc.j - 1} deg {cc.degree_rXKC}" for cc in cfg.curves)
     cert.mechanical(
@@ -306,15 +315,7 @@ def _group_a(c, cert) -> None:
         + ("; A_1 aggregate possible" if cfg.x_A1 is None else "; no A_1 curves"),
         "determined",
     )
-    r_prime = 2 * c.r_x
-    sys, constant = _one_system(c, cfg, r_prime, 2, drop_curve_terms=False)
-    _refute(
-        sys,
-        constant,
-        cert,
-        f"residue system (r'={r_prime}, D=2A) with constant {constant} has no "
-        f"integral assignment over moduli {[t.modulus for t in sys.unknown_terms]}",
-    )
+    _refute_at(c, cfg, 2 * c.r_x, 2, cert, drop_curve_terms=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def run_group_b_script(case_id: int, c: Candidate) -> Verdict:
     only the cost of the stalls: case 20's script comes last, because it
     stalls on an open curve configuration only after a full residue solve.
     """
-    return _first_contradiction(_run_route(case_id, c, script) for script in _GROUP_B_SCRIPTS)
+    return _first_contradiction(script(case_id, c) for script in _GROUP_B_SCRIPTS)
 
 
 @cache  # once per candidate, which every script's order check only reads
@@ -407,6 +408,7 @@ def _x_a1_residues_over_s(c, cfg, r_prime, s_values, cert):
     return common, modulus
 
 
+@_route
 def _case_20(c, cert) -> None:
     # No forced curve configuration exists, but D = J_A * A is Cartier in
     # codimension 2, so every curve correction vanishes and the basket terms
@@ -418,32 +420,24 @@ def _case_20(c, cert) -> None:
         "Cartier in codimension 2, so curve corrections vanish",
         "determined",
     )
-    sys, constant = _one_system(c, _NO_CURVES, 1, c.j_a)
-    _refute(
-        sys,
-        constant,
-        cert,
-        f"residue system (r'=1, D={c.j_a}A) with constant {constant} has no "
-        f"integral assignment over moduli {[t.modulus for t in sys.unknown_terms]}",
-    )
+    _refute_at(c, _NO_CURVES, 1, c.j_a, cert)
 
 
+@_route
 def _case_23(c, cert) -> None:
     cfg = _forced_curves(
         c, cert, ((3, 14), (4, 14)),
         "forced curves: A_2 and A_3, each of degree 14; A_1 aggregate possible",
     )
-    r_prime = c.r_x * c.j_a  # 336: every term vanishes
-    sys, constant = _one_system(c, cfg, r_prime, 1)
-    _refute(
-        sys,
-        constant,
-        cert,
-        f"r'={r_prime} makes every curve and basket term vanish, leaving the "
-        f"non-integral constant {constant}",
+    # r' = r_X J_A = 336: every term vanishes
+    _refute_at(
+        c, cfg, c.r_x * c.j_a, 1, cert,
+        "r'={r_prime} makes every curve and basket term vanish, leaving the "
+        "non-integral constant {constant}",
     )
 
 
+@_route
 def _case_36(c, cert) -> None:
     lbs = _curve_orders(c, cert, (2, 5, 7))
     # each prime power in J_A forces a curve of the matching order
@@ -465,16 +459,14 @@ def _case_36(c, cert) -> None:
         "(their scaled degrees are multiples of 5 and 4)",
         "narrowed",
     )
-    sys, constant = _one_system(c, cfg, r_prime, 1)
-    _refute(
-        sys,
-        constant,
-        cert,
-        f"residue system (r'={r_prime}, D=A) with constant {constant} has no "
+    _refute_at(
+        c, cfg, r_prime, 1, cert,
+        "residue system (r'={r_prime}, D=A) with constant {constant} has no "
         "integral assignment over the A_6 class residues",
     )
 
 
+@_route
 def _case_10(c, cert) -> None:
     cfg = _forced_curves(
         c, cert, ((5, 18),),
@@ -489,6 +481,7 @@ def _case_10(c, cert) -> None:
     )
 
 
+@_route
 def _case_32_33(c, cert) -> None:
     lb3 = _curve_orders(c, cert, (2, 3))[3]
     cert.mechanical(
@@ -515,6 +508,7 @@ def _case_32_33(c, cert) -> None:
     _refute_budget(c, pinned, cert, "x_A1 >= 35 with y >= 2")
 
 
+@_route
 def _case_24(c, cert) -> None:
     lbs = _curve_orders(c, cert, (2, 3, 4))
     lb3, lb4 = lbs[3], lbs[4]
@@ -598,6 +592,7 @@ def _h0_value_sets(c: Candidate, cfg: CurveConfig, s_values) -> dict:
     return tables
 
 
+@_route
 def _case_27(c, cert) -> None:
     lb3 = _curve_orders(c, cert, (3,))[3]
     y_max = int(c.nabla / curve_cost(3, lb3))
@@ -665,6 +660,7 @@ def _case_27(c, cert) -> None:
     )
 
 
+@_route
 def _case_35(c, cert) -> None:
     _forced_curves(
         c, cert, ((4, 35),), "forced curves: one A_3 of degree 35; A_1 aggregate possible"
@@ -863,11 +859,11 @@ def _leaf_degree_classification() -> tuple:
     return movable, g_floor, bad_g, decompose(44), excess_degrees
 
 
-def decompose(n: int, parts=(5, 6, 22)):
-    """All multiset writings of n over the given parts, as count tuples."""
+def decompose(n: int):
+    """All multiset writings of n over the parts (5, 6, 22), as count tuples."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    parts = tuple(parts)
+    parts = (5, 6, 22)
 
     def rec(i, remaining, acc):
         if i == len(parts):
@@ -940,11 +936,8 @@ def _group_c_curves(c: Candidate, cert) -> CurveConfig:
     return CurveConfig(_forced(c).curves, x_A1=x_a1)
 
 
-def eliminate_group_c_minus(case_id: int, c: Candidate) -> Verdict:
-    return _run_route(case_id, c, _group_c_minus)
-
-
-def _group_c_minus(c, cert) -> None:
+@_route
+def eliminate_group_c_minus(c, cert) -> None:
     cfg = _group_c_curves(c, cert)
     fits, demand = _demand(c, cfg)
     _expect(not fits, f"curve demand {demand} fits budget {c.nabla}")
@@ -956,11 +949,8 @@ def _group_c_minus(c, cert) -> None:
     )
 
 
-def eliminate_group_c_plus(case_id: int, c: Candidate) -> Verdict:
-    return _run_route(case_id, c, _group_c_plus)
-
-
-def _group_c_plus(c, cert) -> None:
+@_route
+def eliminate_group_c_plus(c, cert) -> None:
     q = c.q
     delta = delta_lower_bound(_group_c_curves(c, cert))
     cert.mechanical(f"total crepant-curve demand delta = {delta}", "determined")
@@ -1083,8 +1073,9 @@ def _nonreduced_excesses(g: int, movable):
             if rest < 0 or max(a, b) < 2:
                 continue
             if rest == 0 or rest in movable and rest <= 34:
-                # excess = (a-1) gens_5 + (b-1) gens_6 + reduced rest stays
-                shapes.append((5 * (a - 1) + 6 * (b - 1), True))
+                # excess: the degree beyond the reduced part of each present
+                # generator component; the reduced rest stays
+                shapes.append((5 * max(a - 1, 0) + 6 * max(b - 1, 0), True))
         return shapes
     for e in (5, 6, 22):
         if 2 * e > g:

@@ -213,6 +213,9 @@ def verify_candidate(c: Candidate, q_min: int, mode: str = GREATER) -> None:
     Raises InvariantViolation naming the first invariant that fails.
     """
     ctx = LBContext(c.basket.R)
+    q = c.q
+    # nabla in Fractions, independent of the integer kernel behind c.nabla
+    nab = c.rXc2c1 - Fraction(q * q + 2 * q - 4, 4 * q * q) * c.rXc13
     checks = (
         (c.q > q_min if mode == GREATER else c.q == q_min, f"index outside the {mode} range"),
         (c.q % c.j_a == 0, "J_A must divide q"),
@@ -223,7 +226,7 @@ def verify_candidate(c: Candidate, q_min: int, mode: str = GREATER) -> None:
         (c.rXc2c1 == rX_c2c1(c.basket.R), "rXc2c1 matches R"),
         (c.prime_powers == prime_powers(c.j_a), "prime powers of J_A"),
         (c.lb_values == tuple(lb(ctx, pa) for pa in c.prime_powers), "degree lower bounds"),
-        (c.nabla == nabla(c.q, c.rXc13, c.rXc2c1), "nabla"),
+        (c.nabla == nab, "nabla"),
         (c.nabla >= sum(map(curve_cost, c.prime_powers, c.lb_values)), "budget inequality"),
     )
     for holds, what in checks:

@@ -215,7 +215,7 @@ def _route_families(monkeypatch):
         c = candidate_for_case(r.no)
         eliminate_group_a(r.no, c)
         for script in eliminate._GROUP_B_SCRIPTS:
-            eliminate._run_route(r.no, c, script)
+            script(r.no, c)
         if c.key in GROUP_C_KEYS:
             eliminate_group_c_minus(r.no, c)
             eliminate_group_c_plus(r.no, c)
@@ -256,7 +256,7 @@ def test_each_row_killed_by_exactly_one_route():
             verdicts = [route(r.no, c) for route in (eliminate_group_c_minus, eliminate_group_c_plus)]
         else:
             verdicts = [eliminate_group_a(r.no, c)]
-            verdicts += [eliminate._run_route(r.no, c, s) for s in eliminate._GROUP_B_SCRIPTS]
+            verdicts += [script(r.no, c) for script in eliminate._GROUP_B_SCRIPTS]
         assert sum(v.eliminated for v in verdicts) == 1, r.no
 
 
@@ -273,7 +273,7 @@ def test_case_32_33_prints_the_candidates_lb3():
     """Row 20 has LB(3) = 10, so case 32/33's stalled certificate states
     total degree 10y (rows 32 and 33 have LB(3) = 35), and its one residue
     y = 1 mod 3 bounds y below by 1, not by rows 32 and 33's 2."""
-    verdict = eliminate._run_route(20, candidate_for_case(20), eliminate._case_32_33)
+    verdict = eliminate._case_32_33(20, candidate_for_case(20))
     assert not verdict.eliminated
     forced = verdict.certificate.steps[1].description
     assert "(total degree 10y, y >= 1, since LB(3) = 10)" in forced
@@ -551,8 +551,15 @@ def test_movable_thresholds():
 def test_decompose():
     assert decompose(44) == [(0, 0, 2), (2, 2, 1), (4, 4, 0)]
     assert decompose(11) == [(1, 1, 0)]
-    assert decompose(21, parts=(22, 30, 33)) == []
     assert decompose(0) == [(0, 0, 0)]
+
+
+def test_nonreduced_excess_counts_only_present_generators():
+    """At g = 44 a writing 5a + 6b + rest with a or b zero has no excess on
+    the absent generator: on the movable set {0, 22, 30, 32, 33}, (a, b) =
+    (0, 2) with rest 32 has excess 6, and (2, 2) and (4, 4) have 11 and 33."""
+    shapes = eliminate._nonreduced_excesses(44, {0, 22, 30, 32, 33})
+    assert shapes == [(22, False), (6, True), (11, True), (33, True)]
 
 
 def _group_c_delta(cid):

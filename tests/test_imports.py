@@ -1,9 +1,11 @@
 """Import hygiene: every module-level import in the package is used or
-re-exported, every exported name exists, no module holds an assert
-statement, and `import fano3` loads no process-pool machinery."""
+re-exported, every exported name exists, every module-level private
+function or class is referenced, no module holds an assert statement, and
+`import fano3` loads no process-pool machinery."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,56 @@ def unused_imports(source: str) -> list:
     exported = set(exported_names(tree))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in imported if name not in read and name not in exported]
+
+
+def referenced_names(node) -> Counter:
+    """How often each identifier is read under ``node``: names, attributes
+    and the names a ``from`` import takes."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            found.update(a.name for a in n.names)
+    return found
+
+
+def orphan_private_defs(sources: dict) -> list:
+    """``module.name`` of every module-level private function or class in
+    ``sources`` (module name -> source) that no code of any of the sources
+    names outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum(map(referenced_names, trees.values()), Counter())
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == referenced_names(node)[node.name]
+    ]
+
+
+def test_no_orphan_private_definitions():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert orphan_private_defs(sources) == []
+
+
+def test_orphan_detection():
+    sources = {
+        "a": (
+            "from .b import _shared\n"
+            "def _kept(): return _shared()\n"
+            "def _self_only(n): return _self_only(n - 1)\n"
+            "class _Gone: pass\n"
+            "def public(): return _kept\n"
+        ),
+        "b": "def _shared(): return 1\ndef _read(): pass\nx = a._read\n",
+    }
+    assert orphan_private_defs(sources) == ["a._self_only", "a._Gone"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -186,6 +186,19 @@ def test_verify_candidate_rejects_tampering_under_optimize():
     assert done.stdout.split() == ["False", "rejected"]
 
 
+def test_verify_candidate_rederives_nabla(monkeypatch):
+    """A budget kernel that is off by one unit reaches every candidate's
+    nabla through rr.nabla; verify_candidate's own Fraction formula
+    rejects it."""
+    from fano3 import rr
+    from fano3.arith import InvariantViolation
+
+    kernel = rr.nabla_units
+    monkeypatch.setattr(rr, "nabla_units", lambda *args: kernel(*args) + 1)
+    with pytest.raises(InvariantViolation, match="nabla"):
+        run_search(66, "equal")
+
+
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         run_search(66, "sideways", 1)
