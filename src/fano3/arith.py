@@ -4,15 +4,18 @@ Everything downstream (Riemann-Roch corrections, degree bounds, the whole
 candidate search) is built from a handful of residue-flavoured helpers over
 exact rationals.  No floating point is used anywhere in the engine; the one
 display rounding, ``search.ceil_display`` (the two-decimal nabla of the
-tables), also rounds an exact rational.
+tables), also rounds an exact rational.  ``Frozen`` is the one base of
+the engine's validating immutable value classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 __all__ = [
     "InvariantViolation",
+    "Frozen",
     "sigma_pair",
     "sigma_numerator",
     "indicator",
@@ -28,6 +31,40 @@ class InvariantViolation(AssertionError):
     survive ``python -O``; it subclasses AssertionError so callers that
     treat a failed check as an assertion keep working.
     """
+
+
+class Frozen:
+    """Base of the validating value classes: immutable, and compared, hashed
+    and shown by the attributes named in ``_fields``.  A subclass validates
+    in its own ``__init__`` and sets each attribute with ``object.__setattr__``
+    (or into its ``__dict__``); assigning or deleting one afterwards raises."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        # pickle's state: (None, slot values) when slotted, else the __dict__
+        for name, value in (state[1] if isinstance(state, tuple) else state).items():
+            object.__setattr__(self, name, value)
 
 
 def sigma_pair(x: int, r: int) -> Fraction:

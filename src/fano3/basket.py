@@ -13,13 +13,12 @@ sorted multiset ``R`` of their indices and the Gorenstein index
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
-from .arith import sigma_numerator, sigma_pair
+from .arith import Frozen, sigma_numerator, sigma_pair
 
 __all__ = [
     "Basket",
@@ -39,12 +38,12 @@ __all__ = [
 BUDGET = 24
 
 
-@dataclass(frozen=True)
-class Basket:
+class Basket(Frozen):
     """A sorted multiset of orbifold points (r, b), with the sorted indices
     ``R`` and the Gorenstein index ``r_x`` = lcm(R), 1 when empty."""
 
-    points: tuple
+    __slots__ = ("points", "R", "r_x")
+    _fields = ("points",)
 
     def __init__(self, points):
         pts = tuple(sorted((r, b) for r, b in points))

@@ -9,7 +9,7 @@ honest boundary of what a computer check establishes here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .arith import Frozen
 
 __all__ = [
     "MECHANICAL",
@@ -61,8 +61,7 @@ AXIOMS = {
 }
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(Frozen):
     """One step of an elimination argument.
 
     ``outcome`` is a short machine-friendly tag (e.g. "contradiction",
@@ -71,26 +70,35 @@ class CertStep:
     cited-lemma step.
     """
 
-    kind: str
-    description: str
-    outcome: str
-    domain_size: int | None = None
-    citation: str | None = None
+    __slots__ = _fields = ("kind", "description", "outcome", "domain_size", "citation")
 
-    def __post_init__(self):
-        if self.kind not in (MECHANICAL, CITED_LEMMA):
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        if self.kind == CITED_LEMMA:
-            if self.citation not in AXIOMS:
-                raise ValueError(f"cited-lemma step needs a known axiom, got {self.citation!r}")
-        elif self.citation is not None:
+    def __init__(self, kind, description, outcome, domain_size=None, citation=None):
+        if kind not in (MECHANICAL, CITED_LEMMA):
+            raise ValueError(f"unknown step kind {kind!r}")
+        if kind == CITED_LEMMA:
+            if citation not in AXIOMS:
+                raise ValueError(f"cited-lemma step needs a known axiom, got {citation!r}")
+        elif citation is not None:
             raise ValueError("mechanical steps carry no citation")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "citation", citation)
 
 
-@dataclass
 class EliminationCertificate:
-    case_id: int
-    steps: list = field(default_factory=list)
+    def __init__(self, case_id):
+        self.case_id = case_id
+        self.steps = []
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.case_id, self.steps) == (other.case_id, other.steps)
+
+    def __repr__(self):
+        return f"EliminationCertificate(case_id={self.case_id!r}, steps={self.steps!r})"
 
     def add(self, kind, description, outcome, domain_size=None, citation=None):
         step = CertStep(kind, description, outcome, domain_size, citation)
@@ -118,14 +126,14 @@ class EliminationCertificate:
         return counts
 
 
-@dataclass(frozen=True)
-class Verdict:
-    eliminated: bool
-    certificate: EliminationCertificate
+class Verdict(Frozen):
+    __slots__ = _fields = ("eliminated", "certificate")
 
-    def __post_init__(self):
-        if self.eliminated and not self.certificate.has_contradiction:
+    def __init__(self, eliminated, certificate):
+        if eliminated and not certificate.has_contradiction:
             raise ValueError("an elimination requires a contradiction step")
+        object.__setattr__(self, "eliminated", eliminated)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def certificate_to_dict(cert: EliminationCertificate) -> dict:

@@ -47,10 +47,10 @@ verdict and the candidate stands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, wraps
 from itertools import compress, product as iproduct
+from typing import NamedTuple
 
 from .arith import InvariantViolation, factorize
 from .basket import Basket
@@ -97,8 +97,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Undetermined:
+class Undetermined(NamedTuple):
     """The curve-determination hypothesis fails; a per-case script must
     pin the configuration instead."""
 
@@ -1095,8 +1094,7 @@ def _nonreduced_excesses(g: int, movable):
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PipelineReport:
+class PipelineReport(NamedTuple):
     total: int
     eliminated: int
     survivors: list

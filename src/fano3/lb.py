@@ -9,10 +9,9 @@ guards overlap and earlier clauses win.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factorize, indicator
+from .arith import Frozen, factorize, indicator
 from .basket import rX_c2c1
 
 __all__ = ["LBContext", "f_p", "lb", "SMALL_PRIMES"]
@@ -20,12 +19,12 @@ __all__ = ["LBContext", "f_p", "lb", "SMALL_PRIMES"]
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
-@dataclass(frozen=True)
-class LBContext:
+class LBContext(Frozen):
     """An admissible multiset R of basket indices with its p-valuation
     counts cached; an inadmissible R raises ``ValueError``."""
 
-    R: tuple
+    __slots__ = ("R", "_counts")
+    _fields = ("R",)
 
     def __init__(self, R):
         R = tuple(sorted(R))

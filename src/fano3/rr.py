@@ -29,12 +29,12 @@ constant per divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
-from .arith import InvariantViolation, sigma_numerator, sigma_pair
+from .arith import Frozen, InvariantViolation, sigma_numerator, sigma_pair
 from .basket import Basket
 
 __all__ = [
@@ -62,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrepantCurve:
+class CrepantCurve(Frozen):
     """A crepant curve of type A_{j-1} (j >= 2).
 
     ``degree_rXKC`` is the integer -r_X K.C; ``generator_unit`` is the unit
@@ -71,35 +70,36 @@ class CrepantCurve:
     or None when unknown (then integrality arguments quantify over it).
     """
 
-    j: int
-    degree_rXKC: int
-    generator_unit: int | None = None
+    __slots__ = _fields = ("j", "degree_rXKC", "generator_unit")
 
-    def __post_init__(self):
-        if self.j < 2:
+    def __init__(self, j, degree_rXKC, generator_unit=None):
+        if j < 2:
             raise ValueError("crepant curve type needs j >= 2")
-        if self.degree_rXKC <= 0:
+        if degree_rXKC <= 0:
             raise ValueError("curve degree must be positive")
-        if self.generator_unit is not None and gcd(self.generator_unit, self.j) != 1:
+        if generator_unit is not None and gcd(generator_unit, j) != 1:
             raise ValueError("generator unit must be coprime to j")
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "degree_rXKC", degree_rXKC)
+        object.__setattr__(self, "generator_unit", generator_unit)
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(Frozen):
     """Crepant curves of a candidate: listed curves with j >= 3 plus the
     aggregated degree x_A1 of the transverse A_1 curves.  ``x_A1 = 0``
     means no A_1 curves; ``None`` means an aggregate of unknown degree."""
 
-    curves: tuple = ()
-    x_A1: int | None = 0
+    __slots__ = _fields = ("curves", "x_A1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "curves", tuple(self.curves))
-        for c in self.curves:
+    def __init__(self, curves=(), x_A1=0):
+        curves = tuple(curves)
+        for c in curves:
             if c.j < 3:
                 raise ValueError("A_1 curves enter only through the aggregate x_A1")
-        if self.x_A1 is not None and self.x_A1 < 0:
+        if x_A1 is not None and x_A1 < 0:
             raise ValueError("x_A1 must be nonnegative")
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "x_A1", x_A1)
 
 
 def h0_s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> int | None:
@@ -186,8 +186,7 @@ def h0_integral_values(part: int | None, r_x: int, numerators) -> list:
     return [None if (part - n) % two_rx else (part - n) // two_rx for n in numerators]
 
 
-@dataclass(frozen=True)
-class UnknownTerm:
+class UnknownTerm(NamedTuple):
     """One unknown residue in a constraint system.
 
     shape "quadratic": value(u) = coeff * sigma_pair(u, m)  (orbifold/curve term)
@@ -206,8 +205,7 @@ class UnknownTerm:
         return self.coeff * u
 
 
-@dataclass(frozen=True)
-class ResidueConstraintSystem:
+class ResidueConstraintSystem(Frozen):
     """Does some assignment of the unknown residues make a total integral?
 
     One system serves a family of divisors D = sA whose unknown terms are
@@ -221,10 +219,11 @@ class ResidueConstraintSystem:
     0 mod L.
     """
 
-    constants: tuple
-    unknown_terms: tuple = ()
-    scale: int = 1
-    tables: tuple = ()
+    # no __slots__: the cached property ``reach`` is stored in the __dict__
+    _fields = ("constants", "unknown_terms", "scale", "tables")
+
+    def __init__(self, constants, unknown_terms=(), scale=1, tables=()):
+        vars(self).update(constants=constants, unknown_terms=unknown_terms, scale=scale, tables=tables)
 
     def total(self, constant, assignment) -> Fraction:
         val = Fraction(constant)

@@ -12,11 +12,11 @@ independent of the worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import InvariantViolation, prime_powers
 from .basket import Basket, enumerate_baskets, enumerate_R_c2c1
@@ -40,8 +40,7 @@ GREATER = "greater"
 EQUAL = "equal"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     basket: Basket
     q: int
     j_a: int

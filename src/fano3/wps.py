@@ -8,16 +8,16 @@ analysis: P(5,6,22,33) realizes exactly that section ring.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from .arith import Frozen
 
 __all__ = ["WeightedP3", "h0", "anticanonical_degree", "anticanonical_volume"]
 
 
-@dataclass(frozen=True)
-class WeightedP3:
-    weights: tuple
+class WeightedP3(Frozen):
+    __slots__ = _fields = ("weights",)
 
     def __init__(self, weights):
         w = tuple(int(x) for x in weights)

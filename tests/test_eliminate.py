@@ -2,7 +2,6 @@ import hashlib
 import inspect
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -297,7 +296,7 @@ def test_budget_thresholds_match_fraction_oracle(candidates_equal, candidates_q4
     q_min 66 and 40 searches, and the table rows with their nabla moved
     across the thresholds.  An Undetermined compares by its reason text."""
     rows = [candidate_for_case(n) for n in range(1, 37)]
-    moved = [replace(c, nabla=c.nabla + Fraction(k, 7)) for c in rows for k in range(-140, 141, 20)]
+    moved = [c._replace(nabla=c.nabla + Fraction(k, 7)) for c in rows for k in range(-140, 141, 20)]
     outcomes = set()
     for c in rows + candidates_equal + candidates_q40 + moved:
         cfg = determine_curves(c)
@@ -692,7 +691,7 @@ def test_group_c_plus_eliminated_with_cited_steps():
 def test_tampered_candidate_flags_not_crashes():
     for cid in (1, 10, 24, 4, 3):
         c = candidate_for_case(cid)
-        bad = replace(c, nabla=c.nabla + 10**6)
+        bad = c._replace(nabla=c.nabla + 10**6)
         verdict = eliminate_candidate(cid, bad)
         assert not verdict.eliminated, cid
         assert not verdict.certificate.has_contradiction, cid

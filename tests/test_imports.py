@@ -1,7 +1,7 @@
 """Import hygiene: every module-level import in the package is used or
 re-exported, every exported name exists, every module-level private
 function or class is referenced, no module holds an assert statement, and
-`import fano3` loads no process-pool machinery."""
+`import fano3` loads no process-pool or dataclass machinery."""
 
 import ast
 import importlib
@@ -130,6 +130,15 @@ def test_import_loads_no_process_machinery():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
         "if m in sys.modules))"
     )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_import_loads_no_dataclass_machinery():
+    # every dataclass exec-compiles its methods in each fresh process, and
+    # dataclasses imports inspect
+    code = "import fano3, fano3.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -218,6 +218,16 @@ def test_unknown_term_values():
     assert lin.value(3) == Fraction(-5, 3)
 
 
+def test_s_part_needs_s_strictly_between_0_and_q():
+    c = candidate_for_case(1)
+    args = (c.q, a2mk(c.q, c.rXc13, c.r_x), CurveConfig(), c.basket)
+    for s in (0, c.q):
+        with pytest.raises(ValueError, match="0 < s < q"):
+            h0_s_part(*args, s)
+    for s in (1, c.q - 1):
+        h0_s_part(*args, s)
+
+
 def test_curve_config_rejects_low_j():
     with pytest.raises(ValueError):
         CurveConfig((CrepantCurve(2, 5),))

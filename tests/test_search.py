@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from fano3.arith import InvariantViolation
 from fano3.basket import Basket
 from fano3 import search
+from fano3.eliminate import candidate_for_case
 from fano3.search import ceil_display, run_search, step1, step2, step3, verify_candidate
 from fano3.tables import TABLE_EQ66, TABLE_MAIN
 
@@ -158,26 +160,32 @@ def test_pool_size_is_clamped(monkeypatch, candidates_equal, q_min, cpus, expect
 
 
 def test_verify_candidate_rejects_tampering(candidates_greater):
-    from dataclasses import replace
-
     good = candidates_greater[0]
     verify_candidate(good, 66, "greater")
-    bad = replace(good, rXc2c1=good.rXc2c1 + 1)
+    bad = good._replace(rXc2c1=good.rXc2c1 + 1)
     with pytest.raises(AssertionError):
         verify_candidate(bad, 66, "greater")
+
+
+def test_verify_candidate_checks_test_inequality():
+    # rXc2c1 one below the least value (q^2 + 2q - 4) rXc13 <= 4 q^2 rXc2c1 allows
+    for case_id in (1, 20, 35):
+        c = candidate_for_case(case_id)
+        least = -(-(c.q * c.q + 2 * c.q - 4) * c.rXc13 // (4 * c.q * c.q))
+        with pytest.raises(InvariantViolation, match="test inequality"):
+            verify_candidate(c._replace(rXc2c1=least - 1), 66)
 
 
 def test_verify_candidate_rejects_tampering_under_optimize():
     """The invariant checks are explicit raises, so `python -O` keeps them."""
     code = (
-        "from dataclasses import replace\n"
         "from fano3.arith import InvariantViolation\n"
         "from fano3.eliminate import candidate_for_case\n"
         "from fano3.search import verify_candidate\n"
         "c = candidate_for_case(1)\n"
         "verify_candidate(c, 66)\n"
         "try:\n"
-        "    verify_candidate(replace(c, q=c.q + 1), 66)\n"
+        "    verify_candidate(c._replace(q=c.q + 1), 66)\n"
         "except InvariantViolation:\n"
         "    print(__debug__, 'rejected')\n"
     )
@@ -191,7 +199,6 @@ def test_verify_candidate_rederives_nabla(monkeypatch):
     nabla through rr.nabla; verify_candidate's own Fraction formula
     rejects it."""
     from fano3 import rr
-    from fano3.arith import InvariantViolation
 
     kernel = rr.nabla_units
     monkeypatch.setattr(rr, "nabla_units", lambda *args: kernel(*args) + 1)
