@@ -48,7 +48,7 @@ verdict and the candidate stands.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, wraps
+from functools import cache, partial, wraps
 from itertools import compress, product as iproduct
 from typing import NamedTuple
 
@@ -62,14 +62,11 @@ from .rr import (
     ResidueConstraintSystem,
     a2mk,
     column_sums,
-    curve_cost,
     curve_degrees,
-    delta_lower_bound,
     demand_units,
     h0_integral_values,
     h0_s_part,
     h0_sA,
-    km_bound,
     orbifold_columns,
     residue_term_builder,
     suffix_reach,
@@ -165,6 +162,13 @@ def _completions(sys: ResidueConstraintSystem, positions, constants) -> list:
 # Curve-configuration determination
 # ---------------------------------------------------------------------------
 
+@cache  # the candidate's one LBContext, shared by determine_curves and the scripts
+def _lb_of(c: Candidate):
+    """LB(j) over the candidate's basket indices, as a function of j alone.
+    Elimination reads LB only through it, never from ``c.lb_values``."""
+    return partial(lb, LBContext(c.basket.R))
+
+
 @cache  # one derivation per candidate, which every route only reads
 def determine_curves(c: Candidate):
     """Crepant-curve configuration forced by the degree budget.
@@ -183,7 +187,7 @@ def determine_curves(c: Candidate):
     if j_a == 2:
         return CurveConfig((), x_A1=None)
 
-    ctx = LBContext(c.basket.R)
+    lb_of = _lb_of(c)
     factors = factorize(j_a)
     two_part = next((2**e for p, e in factors if p == 2), 1)
     odd_primes = [p for p, _ in factors if p > 2]
@@ -195,14 +199,14 @@ def determine_curves(c: Candidate):
     else:
         # even part 2^a >= 4 contributes its own curve
         orders = [*odd_pps, two_part, min([4] + odd_primes)]
-    threshold = demand_units(c.q, orders, [lb(ctx, j) for j in orders])
+    threshold = demand_units(c.q, orders, [lb_of(j) for j in orders])
     if within_budget(c.nabla, c.q, threshold):
         return Undetermined(
             f"budget {c.nabla} admits more curves than the forced set "
             f"(threshold {Fraction(threshold, 4 * c.q * c.q)})"
         )
     forced = sorted(odd_pps + [two_part]) if two_part > 2 else odd_pps
-    curves = tuple(CrepantCurve(j, lb(ctx, j)) for j in forced)
+    curves = tuple(CrepantCurve(j, lb_of(j)) for j in forced)
     return CurveConfig(curves, x_A1=0 if two_part == 1 else None)
 
 
@@ -282,10 +286,20 @@ def _refute_at(c, cfg, r_prime, s, cert, claim=None, drop_curve_terms=True) -> N
 
 
 def _demand(c: Candidate, cfg: CurveConfig) -> tuple:
-    """Whether ``delta_lower_bound(cfg)`` fits the budget, compared in
-    integers, and that demand as the Fraction a certificate prints."""
+    """Whether the total curve demand of ``cfg`` fits the budget, compared
+    in integers, and that demand as the Fraction a certificate prints."""
     units = demand_units(c.q, *curve_degrees(cfg))
     return within_budget(c.nabla, c.q, units), Fraction(units, 4 * c.q * c.q)
+
+
+def _room(c: Candidate, spent, j: int, d: int = 1) -> Fraction:
+    """How many curves of order ``j`` and degree ``d`` the budget leaves
+    room for once the ``(order, degree)`` pairs ``spent`` are paid: the
+    exact Fraction (4q^2 nabla - demand of ``spent``) / demand of (j, d),
+    whose integer part bounds a degree or a count."""
+    orders, degrees = zip(*spent) if spent else ((), ())
+    left = c.nabla * 4 * c.q * c.q - demand_units(c.q, orders, degrees)
+    return left / demand_units(c.q, (j,), (d,))
 
 
 def _refute_budget(c, cfg, cert, context: str) -> None:
@@ -335,8 +349,8 @@ def run_group_b_script(case_id: int, c: Candidate) -> Verdict:
 def _curve_order_bounds(c: Candidate) -> tuple:
     """``(bounds, allowed)``: LB(j) for every curve class order j | J_A, and
     the orders whose minimal degree cost fits the budget."""
-    ctx = LBContext(c.basket.R)
-    bounds = {j: lb(ctx, j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
+    lb_of = _lb_of(c)
+    bounds = {j: lb_of(j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
     allowed = tuple(
         j for j, d in bounds.items() if within_budget(c.nabla, c.q, demand_units(c.q, (j,), (d,)))
     )
@@ -441,8 +455,7 @@ def _case_36(c, cert) -> None:
     lbs = _curve_orders(c, cert, (2, 5, 7))
     # each prime power in J_A forces a curve of the matching order
     lb5, lb7 = lbs[5], lbs[7]
-    floor_rest = curve_cost(5, lb5) + curve_cost(2, 1)
-    d_max = (c.nabla - floor_rest) / curve_cost(7, 1)
+    d_max = _room(c, ((5, lb5), (2, 1)), 7)
     degrees = list(range(lb7, int(d_max) + 1, lb7))
     cert.mechanical(
         f"forced: one A_6 (degree a multiple of {lb7}), one A_4 (degree a multiple "
@@ -516,9 +529,8 @@ def _case_24(c, cert) -> None:
         f"{lb3}*y3) and at least one A_3 (total degree {lb4}*y4)",
         "determined",
     )
-    nab = c.nabla
-    x_max = int((nab - curve_cost(3, lb3) - curve_cost(4, lb4)) / curve_cost(2, 1))
-    y4_max = int((nab - curve_cost(3, lb3)) / curve_cost(4, lb4))
+    x_max = int(_room(c, ((3, lb3), (4, lb4)), 2))
+    y4_max = int(_room(c, ((3, lb3),), 4, lb4))
     cert.mechanical(
         f"budget bounds: x_A1 <= {x_max} and y4 <= {y4_max}", "narrowed"
     )
@@ -547,7 +559,7 @@ def _case_24(c, cert) -> None:
     )
     _expect(sols == {(10, 1)}, "joint residue solution not unique")
     x_a1, y4 = 10, 1
-    y3_max = int((nab - curve_cost(2, x_a1) - curve_cost(4, lb4 * y4)) / curve_cost(3, lb3))
+    y3_max = int(_room(c, ((2, x_a1), (4, lb4 * y4)), 3, lb3))
     cert.mechanical(f"budget then forces y3 = 1 (y3 <= {y3_max})", "narrowed")
     _expect(y3_max == 1, "y3 not pinned")
 
@@ -594,7 +606,7 @@ def _h0_value_sets(c: Candidate, cfg: CurveConfig, s_values) -> dict:
 @_route
 def _case_27(c, cert) -> None:
     lb3 = _curve_orders(c, cert, (3,))[3]
-    y_max = int(c.nabla / curve_cost(3, lb3))
+    y_max = int(_room(c, (), 3, lb3))
     cert.mechanical(
         f"every crepant curve is an A_2; total degree {lb3}y with 1 <= y <= {y_max}",
         "determined",
@@ -879,16 +891,17 @@ def decompose(n: int):
 def foliation_bounds(c: Candidate, delta: Fraction) -> int:
     """Least admissible index of the rank-2 foliation's anticanonical class.
 
-    The 16/5 slope bound must already fail (otherwise the curve-degree
-    excess could not reach ``delta``); the remaining Kawamata-Miyaoka shape
-    bounds the volume by 4q^2/(-4p^2+6pq-q^2), and the slope ordering of
-    the Harder-Narasimhan filtration confines p to (2q/3, q).  Each p is
-    tested cross-multiplied in integers: with delta = n/d,
-    r_Xc2c1 - r_Xc1^3 / km_bound(3, 1, p, q) >= delta exactly when
+    The Kawamata-Miyaoka type slope bound c1^3 / c2.c1 <= 16/5 must
+    already fail (otherwise the curve-degree excess could not reach
+    ``delta``); the remaining Harder-Narasimhan shape, a rank-2 piece of
+    index p, bounds c1^3 / c2.c1 by 4q^2/(-4p^2+6pq-q^2), and the slope
+    ordering of the filtration confines p to (2q/3, q).  Each p is tested
+    cross-multiplied in integers: with delta = n/d,
+    r_Xc2c1 - r_Xc1^3 (-4p^2 + 6pq - q^2) / (4q^2) >= delta exactly when
     4q^2 (r_Xc2c1 d - n) >= r_Xc1^3 d (-4p^2 + 6pq - q^2).
     """
     q = c.q
-    if not c.rXc2c1 - c.rXc13 / km_bound(2, 1) < delta:
+    if not c.rXc2c1 - c.rXc13 / Fraction(16, 5) < delta:
         raise ValueError(
             "16/5 precondition fails: the candidate would satisfy the stronger "
             "slope bound and no rank-2 foliation is forced"
@@ -951,7 +964,7 @@ def eliminate_group_c_minus(c, cert) -> None:
 @_route
 def eliminate_group_c_plus(c, cert) -> None:
     q = c.q
-    delta = delta_lower_bound(_group_c_curves(c, cert))
+    delta = _demand(c, _group_c_curves(c, cert))[1]
     cert.mechanical(f"total crepant-curve demand delta = {delta}", "determined")
 
     movable, g_floor, bad_g, shapes44, excess_degrees = _leaf_degree_classification()

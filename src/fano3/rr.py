@@ -2,8 +2,8 @@
 
 Local corrections at orbifold points and crepant curves, the h^0(sA)
 evaluator, the slack functional ``nabla`` that budgets total crepant-curve
-degree, the Kawamata-Miyaoka bound, and the translation of integrality
-constraints into finite residue systems.
+degree, and the translation of integrality constraints into finite residue
+systems.
 
 ``h0_sA`` is the one h^0 formula: the s-part (volume, curve and A_1-aggregate
 terms, which depend on s alone) minus the orbifold corrections
@@ -50,7 +50,6 @@ __all__ = [
     "h0_integral_values",
     "suffix_reach",
     "residue_term_builder",
-    "km_bound",
     "nabla",
     "nabla_units",
     "demand_units",
@@ -58,7 +57,6 @@ __all__ = [
     "a2mk",
     "curve_cost",
     "curve_degrees",
-    "delta_lower_bound",
 ]
 
 
@@ -357,23 +355,6 @@ def _term_integral(j: int, deg: int) -> bool:
     return deg % (2 * j) == 0
 
 
-def km_bound(l: int, r1: int, p: int = 0, q: int = 0) -> Fraction:
-    """Kawamata-Miyaoka type upper bound on c1^3 / (c2.c1-hat).
-
-    Piecewise in the Harder-Narasimhan shape (l, r1) of the tangent sheaf;
-    p is the index of the destabilizing rank-2 subsheaf where relevant.
-    """
-    if (l, r1) == (1, 3):
-        return Fraction(3)
-    if (l, r1) == (2, 1):
-        return Fraction(16, 5)
-    if (l, r1) == (2, 2):
-        return Fraction(4 * q * q, p * (4 * q - 3 * p))
-    if (l, r1) == (3, 1):
-        return Fraction(4 * q * q, -4 * p * p + 6 * p * q - q * q)
-    raise ValueError(f"invalid Harder-Narasimhan shape ({l},{r1})")
-
-
 def nabla(q: int, rXc13, rXc2c1) -> Fraction:
     """Slack budget: r_Xc2c1 - ((q^2+2q-4)/(4q^2)) * r_Xc1^3."""
     if q < 1:
@@ -411,7 +392,9 @@ def a2mk(q: int, rXc13: int, r_x: int) -> Fraction:
 
 def curve_cost(j: int, degree) -> Fraction:
     """Budget cost (j - 1/j) * degree of crepant A_{j-1} curves of total
-    degree ``degree``; the A_1 aggregate x_A1 costs curve_cost(2, x_A1)."""
+    degree ``degree``; the A_1 aggregate x_A1 costs curve_cost(2, x_A1).
+    The Fraction form, for ``search.verify_candidate``'s independent budget
+    re-check; the engine's own budget comparisons use ``demand_units``."""
     return Fraction(j * j - 1, j) * degree
 
 
@@ -422,9 +405,3 @@ def curve_degrees(cfg: CurveConfig) -> tuple:
     if cfg.x_A1 is None:
         raise ValueError("x_A1 still symbolic; pin it before bounding")
     return (2, *(c.j for c in cfg.curves)), (cfg.x_A1, *(c.degree_rXKC for c in cfg.curves))
-
-
-def delta_lower_bound(cfg: CurveConfig) -> Fraction:
-    """Total crepant-curve demand: the curve_cost of every curve and of the
-    A_1 aggregate.  Needs all degrees known."""
-    return sum(map(curve_cost, *curve_degrees(cfg)), Fraction(0))

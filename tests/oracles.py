@@ -7,12 +7,13 @@ s-part, the foliation index scan, the curve-configuration thresholds and
 allowed curve orders), brute force over the full residue product instead
 of the solver's greedy witness and completion readout, and the old triple-order Step 2
 (every (q, J_A, rXc13) triple tested against every basket) instead of the
-residue-first walk.  Two elimination steps are recomputed tuple by tuple
-instead of from the orbifold columns: case 24's (x_A1, y4) grid, one
-residue system per (x_A1, y4, s), and the Group C residues from Fraction
-``h0_sA`` over the full local-index product.  The published A / B / C- /
-C+ grouping of the 36 rows is here too, as the oracle for the engine's
-fixed route order.
+residue-first walk.  Three elimination steps are recomputed one system
+or one tuple at a time instead of from shared tables: case 24's (x_A1, y4)
+grid, one residue system per (x_A1, y4, s), and case 27's A_2 degrees, one
+system per y, both under their own Fraction budget caps; and the Group C
+residues from Fraction ``h0_sA`` over the full local-index product.  The
+published A / B / C- / C+ grouping of the 36 rows is here too, as the
+oracle for the engine's fixed route order.
 """
 
 from fractions import Fraction
@@ -31,7 +32,6 @@ from fano3.rr import (
     a2mk,
     curve_cost,
     h0_sA,
-    km_bound,
 )
 from fano3.search import EQUAL, Candidate
 
@@ -119,14 +119,22 @@ def step2_tuples(rXc2c1: int, q_min: int, mode: str):
 
 def step2(R, rXc2c1: int, q_min: int, mode: str):
     """Every (basket, q, J_A, rXc13): each triple against each basket's
-    Riemann-Roch offset."""
-    triples = step2_tuples(rXc2c1, q_min, mode)
-    for basket in enumerate_baskets(R):
-        r_x = lcm(*basket.R)
-        offset = sum(sigma_numerator(b, r) * (r_x // r) for r, b in basket)
-        for q, j_a, rXc13 in triples:
-            if (rXc13 - offset) % (2 * r_x) == 0:
-                yield basket, q, j_a, rXc13
+    Riemann-Roch offset.  Every basket over R shares r_X = lcm(R), so one
+    pass over the triples files them, in order, under the classes mod 2 r_X
+    of the baskets' offsets, and each basket reads its own class."""
+    r_x = lcm(*R)
+    classes = [
+        (basket, sum(sigma_numerator(b, r) * (r_x // r) for r, b in basket) % (2 * r_x))
+        for basket in enumerate_baskets(R)
+    ]
+    by_class = {k: [] for _, k in classes}
+    for triple in step2_tuples(rXc2c1, q_min, mode):
+        k = triple[2] % (2 * r_x)
+        if k in by_class:
+            by_class[k].append(triple)
+    for basket, k in classes:
+        for q, j_a, rXc13 in by_class[k]:
+            yield basket, q, j_a, rXc13
 
 
 def nabla_fraction(q: int, rXc13: int, rXc2c1: int) -> Fraction:
@@ -284,13 +292,15 @@ def h0_s_part_fraction(q, A2mK, cfg, B, s) -> Fraction:
 
 
 def foliation_p_min_fraction(c: Candidate, delta: Fraction) -> int:
-    """The least p in (2q/3, q) with r_Xc2c1 - r_Xc1^3 / km_bound(3, 1, p, q)
-    >= delta, scanned in Fractions; ValueError when the 16/5 precondition
-    fails or no p qualifies."""
-    if not c.rXc2c1 - c.rXc13 / km_bound(2, 1) < delta:
+    """The least p in (2q/3, q) with r_Xc2c1 - r_Xc1^3 / km(p) >= delta,
+    scanned in Fractions, where km(p) = 4q^2 / (-4p^2 + 6pq - q^2) is the
+    slope bound of a rank-2 Harder-Narasimhan piece of index p; ValueError
+    when the 16/5 precondition fails or no p qualifies."""
+    q = c.q
+    if not c.rXc2c1 - c.rXc13 / Fraction(16, 5) < delta:
         raise ValueError("16/5 precondition fails")
-    for p in range(2 * c.q // 3 + 1, c.q):
-        if c.rXc2c1 - c.rXc13 / km_bound(3, 1, p, c.q) >= delta:
+    for p in range(2 * q // 3 + 1, q):
+        if c.rXc2c1 - c.rXc13 / Fraction(4 * q * q, -4 * p * p + 6 * p * q - q * q) >= delta:
             return p
     raise ValueError("no admissible foliation index below q")
 
@@ -315,6 +325,25 @@ def case_24_grid(c: Candidate) -> set:
         for x, y4 in product(range(x_max + 1), range(1, y4_max + 1))
         if solvable(x, y4, 1) and solvable(x, y4, 3)
     }
+
+
+def case_27_ys(c: Candidate) -> tuple:
+    """``(y_max, ys)`` of case 27's A_2 degree step: y_max the whole
+    number of A_2 curves of degree LB(3) that the Fraction budget pays for,
+    and ys the y in [1, y_max] for which the r' = 2 r_X system of D = A with
+    A_2 curves of total degree LB(3) y (unit 1) and no A_1 curves has an
+    integral assignment, each decided by brute force."""
+    lb3 = lb(LBContext(c.basket.R), 3)
+    y_max = int(c.nabla / curve_cost(3, lb3))
+    r_prime = 2 * lcm(*c.basket.R)
+
+    def solvable(y):
+        cfg = CurveConfig((CrepantCurve(3, lb3 * y, 1),), x_A1=0)
+        constant, terms = fraction_builder(c.q, c.rXc13, c.basket, cfg, r_prime, s=1)
+        sys = fraction_system([constant], terms)
+        return next(integral_assignments(sys, constant), None) is not None
+
+    return y_max, [y for y in range(1, y_max + 1) if solvable(y)]
 
 
 def group_c_residues():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from fano3.certificates import CITED_LEMMA, EliminationCertificate
 from fano3.eliminate import (
+    _demand,
     _group_c_curves,
     candidate_for_case,
     eliminate_group_a,
@@ -16,7 +17,6 @@ from fano3.eliminate import (
     run_group_b_script,
 )
 from fano3.lb import LBContext, lb
-from fano3.rr import delta_lower_bound
 from fano3.tables import TABLE_EQ66, TABLE_MAIN
 from fano3.wps import WeightedP3, anticanonical_degree, anticanonical_volume, h0 as wps_h0
 
@@ -113,7 +113,7 @@ def test_criterion_7_foliation_table():
     deltas = {}
     for cid, p_min in expected.items():
         c = candidate_for_case(cid)
-        delta = delta_lower_bound(_group_c_curves(c, EliminationCertificate(cid)))
+        delta = _demand(c, _group_c_curves(c, EliminationCertificate(cid)))[1]
         deltas[cid] = delta
         assert foliation_bounds(c, delta) == p_min, cid
     assert deltas[3] == Fraction(2079, 10)  # 207.9

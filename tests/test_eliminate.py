@@ -40,7 +40,6 @@ from fano3.rr import (
     CurveConfig,
     ResidueConstraintSystem,
     UnknownTerm,
-    delta_lower_bound,
     residue_term_builder,
 )
 from fano3.tables import GROUP_C_KEYS, TABLE_MAIN, row
@@ -564,7 +563,7 @@ def test_nonreduced_excess_counts_only_present_generators():
 def _group_c_delta(cid):
     """The candidate and the curve demand its Group C derivation pins."""
     c = candidate_for_case(cid)
-    return c, delta_lower_bound(_group_c_curves(c, EliminationCertificate(cid)))
+    return c, eliminate._demand(c, _group_c_curves(c, EliminationCertificate(cid)))[1]
 
 
 def test_group_c_curves():
@@ -615,6 +614,45 @@ def test_case_24_grid_matches_per_tuple_oracle():
     assert grid[0].domain_size == 340
 
 
+def _step_texts(route, c) -> list:
+    """The step descriptions of ``route``'s certificate on ``c``."""
+    return [s.description for s in route(-1, c).certificate.steps]
+
+
+def test_case_27_degrees_off_the_table(candidates_q40):
+    """On every q_min 40 candidate that reaches case 27's A_2 degree step,
+    the printed cap and y list are those of the Fraction budget and one
+    brute-force system per y.  For 13 of them y = 1 is integral, which a y
+    range starting at 2 would miss."""
+    reached = []
+    for c in candidates_q40:
+        texts = _step_texts(eliminate._case_27, c)
+        at = [i for i, text in enumerate(texts) if "1 <= y <= " in text]
+        if at:
+            y_max, ys = oracles.case_27_ys(c)
+            cap, printed = texts[at[0]:at[0] + 2]
+            assert cap.endswith(f"1 <= y <= {y_max}"), c
+            assert printed.endswith(f"integral only for y = {ys}"), c
+            reached.append(ys)
+    assert len(reached) == 28
+    assert sum(1 in ys for ys in reached) == 13
+
+
+def test_case_24_grid_off_the_table(candidates_q40):
+    """On every q_min 40 candidate that reaches case 24's (x_A1, y4) grid,
+    the printed set is the per-tuple oracle's under its own Fraction caps."""
+    reached = 0
+    for c in candidates_q40:
+        grid = [t for t in _step_texts(eliminate._case_24, c) if "leaves (x_A1, y4) in" in t]
+        if grid:
+            assert grid == [
+                f"integrality for D=sA, s in [1, 3], r'=9 leaves (x_A1, y4) in "
+                f"{sorted(case_24_grid(c))}"
+            ], c
+            reached += 1
+    assert reached == 14
+
+
 FOLIATION_P_MIN = {3: 66, 6: 71, 11: 64, 13: 61, 21: 57, 22: 68}
 
 DELTA_FORMULAS = {
@@ -637,7 +675,7 @@ def test_foliation_bounds_table():
 
 
 def test_foliation_bounds_match_fraction_scan():
-    """The integer scan against the Fraction km_bound scan on each C+ row,
+    """The integer scan against the Fraction slope-bound scan on each C+ row,
     at its own delta and over a sweep of delta through the 16/5 threshold
     and past the last admissible p."""
     for cid in sorted(GROUP_C_PLUS):

@@ -1,7 +1,8 @@
 """Import hygiene: every module-level import in the package is used or
 re-exported, every exported name exists, every module-level private
-function or class is referenced, no module holds an assert statement, and
-`import fano3` loads no process-pool or dataclass machinery."""
+function or class is referenced, no module holds an assert statement,
+`import fano3` loads no process-pool or dataclass machinery, and
+`eliminate` reads LB and the budget through one kernel each."""
 
 import ast
 import importlib
@@ -142,6 +143,18 @@ def test_import_loads_no_dataclass_machinery():
     done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_eliminate_reads_one_lb_context_and_the_integer_budget():
+    # LB comes from the candidate's one cached LBContext, and every budget
+    # bound from the integer kernel; the Fraction curve_cost is left to
+    # verify_candidate's independent re-check
+    tree = ast.parse((PACKAGE / "eliminate.py").read_text())
+    lb_contexts = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "LBContext"
+    ]
+    assert (len(lb_contexts), referenced_names(tree)["curve_cost"]) == (1, 0)
 
 
 def test_cli_renders_through_one_writer_per_format():

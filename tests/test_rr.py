@@ -16,13 +16,12 @@ from fano3.rr import (
     a2mk,
     column_sums,
     curve_cost,
-    delta_lower_bound,
+    curve_degrees,
     demand_units,
     h0_integral_values,
     h0_orbifold_numerator,
     h0_s_part,
     h0_sA,
-    km_bound,
     nabla,
     nabla_units,
     orbifold_columns,
@@ -202,14 +201,6 @@ def test_budget_kernel_matches_fractions():
             assert within_budget(nab, q, units) == (demand <= nab), (q, pairs, nab)
 
 
-def test_km_bound_shapes():
-    assert km_bound(1, 3) == 3
-    assert km_bound(2, 1) == Fraction(16, 5)
-    assert km_bound(3, 1, p=66, q=70) == Fraction(4 * 70 * 70, -4 * 66 * 66 + 6 * 66 * 70 - 70 * 70)
-    with pytest.raises(ValueError):
-        km_bound(4, 4)
-
-
 def test_unknown_term_values():
     t = UnknownTerm(Fraction(-6), 3, "quadratic", "demo")
     assert t.value(0) == 0
@@ -233,11 +224,12 @@ def test_curve_config_rejects_low_j():
         CurveConfig((CrepantCurve(2, 5),))
 
 
-def test_delta_lower_bound():
+def test_curve_degrees():
     cfg = CurveConfig((CrepantCurve(5, 33),), x_A1=33)
-    assert delta_lower_bound(cfg) == Fraction(3, 2) * 33 + Fraction(24, 5) * 33
+    assert curve_degrees(cfg) == ((2, 5), (33, 33))
+    assert demand_units(70, *curve_degrees(cfg)) == (Fraction(3, 2) + Fraction(24, 5)) * 33 * 4 * 70 * 70
     with pytest.raises(ValueError):
-        delta_lower_bound(CurveConfig((), x_A1=None))
+        curve_degrees(CurveConfig((), x_A1=None))
 
 
 def test_builder_drops_and_keeps():
