@@ -583,24 +583,16 @@ def _case_24(c, cert) -> None:
 
 
 def _h0_value_sets(c: Candidate, cfg: CurveConfig, s_values) -> dict:
-    """s -> every integral value of h^0(sA) over all local-index tuples.
-
-    The numerators are the ``column_sums`` of the basket's ``orbifold_columns``,
-    grouped once by their residue mod 2 r_X; h^0(sA) is integral exactly at
-    the numerators congruent to the integer s-part, so each s costs one
-    lookup.
-    """
-    two_rx = 2 * c.r_x
-    by_residue = {}
-    for n in column_sums(orbifold_columns(c.basket)):
-        by_residue.setdefault(n % two_rx, set()).add(n)
+    """s -> every integral value of h^0(sA) over all local-index tuples,
+    read by ``h0_integral_values`` over the ``column_sums`` of the basket's
+    ``orbifold_columns``."""
+    numerators = column_sums(orbifold_columns(c.basket))
     minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
-    tables = {}
-    for s in s_values:
-        part = h0_s_part(c.q, minus_a2k, cfg, c.basket, s)
-        numerators = () if part is None else by_residue.get(part % two_rx, ())
-        tables[s] = {(part - n) // two_rx for n in numerators}
-    return tables
+    return {
+        s: set(h0_integral_values(h0_s_part(c.q, minus_a2k, cfg, c.basket, s), c.r_x, numerators))
+        - {None}
+        for s in s_values
+    }
 
 
 @_route
@@ -852,22 +844,91 @@ def movable_thresholds(h0) -> set:
     return out
 
 
-@cache  # no part of it depends on the candidate
-def _leaf_degree_classification() -> tuple:
-    """The candidate-free data of the C+ leaf-degree decision tree:
-    ``(movable, g_floor, bad_g, shapes44, excess_degrees)`` -- the movable
-    set of the closed-form h^0 table, its least positive degree, the leaf
-    degrees g in [g_floor, 60) other than 44 with a generator-free
-    non-reduced member, the writings of 44 over (5, 6, 22) and the excess
-    degrees of a non-reduced member at g = 44."""
+#: The largest q - p the leaf-degree decision tree covers.
+_TREE_REACH = 10
+
+
+@cache  # no step here depends on the candidate
+def _leaf_degree_steps() -> tuple:
+    """The candidate-free steps of the C+ route: ``(before, after)``, the
+    frozen ``CertStep``s that every C+ certificate copies in before and
+    after its foliation-window step.  The leaf-degree decision tree's facts
+    are checked once, for every q - p up to ``_TREE_REACH``: the movable
+    set of the closed-form h^0 table, its least positive degree g_floor
+    against the window, no leaf degree g != 44 in [g_floor, 60) with a
+    generator-free non-reduced member (a doubled degree-22 part plus a
+    generator-free remainder, so g - 44 would be movable), and the g = 44
+    excess degrees against the ramification degree 88 - (q - p).
+    """
     movable = movable_thresholds({s: group_c_closed_form(s) for s in range(1, 35)})
     g_floor = min(m for m in movable if m > 0)
-    bad_g = [
-        g for g in range(g_floor, 60)
-        if g != 44 and any(not uses_gen for _, uses_gen in _nonreduced_excesses(g, movable))
-    ]
-    excess_degrees = sorted({e for e, _ in _nonreduced_excesses(44, movable)})
-    return movable, g_floor, bad_g, decompose(44), excess_degrees
+    gens = (5, 6)
+    bad_g = [g for g in range(g_floor, 60) if g != 44 and g - 44 in movable]
+    shapes44 = decompose(44)
+    excess_degrees = sorted({e for e, _ in _nonreduced_excesses(movable)})
+    if not (
+        movable == {0, 22, 30, 33}
+        and g_floor > _TREE_REACH
+        and sum(gens) > _TREE_REACH
+        and not bad_g
+        and all(e % 11 == 0 for e in excess_degrees)
+        and all((88 - d) % 11 for d in range(1, _TREE_REACH + 1))
+    ):
+        raise InvariantViolation(
+            f"leaf-degree tree fails: movable set {sorted(movable)}, leaf degrees "
+            f"{bad_g} with a generator-free member, g = 44 excess degrees {excess_degrees}"
+        )
+
+    tree = EliminationCertificate(None)  # only its steps are kept
+    tree.mechanical(
+        f"closed-form h^0 gives admissible generator-avoiding degrees {sorted(movable)}",
+        "determined",
+        domain_size=34,
+    )
+    tree.cite(
+        "rank2-foliation-exists",
+        "the failed 16/5 slope bound leaves a rank-2 Harder-Narasimhan piece "
+        "which is an algebraically integrable foliation of positive minimal slope",
+    )
+    tree.cite(
+        "rational-connectedness",
+        "the leaf family is parameterized by the projective line, so the "
+        "ramification divisor class is 2 * leaf - q + p in polarization degree",
+    )
+    tree.cite(
+        "leaf-family-movability",
+        "the pushed-forward leaf moves with no fixed component, and distinct "
+        "members share no component",
+    )
+    # Leaf-degree decision tree: suppose the leaf degree g is at most 59.
+    tree.mechanical(
+        f"leaf degree g >= {g_floor} (movable set); ramification degree "
+        f"2g - (q - p) forces at least two non-reduced members (g > q - p), and "
+        f"two are impossible since their reduced parts cost at least "
+        f"{gens[0]}+{gens[1]} = {sum(gens)} > q - p; hence at least three "
+        "pairwise component-disjoint non-reduced members",
+        "narrowed",
+    )
+    tree.mechanical(
+        "for every leaf degree g <= 59 except g = 44, each non-reduced member "
+        "contains one of the two generators, so three pairwise-disjoint members "
+        "force g = 44",
+        "narrowed",
+        domain_size=60 - g_floor,
+    )
+    tree.mechanical(
+        f"g = 44 writings over (5, 6, 22): {shapes44}; every excess degree "
+        f"{excess_degrees} is a multiple of 11, yet the ramification degree "
+        f"88 - (q - p) is never one -- so g >= 60",
+        "narrowed",
+        domain_size=len(shapes44),
+    )
+    tree.cite(
+        "hirzebruch-bound",
+        "with p > 5q/6 a general leaf maps to a Hirzebruch surface of "
+        "anticanonical square 8, bounding the nef square from above",
+    )
+    return tuple(tree.steps[:2]), tuple(tree.steps[2:])
 
 
 def decompose(n: int):
@@ -966,20 +1027,8 @@ def eliminate_group_c_plus(c, cert) -> None:
     q = c.q
     delta = _demand(c, _group_c_curves(c, cert))[1]
     cert.mechanical(f"total crepant-curve demand delta = {delta}", "determined")
-
-    movable, g_floor, bad_g, shapes44, excess_degrees = _leaf_degree_classification()
-    cert.mechanical(
-        f"closed-form h^0 gives admissible generator-avoiding degrees {sorted(movable)}",
-        "determined",
-        domain_size=34,
-    )
-    _expect(movable == {0, 22, 30, 33}, "movable set unexpected")
-
-    cert.cite(
-        "rank2-foliation-exists",
-        "the failed 16/5 slope bound leaves a rank-2 Harder-Narasimhan piece "
-        "which is an algebraically integrable foliation of positive minimal slope",
-    )
+    before, after = _leaf_degree_steps()
+    cert.steps.extend(before)
     try:
         p_min = foliation_bounds(c, delta)
     except ValueError as exc:
@@ -992,65 +1041,10 @@ def eliminate_group_c_plus(c, cert) -> None:
         domain_size=q - 1 - 2 * q // 3,
     )
     _expect(
-        1 <= d_max <= 10 and 6 * p_min > 5 * q,
+        1 <= d_max <= _TREE_REACH and 6 * p_min > 5 * q,
         "index window outside the decision tree's reach",
     )
-
-    cert.cite(
-        "rational-connectedness",
-        "the leaf family is parameterized by the projective line, so the "
-        "ramification divisor class is 2 * leaf - q + p in polarization degree",
-    )
-    cert.cite(
-        "leaf-family-movability",
-        "the pushed-forward leaf moves with no fixed component, and distinct "
-        "members share no component",
-    )
-
-    # Leaf-degree decision tree: suppose the leaf degree g is at most 59.
-    gens = (5, 6)
-    _expect(
-        g_floor > max(1, d_max) and sum(gens) > d_max,
-        f"leaf degree g >= {g_floor} does not force three non-reduced members "
-        f"for q - p <= {d_max}",
-    )
-    cert.mechanical(
-        f"leaf degree g >= {g_floor} (movable set); ramification degree "
-        f"2g - (q - p) forces at least two non-reduced members (g > q - p), and "
-        f"two are impossible since their reduced parts cost at least "
-        f"{gens[0]}+{gens[1]} = {sum(gens)} > q - p; hence at least three "
-        "pairwise component-disjoint non-reduced members",
-        "narrowed",
-    )
-
-    # classification of non-reduced degrees: g != 44 always consumes a generator
-    _expect(not bad_g, f"leaf degrees {bad_g} admit a generator-free non-reduced member")
-    cert.mechanical(
-        "for every leaf degree g <= 59 except g = 44, each non-reduced member "
-        "contains one of the two generators, so three pairwise-disjoint members "
-        "force g = 44",
-        "narrowed",
-        domain_size=60 - g_floor,
-    )
-
-    _expect(
-        all(e % 11 == 0 for e in excess_degrees)
-        and all((88 - d) % 11 != 0 for d in range(1, d_max + 1)),
-        f"g = 44 not excluded: excess degrees {excess_degrees}, q - p <= {d_max}",
-    )
-    cert.mechanical(
-        f"g = 44 writings over (5, 6, 22): {shapes44}; every excess degree "
-        f"{excess_degrees} is a multiple of 11, yet the ramification degree "
-        f"88 - (q - p) is never one -- so g >= 60",
-        "narrowed",
-        domain_size=len(shapes44),
-    )
-
-    cert.cite(
-        "hirzebruch-bound",
-        "with p > 5q/6 a general leaf maps to a Hirzebruch surface of "
-        "anticanonical square 8, bounding the nef square from above",
-    )
+    cert.steps.extend(after)
     worst = f"{60 * p_min * p_min}/{330 * q}"
     _expect(
         all(60 * p * p > 8 * 330 * q for p in range(p_min, q)),
@@ -1064,43 +1058,22 @@ def eliminate_group_c_plus(c, cert) -> None:
     )
 
 
-def _nonreduced_excesses(g: int, movable):
-    """Possible (excess degree, uses-a-generator) of a non-reduced member.
+def _nonreduced_excesses(movable) -> list:
+    """Possible (excess degree, uses-a-generator) of a non-reduced member of
+    leaf degree 44.
 
-    A non-reduced effective divisor of degree g <= 59 contains a doubled
-    prime divisor of degree 5, 6, or 22.  Doubled generators always flag
-    the member; a doubled degree-22 part leaves a remainder that either
-    vanishes (excess 22, generator-free) or forces a generator.  At g = 44
-    the generator multiplicities are pinned by the movable set.  Empty when
-    g is too small for any non-reduced member.
+    A non-reduced member contains a doubled prime divisor of degree 5, 6 or
+    22: either twice a degree-22 member (excess 22, generator-free), or
+    generators with multiplicity whose remainder is movable (the empty
+    remainder of degree 0 included).  The excess is
+    the degree beyond the reduced part of each present generator component;
+    the reduced remainder stays.
     """
-    if g > 59:
-        raise ValueError("classification only covers degree at most 59")
-    shapes = []
-    if g == 44:
-        # either twice a degree-22 member, or generators with multiplicity
-        shapes.append((22, False))
-        for a, b in iproduct(range(9), range(8)):
-            rest = 44 - 5 * a - 6 * b
-            if rest < 0 or max(a, b) < 2:
-                continue
-            if rest == 0 or rest in movable and rest <= 34:
-                # excess: the degree beyond the reduced part of each present
-                # generator component; the reduced rest stays
-                shapes.append((5 * max(a - 1, 0) + 6 * max(b - 1, 0), True))
-        return shapes
-    for e in (5, 6, 22):
-        if 2 * e > g:
-            continue
-        if e == 22:
-            rest = g - 44
-            if rest == 0:
-                shapes.append((22, False))
-            else:
-                shapes.append((22 + rest, True))  # remainder < 22 needs a generator
-        else:
-            shapes.append((e, True))
-    return shapes
+    return [(22, False)] + [
+        (5 * max(a - 1, 0) + 6 * max(b - 1, 0), True)
+        for a, b in iproduct(range(9), range(8))
+        if max(a, b) >= 2 and 44 - 5 * a - 6 * b in movable
+    ]
 
 
 # ---------------------------------------------------------------------------

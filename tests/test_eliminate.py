@@ -305,23 +305,33 @@ def test_budget_thresholds_match_fraction_oracle(candidates_equal, candidates_q4
     assert outcomes == {Undetermined, CurveConfig}
 
 
-def test_leaf_degree_classification_runs_once(monkeypatch):
-    """The C+ routes share one candidate-free leaf-degree classification:
-    one _nonreduced_excesses call per leaf degree g in [22, 60) other than
-    44 and one for g = 44, however many C+ rows run."""
-    calls = []
-    nonreduced = eliminate._nonreduced_excesses
-
-    def counting(g, movable):
-        calls.append(g)
-        return nonreduced(g, movable)
-
-    monkeypatch.setattr(eliminate, "_nonreduced_excesses", counting)
-    eliminate._leaf_degree_classification.cache_clear()
+def test_leaf_degree_classification_runs_once():
+    """The C+ routes share one candidate-free leaf-degree classification,
+    built once however many C+ rows run: every C+ certificate holds the
+    builder's step objects themselves, the two before the foliation window
+    and the six after it."""
+    eliminate._leaf_degree_steps.cache_clear()
+    before, after = eliminate._leaf_degree_steps()
     for cid in sorted(GROUP_C_PLUS):
-        assert eliminate_group_c_plus(cid, candidate_for_case(cid)).eliminated, cid
-    assert eliminate._leaf_degree_classification.cache_info().misses == 1
-    assert sorted(calls) == list(range(22, 60))
+        verdict = eliminate_group_c_plus(cid, candidate_for_case(cid))
+        assert verdict.eliminated, cid
+        steps = verdict.certificate.steps
+        assert len(steps) == 14, cid
+        assert all(s is t for s, t in zip(steps[4:6] + steps[7:13], before + after, strict=True))
+    assert eliminate._leaf_degree_steps.cache_info().misses == 1
+
+
+def test_leaf_degree_tree_checks_its_facts(monkeypatch):
+    """A movable set other than {0, 22, 30, 33} breaks the decision tree:
+    with 12 movable, g = 56 has a generator-free non-reduced member.  The
+    builder raises instead of letting a C+ route stall."""
+    eliminate._leaf_degree_steps.cache_clear()
+    monkeypatch.setattr(eliminate, "movable_thresholds", lambda h0: {0, 12, 22, 30, 33})
+    try:
+        with pytest.raises(InvariantViolation, match=r"leaf degrees \[56\]"):
+            eliminate_group_c_plus(3, candidate_for_case(3))
+    finally:
+        eliminate._leaf_degree_steps.cache_clear()
 
 
 def test_determine_curves_trivial_j_a():
@@ -555,9 +565,11 @@ def test_decompose():
 def test_nonreduced_excess_counts_only_present_generators():
     """At g = 44 a writing 5a + 6b + rest with a or b zero has no excess on
     the absent generator: on the movable set {0, 22, 30, 32, 33}, (a, b) =
-    (0, 2) with rest 32 has excess 6, and (2, 2) and (4, 4) have 11 and 33."""
-    shapes = eliminate._nonreduced_excesses(44, {0, 22, 30, 32, 33})
+    (0, 2) with rest 32 has excess 6, and (2, 2) and (4, 4) have 11 and 33;
+    on {0, 34}, (2, 0) with rest 34 has excess 5."""
+    shapes = eliminate._nonreduced_excesses({0, 22, 30, 32, 33})
     assert shapes == [(22, False), (6, True), (11, True), (33, True)]
+    assert eliminate._nonreduced_excesses({0, 34}) == [(22, False), (5, True), (33, True)]
 
 
 def _group_c_delta(cid):
@@ -651,6 +663,16 @@ def test_case_24_grid_off_the_table(candidates_q40):
             ], c
             reached += 1
     assert reached == 14
+
+
+def test_case_24_y3_cap_off_the_table():
+    """Row 24 with its budget raised by 4 keeps the grid {(10, 1)} but
+    leaves room for a second A_2 curve once x_A1 = 10 and one A_3 curve
+    are paid: the cap reads y3 <= 2 and the script stalls."""
+    c = candidate_for_case(24)
+    texts = _step_texts(eliminate._case_24, c._replace(nabla=c.nabla + 4))
+    assert texts[-3].endswith("leaves (x_A1, y4) in [(10, 1)]")
+    assert texts[-2:] == ["budget then forces y3 = 1 (y3 <= 2)", "y3 not pinned"]
 
 
 FOLIATION_P_MIN = {3: 66, 6: 71, 11: 64, 13: 61, 21: 57, 22: 68}
