@@ -66,7 +66,6 @@ from .rr import (
     demand_units,
     h0_integral_values,
     h0_s_part,
-    h0_sA,
     orbifold_columns,
     residue_term_builder,
     suffix_reach,
@@ -534,6 +533,7 @@ def _case_24(c, cert) -> None:
     cert.mechanical(
         f"budget bounds: x_A1 <= {x_max} and y4 <= {y4_max}", "narrowed"
     )
+    _expect(y4_max >= 1, "the budget cannot pay for one A_2 and one A_3 curve")
 
     # r' = 9, s odd: the A_2 term and the order-3 points drop, leaving
     # s^2/40 - 3 x/20 - 9 y4/8 - 9 a(5-a)/10, which must be integral.  x_A1
@@ -564,7 +564,7 @@ def _case_24(c, cert) -> None:
     _expect(y3_max == 1, "y3 not pinned")
 
     # full h^0 formula with one A_2 and one A_3 curve of degree 5 and x_A1 = 10,
-    # over every choice of local indices at the basket points
+    # over every choice of residues at the basket points
     cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4, 1)), x_A1=x_a1)
     expected = {2: 1, 3: 1, 6: 1, 30: 4, 31: 3}
     computed = _h0_value_sets(c, cfg, expected)
@@ -583,9 +583,9 @@ def _case_24(c, cert) -> None:
 
 
 def _h0_value_sets(c: Candidate, cfg: CurveConfig, s_values) -> dict:
-    """s -> every integral value of h^0(sA) over all local-index tuples,
-    read by ``h0_integral_values`` over the ``column_sums`` of the basket's
-    ``orbifold_columns``."""
+    """s -> every integral value of h^0(sA) over all residue tuples at the
+    basket points, read by ``h0_integral_values`` over the ``column_sums``
+    of the basket's ``orbifold_columns``."""
     numerators = column_sums(orbifold_columns(c.basket))
     minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
     return {
@@ -747,10 +747,10 @@ def _group_c_s_part(s: int) -> int:
 
 def group_c_closed_form(s: int) -> int:
     """Shared h^0(sA) of every Group C candidate, 0 < s < 66: the local
-    index of sA is s at every basket point."""
-    if not 0 < s < 66:
-        raise ValueError(f"need 0 < s < 66, got {s}")
-    numerator = sum(col[s % len(col)] for col in _GROUP_C_COLUMNS)
+    index of sA is s at every basket point, so a point (r, b) reads its
+    column at the residue s b mod r.  ``h0_s_part`` raises ValueError for
+    any other s."""
+    numerator = sum(col[s * b % r] for col, (r, b) in zip(_GROUP_C_COLUMNS, _GROUP_C_BASKET))
     [val] = h0_integral_values(_group_c_s_part(s), _GROUP_C_BASKET.r_x, [numerator])
     if val is None:
         raise InvariantViolation(f"closed form not integral at s={s}")
@@ -763,19 +763,16 @@ def _group_c_shared_steps():
     derivation: ``(even, odd, residual, steps)``, the two steps as frozen
     ``CertStep``s shared by every Group C certificate.  The even step's 330
     orbifold numerators are the ``column_sums`` of the ``orbifold_columns``,
-    and the odd step's 165 differences those of per-point column differences.
+    and the odd step's 165 differences those of per-point column differences,
+    both in the order of the residue tuples.
     """
     steps = []
 
-    # a point (r, b) with local index i contributes F_r(i b)
+    residues = iproduct(*(range(r) for r in _GROUP_C_BASKET.R))
     values = h0_integral_values(
         _group_c_s_part(2), _GROUP_C_BASKET.r_x, column_sums(_GROUP_C_COLUMNS)
     )
-    sols = {
-        (tuple(i * b % r for i, (r, b) in zip(idx, _GROUP_C_BASKET)), v)
-        for idx, v in zip(iproduct(*(range(r) for r in _GROUP_C_BASKET.R)), values)
-        if v is not None
-    }
+    sols = {(y, v) for y, v in zip(residues, values) if v is not None}
     even = {r: sorted({x[k] for x, _ in sols}) for k, r in enumerate(_GROUP_C_BASKET.R)}
     h0_2a_vals = {v for _, v in sols}
     steps.append(
@@ -793,11 +790,11 @@ def _group_c_shared_steps():
     # canonical sign choice: 0, 2, 4, 4; the half-point residue stays 0.
     # h^0(A) - h^0(3A) is the difference of the s-parts minus the
     # difference of the orbifold numerators over 2 r_X: one column of
-    # differences per odd-order point (r, b), whose residue y is at index y/b.
-    differences = []
-    for col, (r, b), shift in zip(_GROUP_C_COLUMNS[1:], _GROUP_C_BASKET.points[1:], (2, 4, 4)):
-        at = [col[y * pow(b, -1, r) % r] for y in range(r)]
-        differences.append([at[y] - at[(y + shift) % r] for y in range(r)])
+    # differences per odd-order point
+    differences = [
+        [col[y] - col[(y + shift) % len(col)] for y in range(len(col))]
+        for col, shift in zip(_GROUP_C_COLUMNS[1:], (2, 4, 4))
+    ]
     odd_residues = list(iproduct(range(3), range(5), range(11)))
     values = h0_integral_values(
         _group_c_s_part(1) - _group_c_s_part(3), _GROUP_C_BASKET.r_x, column_sums(differences)
@@ -816,8 +813,9 @@ def _group_c_shared_steps():
         raise InvariantViolation(f"unexpected odd-correction residues {odd}")
 
     # h^0(A) = 0 forces x_A1/(4 r_X) + F_2(y_2) = 1/4; the residual is h^0(A)
-    # with the odd corrections above (local index 1) and none at the half-point
-    residual = h0_sA(66, _GROUP_C_A2MK, _NO_CURVES, _GROUP_C_BASKET, (0, 1, 1, 1), 1)
+    # at the odd residues above and residue 0 at the half-point
+    numerator = sum(col[y] for col, y in zip(_GROUP_C_COLUMNS, (0, *(y for [y] in odd.values()))))
+    residual = Fraction(_group_c_s_part(1) - numerator, 2 * _GROUP_C_BASKET.r_x)
     if residual != Fraction(1, 4):
         raise InvariantViolation(f"h^0(A) residual is {residual}, not 1/4")
     return even, odd, residual, tuple(steps)

@@ -5,13 +5,14 @@ evaluator, the slack functional ``nabla`` that budgets total crepant-curve
 degree, and the translation of integrality constraints into finite residue
 systems.
 
-``h0_sA`` is the one h^0 formula: the s-part (volume, curve and A_1-aggregate
-terms, which depend on s alone) minus the orbifold corrections
-``h0_orbifold_numerator``, an integer over 2 r_X that sums one term per
-basket point.  ``h0_s_part`` gives the s-part as an integer numerator over
-the same 2 r_X, ``orbifold_columns`` each point's term at each local index,
-and ``column_sums`` adds the columns over their index product, so a table
-over many local-index tuples costs one integer addition per tuple and one
+``h0_s_part`` and ``orbifold_columns`` are the one h^0 formula, both as
+integer numerators over 2 r_X: h^0(sA) is the s-part (volume, curve and
+A_1-aggregate terms, which depend on s alone) minus one orbifold term per
+basket point.  A point (r, b) at local index i contributes its term at the
+residue y = i b mod r, and ``orbifold_columns`` lists each point's term at
+every residue, as the residue systems index their point unknowns.
+``column_sums`` adds the columns over their residue product, so a table
+over many residue tuples costs one integer addition per tuple and one
 integer s-part per s; ``h0_integral_values`` reads integrality and the
 value from one integer compare per tuple.
 
@@ -42,9 +43,7 @@ __all__ = [
     "CurveConfig",
     "UnknownTerm",
     "ResidueConstraintSystem",
-    "h0_sA",
     "h0_s_part",
-    "h0_orbifold_numerator",
     "orbifold_columns",
     "column_sums",
     "h0_integral_values",
@@ -101,28 +100,23 @@ class CurveConfig(Frozen):
 
 
 def h0_s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> int | None:
-    """The part of h^0(sA) that does not depend on the local indices --
-    s^2/2 (-A^2.K) + 2 plus the crepant-curve and A_1-aggregate corrections
-    -- as an integer numerator over 2 r_X, the denominator of
-    ``h0_orbifold_numerator``.  None when 2 r_X times the s-part is not an
-    integer: then h^0(sA) is integral at no local indices.
+    """The part of h^0(sA) that does not depend on the residues at the
+    basket points -- s^2/2 (-A^2.K) + 2 plus the crepant-curve and
+    A_1-aggregate corrections -- as an integer numerator over 2 r_X, the
+    denominator of ``orbifold_columns``.  2 r_X times the s-part is the
+    volume term s^2 r_X (-A^2.K), 4 r_X, and -deg * sigma_numerator(s u, j)
+    / j per curve (-x_A1 sigma_numerator(s, 2) / 2 for the aggregate).
+    None when that is not an integer: then h^0(sA) is integral at no
+    residues.
 
     Valid for 0 < s < q; needs concrete curve units and a concrete x_A1.
     """
-    num, den = _s_part(q, A2mK, cfg, B, s)
-    return None if num % den else num // den
-
-
-def _s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> tuple:
-    """``(num, den)`` with 2 r_X times the s-part equal to num / den: the
-    volume term s^2 r_X (-A^2.K), 4 r_X, and -deg * sigma_numerator(s u, j)
-    / j per curve (-x_A1 sigma_numerator(s, 2) / 2 for the aggregate)."""
     if not 0 < s < q:
         raise ValueError(f"need 0 < s < q, got s={s}, q={q}")
     if cfg.x_A1 is None:
-        raise ValueError("h0_sA needs a concrete x_A1")
+        raise ValueError("h^0 needs a concrete x_A1")
     if any(c.generator_unit is None for c in cfg.curves):
-        raise ValueError("h0_sA needs concrete generator units")
+        raise ValueError("h^0 needs concrete generator units")
     r_x = B.r_x
     n, d = A2mK.numerator, A2mK.denominator
     den = lcm(d, 2, *(c.j for c in cfg.curves))
@@ -130,14 +124,15 @@ def _s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> tuple:
     for c in cfg.curves:
         num -= c.degree_rXKC * sigma_numerator(s * c.generator_unit, c.j) * (den // c.j)
     num -= cfg.x_A1 * sigma_numerator(s, 2) * (den // 2)
-    return num, den
+    return None if num % den else num // den
 
 
 def orbifold_columns(B: Basket) -> list:
     """One column per basket point, in basket order: the point's orbifold
-    term sigma_numerator(i b, r) * r_X / r at each local index i in [0, r),
-    over the common denominator 2 r_X.  The term has period r in i."""
-    return [[sigma_numerator(i * b, r) * (B.r_x // r) for i in range(r)] for r, b in B]
+    term sigma_numerator(y, r) * r_X / r at each residue y in [0, r), over
+    the common denominator 2 r_X.  A point (r, b) at local index i reads
+    its column at y = i b mod r; the columns depend on r and r_X alone."""
+    return [[sigma_numerator(y, r) * (B.r_x // r) for y in range(r)] for r in B.R]
 
 
 def column_sums(cols) -> list:
@@ -149,27 +144,6 @@ def column_sums(cols) -> list:
     for col in cols[1:]:
         sums = [a + t for a in sums for t in col]
     return sums
-
-
-def h0_orbifold_numerator(B: Basket, idx) -> int:
-    """The orbifold corrections of h^0 at local indices ``idx`` (one per
-    basket point, in basket order) over the common denominator 2 r_X: the
-    sum of each point's ``orbifold_columns`` entry at its index."""
-    return sum(col[i % len(col)] for i, col in zip(idx, orbifold_columns(B), strict=True))
-
-
-def h0_sA(q: int, A2mK, cfg: CurveConfig, B: Basket, idx, s: int) -> Fraction:
-    """Exact h^0(sA) for 0 < s < q, given full local data.
-
-    ``A2mK`` is the exact value -A^2.K, see ``a2mk``; ``idx`` lists the
-    local index i at each basket point, in basket order.  The result is
-    the s-part minus ``h0_orbifold_numerator`` / (2 r_X).  It is an integer
-    whenever the inputs describe a genuine variety, but the function does
-    not assume it.
-    """
-    orbifold = h0_orbifold_numerator(B, idx)
-    num, den = _s_part(q, A2mK, cfg, B, s)
-    return Fraction(num - orbifold * den, 2 * B.r_x * den)
 
 
 def h0_integral_values(part: int | None, r_x: int, numerators) -> list:
@@ -285,8 +259,11 @@ def residue_term_builder(
     Every term is an integer numerator over N = 4 r_X q^2 lcm(j), so the
     tables come out in integers; L is N over the gcd of N and every unknown
     numerator.  The members share the first member's unknown terms: one
-    whose unknowns differ raises InvariantViolation.
+    whose unknowns differ raises InvariantViolation, and an empty family
+    raises ValueError.
     """
+    if not members:
+        raise ValueError("a residue system needs at least one member")
     r_x = B.r_x
     minus_a2k = a2mk(q, rXc13, r_x)
     big_n = 4 * r_x * q * q * lcm(*(c.j for cfg, _ in members for c in cfg.curves))

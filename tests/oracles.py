@@ -11,7 +11,8 @@ residue-first walk.  Three elimination steps are recomputed one system
 or one tuple at a time instead of from shared tables: case 24's (x_A1, y4)
 grid, one residue system per (x_A1, y4, s), and case 27's A_2 degrees, one
 system per y, both under their own Fraction budget caps; and the Group C
-residues from Fraction ``h0_sA`` over the full local-index product.  The
+residues from Fraction h^0 (``h0_fraction``, the s-part minus one
+sigma_pair(i b, r) per point) over the full local-index product.  The
 published A / B / C- / C+ grouping of the 36 rows is here too, as the
 oracle for the engine's fixed route order.
 """
@@ -31,7 +32,6 @@ from fano3.rr import (
     UnknownTerm,
     a2mk,
     curve_cost,
-    h0_sA,
 )
 from fano3.search import EQUAL, Candidate
 
@@ -291,6 +291,14 @@ def h0_s_part_fraction(q, A2mK, cfg, B, s) -> Fraction:
     return val + Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
 
 
+def h0_fraction(q, A2mK, cfg, B, idx, s) -> Fraction:
+    """h^0(sA) in Fractions at local indices ``idx`` (one per basket point,
+    in basket order): ``h0_s_part_fraction`` minus sigma_pair(i b, r) per
+    point (r, b) at local index i."""
+    orbifold = sum((sigma_pair(i * b, r) for i, (r, b) in zip(idx, B, strict=True)), Fraction(0))
+    return h0_s_part_fraction(q, A2mK, cfg, B, s) - orbifold
+
+
 def foliation_p_min_fraction(c: Candidate, delta: Fraction) -> int:
     """The least p in (2q/3, q) with r_Xc2c1 - r_Xc1^3 / km(p) >= delta,
     scanned in Fractions, where km(p) = 4q^2 / (-4p^2 + 6pq - q^2) is the
@@ -348,7 +356,7 @@ def case_27_ys(c: Candidate) -> tuple:
 
 def group_c_residues():
     """(even, odd, residual) of the Group C derivation, from Fraction
-    ``h0_sA`` on the basket of P(5,6,22,33) at every local-index tuple.
+    ``h0_fraction`` on the basket of P(5,6,22,33) at every local-index tuple.
 
     even: per point order, the residues i b mod r of the tuples where
     h^0(2A) is integral.  odd: per odd point order, the residues y where
@@ -360,7 +368,7 @@ def group_c_residues():
     minus_a2k = a2mk(66, 4356, lcm(*B.R))
 
     def h0(idx, s):
-        return h0_sA(66, minus_a2k, CurveConfig(), B, idx, s)
+        return h0_fraction(66, minus_a2k, CurveConfig(), B, idx, s)
 
     def index(residues):
         return tuple(y * pow(b, -1, r) % r for y, (r, b) in zip(residues, B))

@@ -675,6 +675,19 @@ def test_case_24_y3_cap_off_the_table():
     assert texts[-2:] == ["budget then forces y3 = 1 (y3 <= 2)", "y3 not pinned"]
 
 
+def test_case_24_stalls_when_the_forced_curves_overshoot():
+    """With nabla = 25, one A_2 (40/3) and one A_3 (75/4) each fit the
+    budget but not together: the y4 cap reads 0 and the script stalls
+    before it builds a residue system over an empty (y4, s) family."""
+    c = candidate_for_case(24)._replace(nabla=Fraction(25))
+    texts = _step_texts(eliminate._case_24, c)
+    assert texts[-2].endswith("y4 <= 0")
+    assert texts[-1] == "the budget cannot pay for one A_2 and one A_3 curve"
+    assert not eliminate_candidate(24, c).eliminated
+    with pytest.raises(ValueError, match="at least one member"):
+        residue_term_builder(c.q, c.rXc13, c.basket, [], r_prime=9)
+
+
 FOLIATION_P_MIN = {3: 66, 6: 71, 11: 64, 13: 61, 21: 57, 22: 68}
 
 DELTA_FORMULAS = {
@@ -746,6 +759,29 @@ def test_group_c_plus_eliminated_with_cited_steps():
             s.citation for s in verdict.certificate.steps if s.kind == CITED_LEMMA
         }
         assert cited == expected_axioms, cid
+
+
+def test_group_c_plus_stall_guards(monkeypatch):
+    """Row 3 moved to q = 60 and q = 59 on the Group C list, with the
+    foliation index p_min set by hand.  At q = 60, p_min = 50 sits on the
+    window's edge 6 p = 5 q, p_min = 51 passes it but its leaf square
+    156060/19800 stays below 8, and p_min = 52 is eliminated.  At q = 59,
+    p_min = 51 clears 8 by 300/19470, less than one unit of the 330."""
+    outcomes = {}
+    for q, p_min in ((60, 50), (60, 51), (60, 52), (59, 51)):
+        c = candidate_for_case(3)._replace(q=q)
+        monkeypatch.setattr(eliminate, "GROUP_C_KEYS", GROUP_C_KEYS | {c.key})
+        monkeypatch.setattr(eliminate, "foliation_bounds", lambda c, delta: p_min)
+        verdict = eliminate_group_c_plus(3, c)
+        outcomes[q, p_min] = (verdict.eliminated, verdict.certificate.steps[-1].description)
+    assert outcomes[60, 50] == (False, "index window outside the decision tree's reach")
+    assert outcomes[60, 51] == (False, "leaf square 156060/19800 does not exceed 8")
+    for key, worst in (((60, 52), "162240/19800"), ((59, 51), "156060/19470")):
+        eliminated, text = outcomes[key]
+        assert eliminated
+        assert text.startswith(
+            f"for every feasible p the leaf square 60 p^2/(330 q) >= {worst} > 8"
+        )
 
 
 def test_tampered_candidate_flags_not_crashes():

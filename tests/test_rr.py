@@ -19,9 +19,7 @@ from fano3.rr import (
     curve_degrees,
     demand_units,
     h0_integral_values,
-    h0_orbifold_numerator,
     h0_s_part,
-    h0_sA,
     nabla,
     nabla_units,
     orbifold_columns,
@@ -31,7 +29,7 @@ from fano3.rr import (
 
 from fano3.tables import TABLE_MAIN
 
-from oracles import c_curve, c_orbifold, h0_s_part_fraction, nabla_fraction
+from oracles import c_curve, c_orbifold, h0_fraction, h0_s_part_fraction, nabla_fraction
 
 
 def test_c_orbifold_periodicity():
@@ -87,11 +85,11 @@ def test_h0_sA_matches_term_by_term_sum():
         expected += Fraction(cfg.x_A1, r_x) * c_curve(2, 1, s)
         for i, (r, b) in zip(idx, B):
             expected -= sigma_pair(i * b, r)
-        assert h0_sA(q, a2mk_value, cfg, B, idx, s) == expected
-        # the split kernels: the integer s-part minus the orbifold numerator,
-        # both over 2 r_X; no s-part when 2 r_X times it is not an integer
+        # the integer s-part minus the orbifold columns read at the residues
+        # i b mod r, both over 2 r_X; no s-part when 2 r_X times it is not
+        # an integer
         part = h0_s_part(q, a2mk_value, cfg, B, s)
-        numerator = h0_orbifold_numerator(B, idx)
+        numerator = sum(col[i * b % r] for col, i, (r, b) in zip(orbifold_columns(B), idx, B))
         if part is not None:
             assert Fraction(part - numerator, 2 * r_x) == expected
         want = expected.numerator if expected.denominator == 1 else None
@@ -118,6 +116,23 @@ def test_integer_s_part_matches_fraction_oracle():
             assert h0_s_part(c.q, minus_a2k, cfg, c.basket, s) == want, (r.no, cfg, s)
             checked += want is not None
     assert checked > 0
+    # integral inputs whose common denominator lcm(d, 2, j) exceeds the
+    # denominator d of -A^2.K, which no table row has: d odd and dividing
+    # s^2 r_X, curve degrees multiples of j, x_A1 even
+    rng = random.Random(3301)
+    B = Basket([(3, 1), (5, 2)])
+    for _ in range(200):
+        s = rng.randint(1, 69)
+        d = rng.choice([k for k in range(1, 100, 2) if s * s * B.r_x % k == 0])
+        curves = []
+        for j in rng.sample(range(3, 9), rng.randint(0, 2)):
+            unit = rng.choice([u for u in range(1, j) if gcd(u, j) == 1])
+            curves.append(CrepantCurve(j, j * rng.randint(1, 9), unit))
+        cfg = CurveConfig(tuple(curves), x_A1=2 * rng.randint(0, 9))
+        minus_a2k = Fraction(rng.randint(1, 500) * d + 1, d)
+        top = 2 * B.r_x * h0_s_part_fraction(70, minus_a2k, cfg, B, s)
+        assert top.denominator == 1
+        assert h0_s_part(70, minus_a2k, cfg, B, s) == top.numerator, (cfg, s, minus_a2k)
 
 
 def _random_basket(rng):
@@ -139,14 +154,13 @@ def test_column_sums_match_per_tuple_numerators():
         r_x = lcm(*B.R)
         cols = orbifold_columns(B)
         assert [len(col) for col in cols] == list(B.R)
-        local = list(product(*(range(r) for r in B.R)))
-        sums = column_sums(cols)
-        assert sums == [h0_orbifold_numerator(B, idx) for idx in local]
-        # and against the terms written out one point at a time
-        assert sums == [
-            sum(sigma_numerator(i * b, r) * (r_x // r) for i, (r, b) in zip(idx, B))
-            for idx in local
+        residues = list(product(*(range(r) for r in B.R)))
+        # against the terms written out one point at a time, by residue
+        assert column_sums(cols) == [
+            sum(sigma_numerator(y, r) * (r_x // r) for y, r in zip(ys, B.R)) for ys in residues
         ]
+    # the columns read R and r_X, not b
+    assert orbifold_columns(Basket([(5, 1), (7, 1)])) == orbifold_columns(Basket([(5, 2), (7, 3)]))
     assert column_sums([]) == [0]
 
 
@@ -160,14 +174,8 @@ def test_case_24_integer_h0_table_matches_h0_sA():
     s_values = (2, 3, 6, 30, 31)
     tables = _h0_value_sets(c, cfg, s_values)
     for s in s_values:
-        values = (h0_sA(c.q, minus_a2k, cfg, c.basket, idx, s) for idx in local)
+        values = (h0_fraction(c.q, minus_a2k, cfg, c.basket, idx, s) for idx in local)
         assert tables[s] == {int(v) for v in values if v.denominator == 1}, s
-
-
-def test_h0_sA_needs_one_index_per_point():
-    B = Basket([(2, 1), (3, 1)])
-    with pytest.raises(ValueError):
-        h0_sA(66, Fraction(1, 66), CurveConfig(), B, (1,), 1)
 
 
 def test_nabla():
