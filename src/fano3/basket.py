@@ -27,6 +27,7 @@ __all__ = [
     "enumerate_R",
     "enumerate_R_c2c1",
     "point_classes",
+    "reach_offsets",
     "basket_points",
     "enumerate_baskets",
     "rr_fano_integral",
@@ -134,6 +135,29 @@ def point_classes(r: int, m: int) -> dict:
         key = sum(sigma_numerator(b, r) for b in bs) % (2 * r)
         classes[key] = classes.get(key, ()) + (tuple((r, b) for b in bs),)
     return classes
+
+
+@lru_cache(maxsize=32)
+def reach_offsets(R: tuple) -> frozenset:
+    """The offsets sum (r_X/r) b(r-b) mod 2 r_X that the baskets over the
+    sorted multiset R reach, r_X = lcm(R): the prefix R[:-1]'s offsets,
+    lifted by r_X / lcm(R[:-1]), plus the single-point keys b(r-b) mod 2r of
+    r = R[-1], scaled by r_X/r.  ``enumerate_R`` lists R depth first, so the
+    prefix is almost always among the few entries cached."""
+    if not R:
+        return frozenset((0,))
+    prefix, r = R[:-1], R[-1]
+    r_p = lcm(*prefix)
+    r_x = lcm(r_p, r)
+    lift, scale = r_x // r_p, r_x // r
+    keys = [scale * key for key in _point_keys(r)]
+    return frozenset((lift * s + k) % (2 * r_x) for s in reach_offsets(prefix) for k in keys)
+
+
+@lru_cache(maxsize=None)
+def _point_keys(r: int) -> tuple:
+    """The distinct b(r-b) mod 2r over the points (r, b) of index r."""
+    return tuple({sigma_numerator(b, r) % (2 * r) for b in range(1, r // 2 + 1) if gcd(b, r) == 1})
 
 
 def basket_points(R):

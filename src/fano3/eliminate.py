@@ -530,10 +530,11 @@ def _case_24(c, cert) -> None:
     )
     x_max = int(_room(c, ((3, lb3), (4, lb4)), 2))
     y4_max = int(_room(c, ((3, lb3),), 4, lb4))
+    # y4_max >= 1 leaves the pair's demand paid, so neither cap is negative
+    _expect(y4_max >= 1, "the budget cannot pay for one A_2 and one A_3 curve")
     cert.mechanical(
         f"budget bounds: x_A1 <= {x_max} and y4 <= {y4_max}", "narrowed"
     )
-    _expect(y4_max >= 1, "the budget cannot pay for one A_2 and one A_3 curve")
 
     # r' = 9, s odd: the A_2 term and the order-3 points drop, leaving
     # s^2/40 - 3 x/20 - 9 y4/8 - 9 a(5-a)/10, which must be integral.  x_A1

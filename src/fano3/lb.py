@@ -14,7 +14,7 @@ from functools import lru_cache
 from .arith import Frozen, factorize, indicator
 from .basket import rX_c2c1
 
-__all__ = ["LBContext", "f_p", "lb", "SMALL_PRIMES"]
+__all__ = ["LBContext", "f_p", "lb", "lb_of", "SMALL_PRIMES"]
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -116,13 +116,25 @@ def _f2(ctx: LBContext, N: int) -> int:
     return 1
 
 
-@lru_cache(maxsize=None)
+# the search walk asks for one R at a time
+_last_context = lru_cache(maxsize=1)(LBContext)
+
+
 def lb(ctx: LBContext, N: int) -> int:
-    """The degree lower bound LB(N) = product of the per-prime factors;
-    cached, since it depends only on R and N.  Only the primes dividing
-    some r in R enter: f_p is 1 for every other prime."""
+    """The degree lower bound LB(N) = product of the per-prime factors,
+    read through ``lb_of``, since it depends only on R and N."""
+    return lb_of(ctx.R, N)
+
+
+@lru_cache(maxsize=None)
+def lb_of(R: tuple, N: int) -> int:
+    """LB(N) for the sorted multiset R, cached per (R, N): the one kernel
+    behind ``lb``, which the search walk reads with no LBContext per call.
+    Only the primes dividing some r in R enter: f_p is 1 for every other
+    prime."""
     if N < 2:
         raise ValueError("N must be at least 2")
+    ctx = _last_context(R)
     out = 1
     for p in {p for p, _ in ctx._counts}:
         out *= f_p(ctx, p, N)

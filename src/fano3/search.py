@@ -2,11 +2,11 @@
 
 Step 1 lists the admissible index multisets R with their r_X c2c1 value;
 Step 2 walks the Riemann-Roch classes of r_Xc1^3 that R reaches, reads off q
-and the codimension-2 Cartier index J_A, and builds baskets for survivors;
-Step 3 attaches degree lower bounds and keeps only candidates whose
-curve-degree budget (nabla) can accommodate the curves forced by the prime
-powers of J_A.  Everything is exact integer arithmetic, and the result is
-independent of the worker count.
+and the codimension-2 Cartier index J_A, charges each triple the curve-degree
+budget (nabla) against the curves forced by the prime powers of J_A, and
+builds baskets for survivors only; Step 3 attaches the degree lower bounds
+and nabla to each and re-checks the budget.  Everything is exact integer
+arithmetic, and the result is independent of the worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .arith import InvariantViolation, prime_powers
 from .basket import Basket, enumerate_baskets, enumerate_R_c2c1
-from .basket import point_classes, rX_c2c1, rr_fano_integral
-from .lb import LBContext, lb
+from .basket import point_classes, reach_offsets, rX_c2c1, rr_fano_integral
+from .lb import LBContext, lb, lb_of
 from .rr import curve_cost, demand_units, nabla, nabla_units
 
 __all__ = [
@@ -90,38 +90,49 @@ def step1(q_min: int):
 
 
 def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
-    """Tuples (basket, q, J_A, rXc13) passing every Step-2 constraint.
+    """Tuples (basket, q, J_A, rXc13) that Step 3 keeps.
 
     A residue-first walk on integer sets.  Riemann-Roch integrality depends
-    on the basket only through its offset sum b(r-b) * r_X/r mod 2 r_X; R
-    reaches the sumset of its groups' offsets (``point_classes``).  Below
-    4 * rXc2c1 (the test inequality) rXc13 runs through the multiples of
-    q_min in a reachable class (equal mode) or every reachable class
-    (greater mode).  A triple stays if the budget pays a degree-1 curve per
-    prime power of J_A (LB >= 1); only then is its class built, as Baskets.
+    on the basket only through its offset sum b(r-b) * r_X/r mod 2 r_X, and
+    R reaches the offsets of ``reach_offsets``.  Below 4 * rXc2c1 (the test
+    inequality) rXc13 runs through every reachable class (greater mode) or,
+    in equal mode, through the multiples of q_min in it: a class c with
+    gcd(q_min, 2 r_X) | c holds one progression of step lcm(q_min, 2 r_X).
+    LB depends only on (R, p^a) and the budget not on the b's, so each
+    triple is charged its real demand once, after the LB >= 1 floor as a
+    prefilter; only a triple that passes has its class built, as Baskets.
     """
     if mode not in (GREATER, EQUAL):
         raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
     r_x = lcm(*R)
     modulus = 2 * r_x
-    # per distinct index r: (offset added, point tuples) for each class
-    groups = [[(r_x // r * key, pts) for key, pts in point_classes(r, R.count(r)).items()]
-              for r in dict.fromkeys(R)]
-    reach = {0}
-    for group in groups:
-        reach = {(s + add) % modulus for s in reach for add, _ in group}
+    reach, top = reach_offsets(R), 4 * rXc2c1
     if mode == EQUAL:
-        walk = [x for x in range(q_min, 4 * rXc2c1, q_min) if x % modulus in reach]
+        g = gcd(q_min, modulus)
+        m = modulus // g
+        inv = pow(q_min // g, -1, m)
+        # the least t >= 1 with q_min * t = c mod 2 r_X
+        starts = [q_min * ((c // g * inv - 1) % m + 1) for c in reach if c % g == 0]
+        step = q_min * m
     else:
         low = q_min + 1
-        walk = [x for c in reach for x in range(low + (c - low) % modulus, 4 * rXc2c1, modulus)]
-    choices, baskets = {}, {}
-    for rXc13 in walk:
-        for q, j_a in _index_pairs(rXc13, q_min, mode):
-            if nabla_units(q, rXc13, rXc2c1) < demand_units(q, _prime_powers(j_a), repeat(1)):
+        starts = [low + (c - low) % modulus for c in reach]
+        step = modulus
+    bounds, choices, baskets = {}, {}, {}
+    for rXc13 in (x for start in starts for x in range(start, top, step)):
+        for q, j_a, pas, floor in _index_pairs(rXc13, q_min, mode):
+            units = nabla_units(q, rXc13, rXc2c1)
+            if units < floor:
+                continue
+            for pa in pas:  # LB(p^a) over R, read once per R
+                if pa not in bounds:
+                    bounds[pa] = lb_of(R, pa)
+            if units < demand_units(q, pas, map(bounds.get, pas)):
                 continue
             offset = rXc13 % modulus
             if not choices:  # first survivor: R's choices of a class per group, by offset
+                groups = [[(r_x // r * key, pts) for key, pts in point_classes(r, R.count(r)).items()]
+                          for r in dict.fromkeys(R)]
                 for choice in product(*groups):
                     choices.setdefault(sum(add for add, _ in choice) % modulus, []).append(choice)
             if offset not in baskets:
@@ -131,19 +142,24 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
                 yield basket, q, j_a, rXc13
 
 
-def _index_pairs(rXc13: int, q_min: int, mode: str):
-    """(q, J_A) with q in the mode's range, J_A | q and q^2 | J_A * rXc13:
-    q divides rXc13 and d = q/J_A divides gcd(q, rXc13/q)."""
-    if mode == EQUAL:
-        cofactors = (rXc13 // q_min,) if rXc13 % q_min == 0 else ()
+@lru_cache(maxsize=None)
+def _index_pairs(rXc13: int, q_min: int, mode: str) -> tuple:
+    """(q, J_A, prime powers of J_A, LB >= 1 floor demand) for each (q, J_A)
+    with q in the mode's range, J_A | q and q^2 | J_A * rXc13: q divides
+    rXc13 and d = q/J_A divides gcd(q, rXc13/q).  Cached, as the greater
+    walk meets most values once for each of many R."""
+    if mode == EQUAL:  # the equal walk holds multiples of q_min only
+        cofactors = (rXc13 // q_min,)
     else:
         cofactors = [k for k in range(1, rXc13 // (q_min + 1) + 1) if rXc13 % k == 0]
+    out = []
     for k in cofactors:
         q = rXc13 // k
         g = gcd(q, k)
-        for d in range(1, g + 1):
-            if g % d == 0:
-                yield q, q // d
+        for j_a in (q // d for d in range(1, g + 1) if g % d == 0):
+            pas = _prime_powers(j_a)
+            out.append((q, j_a, pas, demand_units(q, pas, repeat(1))))
+    return tuple(out)
 
 
 _prime_powers = lru_cache(maxsize=None)(prime_powers)

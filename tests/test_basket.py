@@ -11,6 +11,7 @@ from fano3.basket import (
     enumerate_baskets,
     point_classes,
     r_budget,
+    reach_offsets,
     rX_c2c1,
     rr_fano_integral,
 )
@@ -111,6 +112,30 @@ def test_point_classes_partition_the_b_combinations():
             assert sorted(listed) == sorted(combinations_with_replacement(choices, m))
             assert len(set(listed)) == len(listed)
             m += 1
+
+
+def _sumset_reach(R) -> set:
+    """The offsets mod 2 r_X of every basket over R, as the sumset of the
+    ``point_classes`` keys of its groups, each scaled by r_X/r."""
+    r_x = lcm(*R)
+    reach = {0}
+    for r in dict.fromkeys(R):
+        keys = [r_x // r * key for key in point_classes(r, R.count(r))]
+        reach = {(s + k) % (2 * r_x) for s in reach for k in keys}
+    return reach
+
+
+def test_prefix_reach_matches_point_class_sumset():
+    """``reach_offsets`` builds each R from its prefix, lifted to the new
+    r_X, plus one point; it equals the sumset over R's groups for every
+    admissible R, in enumeration order (prefixes cached) and in reverse
+    order with a cleared cache (prefixes rebuilt)."""
+    every_R = list(enumerate_R())
+    reach_offsets.cache_clear()
+    for order in (every_R, every_R[::-1]):
+        for R in order:
+            assert reach_offsets(R) == _sumset_reach(R), R
+        reach_offsets.cache_clear()
 
 
 def test_basket_budget_enforced():

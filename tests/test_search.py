@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from fano3.arith import InvariantViolation
-from fano3.basket import Basket
+from fano3.basket import Basket, rX_c2c1
 from fano3 import search
 from fano3.eliminate import candidate_for_case
+from fano3.rr import curve_cost
 from fano3.search import ceil_display, run_search, step1, step2, step3, verify_candidate
 from fano3.tables import TABLE_EQ66, TABLE_MAIN
 
@@ -38,7 +39,7 @@ def test_step1_matches_fraction_oracle(q_min):
 def test_step2_matches_triple_order_oracle():
     """At q_min 66, equal mode, on every Step-1 unit: each tuple the walk
     yields is an oracle tuple, and each oracle tuple that Step 3 keeps is
-    yielded."""
+    yielded.  The walk charges the real demand, so it yields only those."""
     yielded = kept = 0
     for R, c2c1 in step1(66):
         walk = [(b.points, q, j_a, x) for b, q, j_a, x in step2(R, c2c1, 66, "equal")]
@@ -52,7 +53,40 @@ def test_step2_matches_triple_order_oracle():
                 assert key in walk
                 kept += 1
         yielded += len(walk)
-    assert (yielded, kept) == (385, 7)
+    assert (yielded, kept) == (7, 7)
+
+
+def test_greater_walk_yields_only_what_step3_keeps():
+    """At q_min 63, greater mode, every tuple the walk yields survives
+    Step 3: the walk has already charged each triple its real demand."""
+    yielded = 0
+    for R, c2c1 in step1(63):
+        for basket, q, j_a, x in step2(R, c2c1, 63, "greater"):
+            assert step3(basket, q, j_a, x, c2c1) is not None, (basket, q, j_a, x)
+            yielded += 1
+    assert yielded == len(run_search(63, "greater")) > 36
+
+
+@pytest.mark.parametrize(
+    "R, q_min, mode, triple, spent",
+    [
+        ((5,), 83, "greater", (84, 84, 84), False),
+        ((2,) * 10, 6, "equal", (6, 2, 54), True),
+        ((2,) * 8 + (5,), 15, "greater", (16, 4, 192), True),
+    ],
+)
+def test_walk_reaches_its_boundary_triples(R, q_min, mode, triple, spent):
+    """The walk yields the least greater-mode rXc13, q_min + 1, and the
+    triples whose budget the forced curves spend exactly, at the LB >= 1
+    floor (LB(2) = 1) or only with the real LB (LB(4) = 5 over R), since
+    the budget inequality is not strict."""
+    c2c1 = rX_c2c1(R)
+    found = [(b, q, j_a, x) for b, q, j_a, x in step2(R, c2c1, q_min, mode) if (q, j_a, x) == triple]
+    assert found
+    for basket, *key in found:
+        cand = step3(basket, *key, c2c1)
+        demand = sum(map(curve_cost, cand.prime_powers, cand.lb_values))
+        assert (cand.nabla == demand) == spent
 
 
 def test_step3_attaches_budget():
