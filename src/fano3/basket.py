@@ -9,6 +9,10 @@ A point is a plain ``(r, b)`` tuple everywhere in the engine.  ``Basket``
 is the one type that validates such tuples: it holds them sorted, with the
 sorted multiset ``R`` of their indices and the Gorenstein index
 ``r_x`` = lcm(R).
+
+``enumerate_baskets(R)`` is the one basket enumerator; the search walk
+files its output by offset.  ``reach_offsets(R)`` gives the offsets alone,
+with no Basket built, and both read the same ``point_classes`` tables.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ __all__ = [
     "enumerate_R_c2c1",
     "point_classes",
     "reach_offsets",
-    "basket_points",
     "enumerate_baskets",
     "rr_fano_integral",
     "r_budget",
@@ -142,36 +145,26 @@ def reach_offsets(R: tuple) -> frozenset:
     """The offsets sum (r_X/r) b(r-b) mod 2 r_X that the baskets over the
     sorted multiset R reach, r_X = lcm(R): the prefix R[:-1]'s offsets,
     lifted by r_X / lcm(R[:-1]), plus the single-point keys b(r-b) mod 2r of
-    r = R[-1], scaled by r_X/r.  ``enumerate_R`` lists R depth first, so the
-    prefix is almost always among the few entries cached."""
+    r = R[-1] (those of ``point_classes(r, 1)``), scaled by r_X/r.
+    ``enumerate_R`` lists R depth first, so the prefix is almost always
+    among the few entries cached."""
     if not R:
         return frozenset((0,))
     prefix, r = R[:-1], R[-1]
     r_p = lcm(*prefix)
     r_x = lcm(r_p, r)
     lift, scale = r_x // r_p, r_x // r
-    keys = [scale * key for key in _point_keys(r)]
+    keys = [scale * key for key in point_classes(r, 1)]
     return frozenset((lift * s + k) % (2 * r_x) for s in reach_offsets(prefix) for k in keys)
 
 
-@lru_cache(maxsize=None)
-def _point_keys(r: int) -> tuple:
-    """The distinct b(r-b) mod 2r over the points (r, b) of index r."""
-    return tuple({sigma_numerator(b, r) % (2 * r) for b in range(1, r // 2 + 1) if gcd(b, r) == 1})
-
-
-def basket_points(R):
-    """The points ((r, b), ...) of every basket over the multiset R, as
-    plain sorted tuples, deduplicated as multisets; no Basket is built."""
-    R = sorted(R)
-    tables = [point_classes(r, R.count(r)).values() for r in dict.fromkeys(R)]
-    for parts in product(*([p for ps in t for p in ps] for t in tables)):
-        yield sum(parts, ())
-
-
 def enumerate_baskets(R):
-    """All baskets over the multiset R, deduplicated as multisets."""
-    return (Basket(points) for points in basket_points(R))
+    """All baskets over the multiset R, deduplicated as multisets: one
+    point tuple per group of equal indices, from ``point_classes``."""
+    R = sorted(R)
+    tables = [[pts for ps in point_classes(r, R.count(r)).values() for pts in ps] for r in dict.fromkeys(R)]
+    for parts in product(*tables):
+        yield Basket(sum(parts, ()))
 
 
 def rr_fano_integral(B: Basket, c1cubed) -> bool:

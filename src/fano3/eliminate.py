@@ -48,14 +48,14 @@ verdict and the candidate stands.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial, wraps
+from functools import cache, wraps
 from itertools import compress, product as iproduct
 from typing import NamedTuple
 
 from .arith import InvariantViolation, factorize
 from .basket import Basket
 from .certificates import CITED_LEMMA, MECHANICAL, CertStep, EliminationCertificate, Verdict
-from .lb import LBContext, lb
+from .lb import lb_of
 from .rr import (
     CrepantCurve,
     CurveConfig,
@@ -161,13 +161,6 @@ def _completions(sys: ResidueConstraintSystem, positions, constants) -> list:
 # Curve-configuration determination
 # ---------------------------------------------------------------------------
 
-@cache  # the candidate's one LBContext, shared by determine_curves and the scripts
-def _lb_of(c: Candidate):
-    """LB(j) over the candidate's basket indices, as a function of j alone.
-    Elimination reads LB only through it, never from ``c.lb_values``."""
-    return partial(lb, LBContext(c.basket.R))
-
-
 @cache  # one derivation per candidate, which every route only reads
 def determine_curves(c: Candidate):
     """Crepant-curve configuration forced by the degree budget.
@@ -178,7 +171,8 @@ def determine_curves(c: Candidate):
     the configuration is pinned to exactly one curve per prime power
     (plus, possibly, an aggregate of transverse-A_1 curves).  The threshold
     is compared in integers scaled by 4q^2 against the candidate's own
-    nabla; its Fraction is built only for an ``Undetermined`` reason.
+    nabla; its Fraction is built only for an ``Undetermined`` reason.  LB
+    is read through ``lb_of`` over R, never from ``c.lb_values``.
     """
     j_a = c.j_a
     if j_a == 1:
@@ -186,7 +180,7 @@ def determine_curves(c: Candidate):
     if j_a == 2:
         return CurveConfig((), x_A1=None)
 
-    lb_of = _lb_of(c)
+    R = c.basket.R
     factors = factorize(j_a)
     two_part = next((2**e for p, e in factors if p == 2), 1)
     odd_primes = [p for p, _ in factors if p > 2]
@@ -198,14 +192,14 @@ def determine_curves(c: Candidate):
     else:
         # even part 2^a >= 4 contributes its own curve
         orders = [*odd_pps, two_part, min([4] + odd_primes)]
-    threshold = demand_units(c.q, orders, [lb_of(j) for j in orders])
+    threshold = demand_units(c.q, orders, [lb_of(R, j) for j in orders])
     if within_budget(c.nabla, c.q, threshold):
         return Undetermined(
             f"budget {c.nabla} admits more curves than the forced set "
             f"(threshold {Fraction(threshold, 4 * c.q * c.q)})"
         )
     forced = sorted(odd_pps + [two_part]) if two_part > 2 else odd_pps
-    curves = tuple(CrepantCurve(j, lb_of(j)) for j in forced)
+    curves = tuple(CrepantCurve(j, lb_of(R, j)) for j in forced)
     return CurveConfig(curves, x_A1=0 if two_part == 1 else None)
 
 
@@ -348,8 +342,7 @@ def run_group_b_script(case_id: int, c: Candidate) -> Verdict:
 def _curve_order_bounds(c: Candidate) -> tuple:
     """``(bounds, allowed)``: LB(j) for every curve class order j | J_A, and
     the orders whose minimal degree cost fits the budget."""
-    lb_of = _lb_of(c)
-    bounds = {j: lb_of(j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
+    bounds = {j: lb_of(c.basket.R, j) for j in range(2, c.j_a + 1) if c.j_a % j == 0}
     allowed = tuple(
         j for j, d in bounds.items() if within_budget(c.nabla, c.q, demand_units(c.q, (j,), (d,)))
     )
@@ -568,6 +561,7 @@ def _case_24(c, cert) -> None:
     # over every choice of residues at the basket points
     cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4, 1)), x_A1=x_a1)
     expected = {2: 1, 3: 1, 6: 1, 30: 4, 31: 3}
+    _expect(max(expected) < c.q, f"h^0 degree {max(expected)} is not below q = {c.q}")
     computed = _h0_value_sets(c, cfg, expected)
     cert.mechanical(
         f"h^0 is pinned by integrality alone: {sorted((s, sorted(v)) for s, v in computed.items())}",

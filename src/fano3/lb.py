@@ -129,7 +129,7 @@ def lb(ctx: LBContext, N: int) -> int:
 @lru_cache(maxsize=None)
 def lb_of(R: tuple, N: int) -> int:
     """LB(N) for the sorted multiset R, cached per (R, N): the one kernel
-    behind ``lb``, which the search walk reads with no LBContext per call.
+    behind ``lb``, which the search walk and elimination read directly.
     Only the primes dividing some r in R enter: f_p is 1 for every other
     prime."""
     if N < 2:

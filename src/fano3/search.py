@@ -14,13 +14,13 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import InvariantViolation, prime_powers
+from .arith import InvariantViolation, prime_powers, sigma_numerator
 from .basket import Basket, enumerate_baskets, enumerate_R_c2c1
-from .basket import point_classes, reach_offsets, rX_c2c1, rr_fano_integral
+from .basket import reach_offsets, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb, lb_of
 from .rr import curve_cost, demand_units, nabla, nabla_units
 
@@ -32,7 +32,6 @@ __all__ = [
     "run_search",
     "verify_candidate",
     "ceil_display",
-    # not called here; perfbench/tracing.py shims it at this module
     "enumerate_baskets",
 ]
 
@@ -100,7 +99,8 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
     gcd(q_min, 2 r_X) | c holds one progression of step lcm(q_min, 2 r_X).
     LB depends only on (R, p^a) and the budget not on the b's, so each
     triple is charged its real demand once, after the LB >= 1 floor as a
-    prefilter; only a triple that passes has its class built, as Baskets.
+    prefilter.  R's first triple that passes files ``enumerate_baskets(R)``
+    by offset, and each triple that passes yields its class's Baskets.
     """
     if mode not in (GREATER, EQUAL):
         raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
@@ -118,7 +118,7 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
         low = q_min + 1
         starts = [low + (c - low) % modulus for c in reach]
         step = modulus
-    bounds, choices, baskets = {}, {}, {}
+    bounds, baskets = {}, {}
     for rXc13 in (x for start in starts for x in range(start, top, step)):
         for q, j_a, pas, floor in _index_pairs(rXc13, q_min, mode):
             units = nabla_units(q, rXc13, rXc2c1)
@@ -129,16 +129,11 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
                     bounds[pa] = lb_of(R, pa)
             if units < demand_units(q, pas, map(bounds.get, pas)):
                 continue
-            offset = rXc13 % modulus
-            if not choices:  # first survivor: R's choices of a class per group, by offset
-                groups = [[(r_x // r * key, pts) for key, pts in point_classes(r, R.count(r)).items()]
-                          for r in dict.fromkeys(R)]
-                for choice in product(*groups):
-                    choices.setdefault(sum(add for add, _ in choice) % modulus, []).append(choice)
-            if offset not in baskets:
-                baskets[offset] = [Basket(sum(points, ())) for choice in choices[offset]
-                                   for points in product(*(pts for _, pts in choice))]
-            for basket in baskets[offset]:
+            if not baskets:  # first survivor: R's baskets, filed by offset
+                for basket in enumerate_baskets(R):
+                    offset = sum(r_x // r * sigma_numerator(b, r) for r, b in basket) % modulus
+                    baskets.setdefault(offset, []).append(basket)
+            for basket in baskets[rXc13 % modulus]:
                 yield basket, q, j_a, rXc13
 
 

@@ -90,6 +90,8 @@ def test_enumerate_baskets():
         (((5, 1), (5, 2))),
         (((5, 2), (5, 2))),
     ]
+    # the order of R does not change the order the baskets come in
+    assert list(enumerate_baskets((7, 5))) == list(enumerate_baskets((5, 7)))
 
 
 def test_point_classes_partition_the_b_combinations():

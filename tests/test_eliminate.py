@@ -11,6 +11,7 @@ import pytest
 
 from fano3 import eliminate
 from fano3.arith import InvariantViolation
+from fano3.basket import Basket
 from fano3.certificates import (
     CITED_LEMMA,
     MECHANICAL,
@@ -36,6 +37,7 @@ from fano3.eliminate import (
     movable_thresholds,
     run_group_b_script,
 )
+from fano3.search import step3
 from fano3.rr import (
     CrepantCurve,
     CurveConfig,
@@ -690,6 +692,21 @@ def test_case_24_stalls_when_the_forced_curves_overshoot():
     with pytest.raises(ValueError, match="at least one member"):
         residue_term_builder(c.q, c.rXc13, c.basket, [], r_prime=9)
 
+
+
+def test_case_24_stalls_when_an_h0_degree_reaches_q():
+    """Off the table, {(3,1),(3,1),(3,1),(5,1)} at q = 24 passes case 24's
+    grid and y3 steps, but its h^0 table reads degrees up to 31 >= q, where
+    h^0 = chi no longer holds: the script stalls there instead of raising,
+    and ``eliminate_candidate`` returns a verdict."""
+    c = step3(Basket([(3, 1)] * 3 + [(5, 1)]), 24, 12, 432, 168)
+    texts = _step_texts(eliminate._case_24, c)
+    assert texts[-3:] == [
+        "integrality for D=sA, s in [1, 3], r'=9 leaves (x_A1, y4) in [(10, 1)]",
+        "budget then forces y3 = 1 (y3 <= 1)",
+        "h^0 degree 31 is not below q = 24",
+    ]
+    assert not eliminate_candidate(24, c).eliminated
 
 FOLIATION_P_MIN = {3: 66, 6: 71, 11: 64, 13: 61, 21: 57, 22: 68}
 

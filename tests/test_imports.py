@@ -145,16 +145,17 @@ def test_import_loads_no_dataclass_machinery():
     assert done.stdout.strip() == "[]"
 
 
-def test_eliminate_reads_one_lb_context_and_the_integer_budget():
-    # LB comes from the candidate's one cached LBContext, and every budget
-    # bound from the integer kernel; the Fraction curve_cost is left to
-    # verify_candidate's independent re-check
+def test_eliminate_reads_lb_of_and_the_integer_budget():
+    # LB comes from the one cached kernel lb_of(R, N), with no LBContext or
+    # lb call, and every budget bound from the integer kernel; the Fraction
+    # curve_cost is left to verify_candidate's independent re-check
     tree = ast.parse((PACKAGE / "eliminate.py").read_text())
-    lb_contexts = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "LBContext"
+    calls = [
+        n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
     ]
-    assert (len(lb_contexts), referenced_names(tree)["curve_cost"]) == (1, 0)
+    names = referenced_names(tree)
+    assert (calls.count("LBContext"), calls.count("lb"), names["curve_cost"]) == (0, 0, 0)
+    assert calls.count("lb_of") > 0
 
 
 def test_cli_renders_through_one_writer_per_format():

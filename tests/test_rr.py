@@ -60,7 +60,7 @@ def test_c_curve():
         c_curve(4, 2, 1)
 
 
-def test_h0_sA_matches_term_by_term_sum():
+def test_h0_s_part_matches_term_by_term_sum():
     # oracle: every correction added as its own Fraction
     rng = random.Random(5522)
     baskets = [
@@ -164,7 +164,7 @@ def test_column_sums_match_per_tuple_numerators():
     assert column_sums([]) == [0]
 
 
-def test_case_24_integer_h0_table_matches_h0_sA():
+def test_case_24_integer_h0_table_matches_h0_s_part():
     c = candidate_for_case(24)
     ctx = LBContext(c.basket.R)
     cfg = CurveConfig((CrepantCurve(3, lb(ctx, 3), 1), CrepantCurve(4, lb(ctx, 4), 1)), x_A1=10)

@@ -67,6 +67,26 @@ def test_greater_walk_yields_only_what_step3_keeps():
     assert yielded == len(run_search(63, "greater")) > 36
 
 
+
+def test_walk_builds_baskets_only_through_enumerate_baskets(monkeypatch):
+    """Step 2 files ``search.enumerate_baskets(R)`` by offset on R's first
+    surviving triple: at q_min 66, equal mode, one call per distinct R among
+    the 7 candidates, and every candidate's basket is one it yielded."""
+    calls, built = [], []
+    enumerate_baskets = search.enumerate_baskets
+
+    def counting(R):
+        calls.append(R)
+        for basket in enumerate_baskets(R):
+            built.append(basket)
+            yield basket
+
+    monkeypatch.setattr(search, "enumerate_baskets", counting)
+    found = run_search(66, "equal")
+    assert len(calls) == len(set(calls)) == len({c.basket.R for c in found}) == 7
+    assert all(any(c.basket is b for b in built) for c in found)
+    assert len(built) == 23
+
 @pytest.mark.parametrize(
     "R, q_min, mode, triple, spent",
     [
