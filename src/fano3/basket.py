@@ -10,9 +10,10 @@ is the one type that validates such tuples: it holds them sorted, with the
 sorted multiset ``R`` of their indices and the Gorenstein index
 ``r_x`` = lcm(R).
 
-``enumerate_baskets(R)`` is the one basket enumerator; the search walk
-files its output by offset.  ``reach_offsets(R)`` gives the offsets alone,
-with no Basket built, and both read the same ``point_classes`` tables.
+``orbifold_column(r, r_x)`` is the one writer of a point's orbifold term:
+``rr.orbifold_columns``, the keys of ``point_classes`` and the offsets by
+which the search walk files ``enumerate_baskets(R)``, the one enumerator,
+all read it.  ``reach_offsets(R)`` gives the offsets with no Basket built.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "rX_c2c1",
     "enumerate_R",
     "enumerate_R_c2c1",
+    "orbifold_column",
     "point_classes",
     "reach_offsets",
     "enumerate_baskets",
@@ -128,14 +130,21 @@ def enumerate_R_c2c1():
     yield from rec((), 0, 1, BUDGET * scale)
 
 
+def orbifold_column(r: int, r_x: int) -> list:
+    """2 r_X sigma_pair(y, r) = sigma_numerator(y, r) r_X/r, the orbifold
+    term of a point of index r | r_X over 2 r_X, at each residue y < r."""
+    return [sigma_numerator(y, r) * (r_x // r) for y in range(r)]
+
+
 @lru_cache(maxsize=None)
 def point_classes(r: int, m: int) -> dict:
     """The point tuples ((r, b), ...) of m points of index r, deduplicated
-    as multisets and keyed by sum b(r-b) mod 2r.  Over R with r_X = lcm(R)
-    they add (r_X/r) * key to the offset mod 2 r_X, as (r_X/r) * 2r = 2 r_X."""
-    classes = {}
+    as multisets and keyed by their ``orbifold_column(r, r)`` sum mod 2r.
+    Over R with r_X = lcm(R) they add (r_X/r) * key to the offset mod
+    2 r_X = (r_X/r) * 2r."""
+    classes, col = {}, orbifold_column(r, r)
     for bs in combinations_with_replacement([b for b in range(1, r // 2 + 1) if gcd(b, r) == 1], m):
-        key = sum(sigma_numerator(b, r) for b in bs) % (2 * r)
+        key = sum(col[b] for b in bs) % (2 * r)
         classes[key] = classes.get(key, ()) + (tuple((r, b) for b in bs),)
     return classes
 

@@ -5,12 +5,14 @@ evaluator, the slack functional ``nabla`` that budgets total crepant-curve
 degree, and the translation of integrality constraints into finite residue
 systems.
 
-``h0_s_part`` and ``orbifold_columns`` are the one h^0 formula, both as
-integer numerators over 2 r_X: h^0(sA) is the s-part (volume, curve and
-A_1-aggregate terms, which depend on s alone) minus one orbifold term per
-basket point.  A point (r, b) at local index i contributes its term at the
-residue y = i b mod r, and ``orbifold_columns`` lists each point's term at
-every residue, as the residue systems index their point unknowns.
+``rr_terms`` writes the volume, crepant-curve and A_1-aggregate terms of
+chi(sA) and ``basket.orbifold_column`` a point's orbifold term, once each.
+h^0(sA) is ``h0_s_part`` (those terms plus 2, which depend on s alone)
+minus ``orbifold_columns``, both integer numerators over 2 r_X, and a
+residue system at auxiliary index r' is r' (h^0(sA) - 2) with the
+residues left open.  A point (r, b) at local index i contributes its term
+at the residue y = i b mod r, and ``orbifold_columns`` lists each point's
+term at every residue, as the residue systems index their point unknowns.
 ``column_sums`` adds the columns over their residue product, so a table
 over many residue tuples costs one integer addition per tuple and one
 integer s-part per s; ``h0_integral_values`` reads integrality and the
@@ -32,17 +34,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .arith import Frozen, InvariantViolation, sigma_numerator, sigma_pair
-from .basket import Basket
+from .basket import Basket, orbifold_column
 
 __all__ = [
     "CrepantCurve",
     "CurveConfig",
     "UnknownTerm",
     "ResidueConstraintSystem",
+    "rr_terms",
     "h0_s_part",
     "orbifold_columns",
     "column_sums",
@@ -99,49 +102,63 @@ class CurveConfig(Frozen):
         object.__setattr__(self, "x_A1", x_A1)
 
 
+def rr_terms(A2mK, cfg: CurveConfig, r_x: int, s: int, den: int, r_prime=1, drop=False) -> tuple:
+    """``(known, unknown)``: r' times the volume term s^2/2 (-A^2.K), each
+    curve term -(deg/r_X) sigma_pair(s u, j) and the A_1 term
+    -(x_A1/r_X) sigma_pair(s, 2) of chi(sA), in integer numerators over
+    N = 2 r_X den, den a multiple of lcm(d, 2, j), d = denominator(-A^2.K).
+    ``known`` sums the known terms; an unknown (label, shape, modulus, a)
+    is worth a sigma_numerator(u, j) / N at the unit u of a curve or
+    a x_A1 / N, kept only where not integral.  ``drop`` leaves out a curve
+    term integral at every residue (``_term_integral``)."""
+    big_n = 2 * r_x * den
+    known = r_prime * s * s * r_x * A2mK.numerator * (den // A2mK.denominator)
+    unknown = []
+    for c in cfg.curves:
+        deg = r_prime * c.degree_rXKC  # r_X times the curve's degree at r'
+        if drop and deg % r_x == 0 and _term_integral(c.j, deg // r_x):
+            continue
+        a = -deg * (den // c.j)
+        if c.generator_unit is None:
+            unknown.append((f"A_{c.j - 1} class", "quadratic", c.j, a))
+        else:
+            known += a * sigma_numerator(s * c.generator_unit, c.j)
+    a = -r_prime * sigma_numerator(s, 2) * (den // 2)
+    if cfg.x_A1 is not None:
+        known += a * cfg.x_A1
+    elif a % big_n:
+        unknown.append(("x_A1", "linear", big_n // gcd(a, big_n), a))
+    return known, unknown
+
+
 def h0_s_part(q: int, A2mK, cfg: CurveConfig, B: Basket, s: int) -> int | None:
     """The part of h^0(sA) that does not depend on the residues at the
-    basket points -- s^2/2 (-A^2.K) + 2 plus the crepant-curve and
-    A_1-aggregate corrections -- as an integer numerator over 2 r_X, the
-    denominator of ``orbifold_columns``.  2 r_X times the s-part is the
-    volume term s^2 r_X (-A^2.K), 4 r_X, and -deg * sigma_numerator(s u, j)
-    / j per curve (-x_A1 sigma_numerator(s, 2) / 2 for the aggregate).
-    None when that is not an integer: then h^0(sA) is integral at no
-    residues.
-
-    Valid for 0 < s < q; needs concrete curve units and a concrete x_A1.
-    """
+    basket points -- the ``rr_terms`` plus 2 -- as an integer numerator
+    over 2 r_X, the denominator of ``orbifold_columns``.  None when that
+    is not an integer: then h^0(sA) is integral at no residues.  Valid
+    for 0 < s < q; needs concrete curve units and a concrete x_A1."""
     if not 0 < s < q:
         raise ValueError(f"need 0 < s < q, got s={s}, q={q}")
-    if cfg.x_A1 is None:
-        raise ValueError("h^0 needs a concrete x_A1")
-    if any(c.generator_unit is None for c in cfg.curves):
-        raise ValueError("h^0 needs concrete generator units")
-    r_x = B.r_x
-    n, d = A2mK.numerator, A2mK.denominator
-    den = lcm(d, 2, *(c.j for c in cfg.curves))
-    num = s * s * r_x * n * (den // d) + 4 * r_x * den
-    for c in cfg.curves:
-        num -= c.degree_rXKC * sigma_numerator(s * c.generator_unit, c.j) * (den // c.j)
-    num -= cfg.x_A1 * sigma_numerator(s, 2) * (den // 2)
+    den = lcm(A2mK.denominator, 2, *(c.j for c in cfg.curves))
+    known, unknown = rr_terms(A2mK, cfg, B.r_x, s, den)
+    if unknown or cfg.x_A1 is None:
+        raise ValueError("h^0 needs concrete generator units and a concrete x_A1")
+    num = known + 4 * B.r_x * den
     return None if num % den else num // den
 
 
 def orbifold_columns(B: Basket) -> list:
-    """One column per basket point, in basket order: the point's orbifold
-    term sigma_numerator(y, r) * r_X / r at each residue y in [0, r), over
-    the common denominator 2 r_X.  A point (r, b) at local index i reads
-    its column at y = i b mod r; the columns depend on r and r_X alone."""
-    return [[sigma_numerator(y, r) * (B.r_x // r) for y in range(r)] for r in B.R]
+    """One ``orbifold_column`` per basket point, in basket order, over
+    2 r_X.  A point (r, b) at local index i reads its column at y = i b mod
+    r; the columns depend on r and r_X alone."""
+    return [orbifold_column(r, B.r_x) for r in B.R]
 
 
 def column_sums(cols) -> list:
     """Every sum of one entry per column, in ``itertools.product`` order
     of the entries' positions."""
-    if not cols:
-        return [0]
-    sums = list(cols[0])
-    for col in cols[1:]:
+    sums = [0]
+    for col in cols:
         sums = [a + t for a in sums for t in col]
     return sums
 
@@ -218,10 +235,7 @@ class ResidueConstraintSystem(Frozen):
 
     @property
     def domain_size(self) -> int:
-        size = 1
-        for t in self.unknown_terms:
-            size *= t.modulus
-        return size
+        return prod(t.modulus for t in self.unknown_terms)
 
 
 def suffix_reach(tables, big_l: int) -> list:
@@ -245,51 +259,30 @@ def residue_term_builder(
     """Instantiate the general integrality constraint at the auxiliary
     index r' for each member ``(cfg, s)``: D = sA with crepant curves cfg.
 
-    The constraint says -(r'/2) D^2.K + sum (-r'K.C) c_C(D) - sum of
-    orbifold corrections is an integer; curve and point terms integral for
-    every residue (one rule, ``_term_integral``) are dropped, curves with a
-    known unit and a known nonzero x_A1 join the member's constant, and the
-    rest become unknowns.  An unknown x_A1 becomes a linear unknown unless
-    its coefficient is integral (as for every even s).  A divisor that is
-    Cartier in codimension 2 has no curve corrections; pass a config
-    without curves.  ``drop_curve_terms=False`` keeps curve unknowns even
-    when the vanishing rule applies, so a certificate can exhaust the full
-    published residue domain.
+    The constraint says r' (h^0(sA) - 2) is an integer: the member's
+    ``rr_terms`` at r', over N = 2 r_X den with one den = lcm(d, 2, every
+    j) for the family, minus r' times each orbifold term.  Known terms make
+    the member's constant and the rest become unknowns; a point term
+    integral at every residue (``_term_integral``, the curves' rule too) is
+    dropped.  A divisor that is Cartier in codimension 2 has no curve
+    corrections; pass a config without curves.  ``drop_curve_terms=False``
+    keeps curve unknowns even when the vanishing rule applies, so a
+    certificate can exhaust the full published residue domain.
 
-    Every term is an integer numerator over N = 4 r_X q^2 lcm(j), so the
-    tables come out in integers; L is N over the gcd of N and every unknown
-    numerator.  The members share the first member's unknown terms: one
-    whose unknowns differ raises InvariantViolation, and an empty family
-    raises ValueError.
+    The tables come out in integers; L is N over the gcd of N and every
+    unknown numerator.  The members share the first member's unknown
+    terms: one whose unknowns differ raises InvariantViolation, and an
+    empty family raises ValueError.
     """
     if not members:
         raise ValueError("a residue system needs at least one member")
     r_x = B.r_x
     minus_a2k = a2mk(q, rXc13, r_x)
-    big_n = 4 * r_x * q * q * lcm(*(c.j for cfg, _ in members for c in cfg.curves))
-    volume = big_n // (2 * minus_a2k.denominator) * minus_a2k.numerator * r_prime
-    a1_unit = -r_prime * (big_n // (4 * r_x))  # the x_A1 coefficient at odd s, over N
-
-    # an unknown is (label, shape, modulus, a): its value at residue u is
-    # a * sigma_numerator(u, modulus) / N (quadratic) or a * u / N (linear)
+    den = lcm(minus_a2k.denominator, 2, *(c.j for cfg, _ in members for c in cfg.curves))
+    big_n = 2 * r_x * den
     shared, constants = None, []
     for cfg, s in members:
-        known = volume * s * s
-        unknown = []
-        for c in cfg.curves:
-            deg = r_prime * c.degree_rXKC  # r_X times the curve's degree at r'
-            if drop_curve_terms and deg % r_x == 0 and _term_integral(c.j, deg // r_x):
-                continue
-            a = -deg * (big_n // (2 * c.j * r_x))
-            if c.generator_unit is None:
-                unknown.append((f"A_{c.j - 1} class", "quadratic", c.j, a))
-            else:
-                known += a * sigma_numerator(s * c.generator_unit, c.j)
-        a = a1_unit * sigma_numerator(s, 2)
-        if cfg.x_A1 is not None:
-            known += a * cfg.x_A1
-        elif a % big_n:
-            unknown.append(("x_A1", "linear", big_n // gcd(a, big_n), a))
+        known, unknown = rr_terms(minus_a2k, cfg, r_x, s, den, r_prime, drop_curve_terms)
         if shared is None:
             shared = unknown
         elif unknown != shared:
@@ -327,9 +320,7 @@ def residue_term_builder(
 def _term_integral(j: int, deg: int) -> bool:
     """Whether deg * sigma_pair(a, j) is integral for every residue a: the
     vanishing rule of a curve of type A_{j-1} and of a point of order j."""
-    if j % 2 == 1:
-        return deg % j == 0
-    return deg % (2 * j) == 0
+    return deg % (j if j % 2 else 2 * j) == 0
 
 
 def nabla(q: int, rXc13, rXc2c1) -> Fraction:

@@ -18,8 +18,8 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import InvariantViolation, prime_powers, sigma_numerator
-from .basket import Basket, enumerate_baskets, enumerate_R_c2c1
+from .arith import InvariantViolation, prime_powers
+from .basket import Basket, enumerate_baskets, enumerate_R_c2c1, orbifold_column
 from .basket import reach_offsets, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb, lb_of
 from .rr import curve_cost, demand_units, nabla, nabla_units
@@ -92,11 +92,11 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
     """Tuples (basket, q, J_A, rXc13) that Step 3 keeps.
 
     A residue-first walk on integer sets.  Riemann-Roch integrality depends
-    on the basket only through its offset sum b(r-b) * r_X/r mod 2 r_X, and
-    R reaches the offsets of ``reach_offsets``.  Below 4 * rXc2c1 (the test
-    inequality) rXc13 runs through every reachable class (greater mode) or,
-    in equal mode, through the multiples of q_min in it: a class c with
-    gcd(q_min, 2 r_X) | c holds one progression of step lcm(q_min, 2 r_X).
+    on the basket only through its offset (its ``orbifold_column`` entries
+    summed mod 2 r_X), and R reaches ``reach_offsets``.  Below 4 * rXc2c1
+    (the test inequality) rXc13 runs through every reachable class (greater
+    mode) or, in equal mode, through the multiples of q_min in it: a class
+    c with gcd(q_min, 2 r_X) | c holds one progression of step lcm(q_min, 2 r_X).
     LB depends only on (R, p^a) and the budget not on the b's, so each
     triple is charged its real demand once, after the LB >= 1 floor as a
     prefilter.  R's first triple that passes files ``enumerate_baskets(R)``
@@ -130,9 +130,9 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
             if units < demand_units(q, pas, map(bounds.get, pas)):
                 continue
             if not baskets:  # first survivor: R's baskets, filed by offset
+                cols = {r: orbifold_column(r, r_x) for r in R}
                 for basket in enumerate_baskets(R):
-                    offset = sum(r_x // r * sigma_numerator(b, r) for r, b in basket) % modulus
-                    baskets.setdefault(offset, []).append(basket)
+                    baskets.setdefault(sum(cols[r][b] for r, b in basket) % modulus, []).append(basket)
             for basket in baskets[rXc13 % modulus]:
                 yield basket, q, j_a, rXc13
 

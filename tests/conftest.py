@@ -60,6 +60,13 @@ def candidates_q40():
 
 
 @pytest.fixture(scope="session")
+def candidates_q6():
+    """Every candidate of ``run_search(6, mode)``, both modes together:
+    the whole index spectrum the search admits."""
+    return run_search(6, "greater", 1) + run_search(6, "equal", 1)
+
+
+@pytest.fixture(scope="session")
 def pipeline_report(candidates_greater):
     """``run_full_pipeline(workers=1)`` on the session's serial search."""
 

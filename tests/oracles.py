@@ -6,7 +6,8 @@ search budget, step 1, the residue builder and its tables, the h^0
 s-part, the foliation index scan, the curve-configuration thresholds and
 allowed curve orders), brute force over the full residue product instead
 of the solver's greedy witness and completion readout, and the old triple-order Step 2
-(every (q, J_A, rXc13) triple tested against every basket) instead of the
+(every (q, J_A, rXc13) triple tested against every basket, the baskets
+enumerated by brute force and classed in Fractions) instead of the
 residue-first walk.  Three elimination steps are recomputed one system
 or one tuple at a time instead of from shared tables: case 24's (x_A1, y4)
 grid, one residue system per (x_A1, y4, s), and case 27's A_2 degrees, one
@@ -21,8 +22,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from fano3.arith import factorize, prime_powers, sigma_numerator, sigma_pair
-from fano3.basket import BUDGET, Basket, enumerate_baskets
+from fano3.arith import factorize, prime_powers, sigma_pair
+from fano3.basket import BUDGET, Basket
 from fano3.eliminate import Undetermined
 from fano3.lb import LBContext, lb
 from fano3.rr import (
@@ -117,16 +118,26 @@ def step2_tuples(rXc2c1: int, q_min: int, mode: str):
     return tuple(out)
 
 
+def baskets_brute_force(R):
+    """Every basket over R: a product over each point's b (gcd(b, r) = 1,
+    2b <= r), deduplicated as sorted tuples, in sorted order."""
+    choices = [[(r, b) for b in range(1, r // 2 + 1) if gcd(b, r) == 1] for r in R]
+    return [Basket(points) for points in sorted({tuple(sorted(pts)) for pts in product(*choices)})]
+
+
 def step2(R, rXc2c1: int, q_min: int, mode: str):
     """Every (basket, q, J_A, rXc13): each triple against each basket's
-    Riemann-Roch offset.  Every basket over R shares r_X = lcm(R), so one
-    pass over the triples files them, in order, under the classes mod 2 r_X
-    of the baskets' offsets, and each basket reads its own class."""
+    Riemann-Roch class 2 r_X sum sigma_pair(b, r) mod 2 r_X, in Fractions.
+    Every basket over R shares r_X = lcm(R), so one pass over the triples
+    files them, in order, under the baskets' classes, and each basket reads
+    its own class."""
     r_x = lcm(*R)
-    classes = [
-        (basket, sum(sigma_numerator(b, r) * (r_x // r) for r, b in basket) % (2 * r_x))
-        for basket in enumerate_baskets(R)
-    ]
+    classes = []
+    for basket in baskets_brute_force(R):
+        offset = 2 * r_x * sum((sigma_pair(b, r) for r, b in basket), Fraction(0))
+        if offset.denominator != 1:
+            raise ValueError(f"2 r_X sigma sum of {basket} is not an integer")
+        classes.append((basket, offset.numerator % (2 * r_x)))
     by_class = {k: [] for _, k in classes}
     for triple in step2_tuples(rXc2c1, q_min, mode):
         k = triple[2] % (2 * r_x)

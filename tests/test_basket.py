@@ -9,6 +9,7 @@ from fano3.basket import (
     Basket,
     enumerate_R,
     enumerate_baskets,
+    orbifold_column,
     point_classes,
     r_budget,
     reach_offsets,
@@ -16,7 +17,9 @@ from fano3.basket import (
     rr_fano_integral,
 )
 
-from oracles import admissible_R
+from fano3.arith import sigma_pair
+
+from oracles import admissible_R, baskets_brute_force
 
 
 def test_basket_point_validation():
@@ -93,6 +96,27 @@ def test_enumerate_baskets():
     # the order of R does not change the order the baskets come in
     assert list(enumerate_baskets((7, 5))) == list(enumerate_baskets((5, 7)))
 
+
+
+def test_orbifold_column_is_twice_r_x_sigma_pair():
+    for r in range(2, 25):
+        for r_x in (r, 2 * r, 3 * r, 60 * r):
+            assert orbifold_column(r, r_x) == [2 * r_x * sigma_pair(y, r) for y in range(r)]
+
+
+def test_baskets_and_reach_match_brute_force():
+    """For every admissible R, ``enumerate_baskets`` lists exactly the
+    brute-force baskets, and ``reach_offsets`` exactly their classes
+    2 r_X sum sigma_pair(b, r) mod 2 r_X, summed in Fractions."""
+    for R in enumerate_R():
+        brute = baskets_brute_force(R)
+        assert sorted(b.points for b in enumerate_baskets(R)) == [b.points for b in brute], R
+        r_x = lcm(*R)
+        classes = {
+            int(2 * r_x * sum((sigma_pair(b, r) for r, b in basket), Fraction(0))) % (2 * r_x)
+            for basket in brute
+        }
+        assert reach_offsets(R) == classes, R
 
 def test_point_classes_partition_the_b_combinations():
     """For each r and each m with m(r - 1/r) < 24, the classes of

@@ -37,7 +37,7 @@ from fano3.eliminate import (
     movable_thresholds,
     run_group_b_script,
 )
-from fano3.search import step3
+from fano3.search import Candidate, step3
 from fano3.rr import (
     CrepantCurve,
     CurveConfig,
@@ -148,6 +148,13 @@ def _builder_inputs():
         r_primes = {1, 9, 18, 40, 70, 120, 2 * c.r_x, c.r_x * c.j_a}
         for cfg, r_prime, s in product(configs, sorted(r_primes), range(1, 5)):
             yield c, cfg, r_prime, s, s == 2
+    # -A^2.K = 1/735 and curve orders 3 and 5, all odd, which no table row
+    # has: the members' common denominator must still be even for the
+    # A_1 aggregate's sigma(s, 2)/4
+    odd = Candidate(Basket([(3, 1), (5, 2)]), 7, 7, 1, 0, (), (), Fraction(0))
+    curves = (CrepantCurve(3, 2, 1), CrepantCurve(5, 1))
+    for x_a1, r_prime, s in product((None, 1, 4), (1, 3), (1, 2, 3)):
+        yield odd, CurveConfig(curves, x_A1=x_a1), r_prime, s, False
 
 
 def test_integer_tables_match_fraction_oracle():

@@ -1,8 +1,9 @@
 """Import hygiene: every module-level import in the package is used or
 re-exported, every exported name exists, every module-level private
 function or class is referenced, no module holds an assert statement,
-`import fano3` loads no process-pool or dataclass machinery, and
-`eliminate` reads LB and the budget through one kernel each."""
+`import fano3` loads no process-pool or dataclass machinery,
+`eliminate` reads LB and the budget through one kernel each, and each
+Riemann-Roch term has one writer."""
 
 import ast
 import importlib
@@ -169,3 +170,49 @@ def test_cli_renders_through_one_writer_per_format():
         and isinstance(n.func.value, ast.Name)
     ]
     assert (calls.count("json.dumps"), calls.count("csv.writer")) == (1, 1)
+
+
+def top_level_defs(tree) -> dict:
+    """name -> module-level function definition."""
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def arithmetic_names(node) -> set:
+    """Identifiers read inside the binary operations and augmented
+    assignments under ``node``."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)):
+            found |= set(referenced_names(n))
+    return found
+
+
+def calls_to(node, name: str) -> int:
+    return sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+        for n in ast.walk(node)
+    )
+
+
+def test_one_writer_per_riemann_roch_term():
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in ("basket", "rr", "search")}
+    defs = {m: top_level_defs(tree) for m, tree in trees.items()}
+    # the orbifold term sigma_numerator(y, r) * r_X / r: written in
+    # basket.orbifold_column alone, which rr and the search walk read
+    assert referenced_names(trees["search"])["sigma_numerator"] == 0
+    writers = {name for name, fn in defs["basket"].items() if referenced_names(fn)["sigma_numerator"]}
+    assert writers == {"orbifold_column"}
+    assert {"sigma_numerator", "r_x"} <= arithmetic_names(defs["basket"]["orbifold_column"])
+    for reader in (defs["basket"]["point_classes"], defs["rr"]["orbifold_columns"], defs["search"]["step2"]):
+        assert calls_to(reader, "orbifold_column") == 1, reader.name
+    # the volume, curve and A_1 terms: written in rr.rr_terms alone; the
+    # builder keeps only its quadratic sigma table, outside any arithmetic
+    rr_writers = {name for name, fn in defs["rr"].items() if referenced_names(fn)["sigma_numerator"]}
+    assert rr_writers == {"rr_terms", "residue_term_builder"}
+    term_names = {"sigma_numerator", "numerator", "degree_rXKC", "generator_unit", "x_A1"}
+    assert term_names <= arithmetic_names(defs["rr"]["rr_terms"])
+    for name in ("h0_s_part", "residue_term_builder"):
+        fn = defs["rr"][name]
+        assert calls_to(fn, "rr_terms") == 1, name
+        assert arithmetic_names(fn) & term_names == set(), name
+        assert referenced_names(fn)["degree_rXKC"] + referenced_names(fn)["numerator"] == 0, name

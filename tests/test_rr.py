@@ -104,13 +104,7 @@ def test_integer_s_part_matches_fraction_oracle():
     for r in TABLE_MAIN:
         c = candidate_for_case(r.no)
         minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
-        forced = determine_curves(c)
-        orders = [cc.j for cc in getattr(forced, "curves", ())]
-        configs = [CurveConfig((), x_A1=x) for x in (0, 1, c.r_x)]
-        for units in product(*([u for u in range(1, j) if gcd(u, j) == 1] for j in orders)):
-            curves = tuple(CrepantCurve(j, 7 * j, u) for j, u in zip(orders, units))
-            configs += [CurveConfig(curves, x_A1=x) for x in (0, 1, c.r_x)]
-        for cfg, s in product(configs, range(1, 66)):
+        for cfg, s in product(_table_row_configs(c), range(1, 66)):
             top = 2 * c.r_x * h0_s_part_fraction(c.q, minus_a2k, cfg, c.basket, s)
             want = top.numerator if top.denominator == 1 else None
             assert h0_s_part(c.q, minus_a2k, cfg, c.basket, s) == want, (r.no, cfg, s)
@@ -133,6 +127,35 @@ def test_integer_s_part_matches_fraction_oracle():
         top = 2 * B.r_x * h0_s_part_fraction(70, minus_a2k, cfg, B, s)
         assert top.denominator == 1
         assert h0_s_part(70, minus_a2k, cfg, B, s) == top.numerator, (cfg, s, minus_a2k)
+
+
+
+def _table_row_configs(c):
+    """No curves and the forced curve orders at every unit (degree 7j),
+    each with x_A1 in {0, 1, r_X}."""
+    forced = determine_curves(c)
+    orders = [cc.j for cc in getattr(forced, "curves", ())]
+    configs = [CurveConfig((), x_A1=x) for x in (0, 1, c.r_x)]
+    for units in product(*([u for u in range(1, j) if gcd(u, j) == 1] for j in orders)):
+        curves = tuple(CrepantCurve(j, 7 * j, u) for j, u in zip(orders, units))
+        configs += [CurveConfig(curves, x_A1=x) for x in (0, 1, c.r_x)]
+    return configs
+
+
+def test_residue_system_constant_is_r_prime_times_h0_minus_2():
+    """A residue system at auxiliary index r' with its curve terms kept is
+    r' (h^0(sA) - 2) with the residues left open: its constant is r' times
+    the Fraction s-part less 2, on every table row."""
+    checked = 0
+    for r in TABLE_MAIN:
+        c = candidate_for_case(r.no)
+        minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
+        for cfg, r_prime, s in product(_table_row_configs(c), (1, 2, 9, 2 * c.r_x), (1, 2, 3, 5)):
+            sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s)], r_prime, drop_curve_terms=False)
+            want = r_prime * (h0_s_part_fraction(c.q, minus_a2k, cfg, c.basket, s) - 2)
+            assert sys.constants[0] == want, (r.no, cfg, r_prime, s)
+            checked += 1
+    assert checked == 11136  # 696 configurations x 4 r' x 4 s
 
 
 def _random_basket(rng):
