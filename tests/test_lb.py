@@ -4,7 +4,7 @@ from math import gcd, lcm
 import pytest
 
 from fano3.basket import enumerate_R, r_budget
-from fano3.lb import SMALL_PRIMES, LBContext, f_p, lb
+from fano3.lb import SMALL_PRIMES, LBContext, f_p, lb, lb_of
 from fano3.tables import TABLE_MAIN
 
 
@@ -39,6 +39,11 @@ def test_context_rejects_inadmissible_R():
         LBContext((12, 20))
     with pytest.raises(ValueError):
         LBContext((24, 24, 24))
+    # lb_of's fast paths, LB(2) = 1 and LB(N) = LB(17) for N >= 17, still
+    # check R and N
+    for R, N in (((12, 20), 2), ((12, 20), 29), ((5,), 1)):
+        with pytest.raises(ValueError):
+            lb_of(R, N)
 
 
 def test_f_p_examples():
@@ -49,10 +54,12 @@ def test_f_p_examples():
 
 def test_lb_reads_only_the_primes_of_R():
     """LB(N) is the product of f_p over every small prime: f_p is 1 for a
-    prime that divides no r in R, so lb skips those primes."""
+    prime that divides no r in R, so lb skips those primes.  The N reach
+    past 17, where lb reads the saturated LB(17), and include N = 2, where
+    it returns 1 without the cascade."""
     for R in enumerate_R():
         ctx = LBContext(R)
-        for N in (2, 3, 4, 5, 7, 8, 9, 16, 24):
+        for N in (2, 3, 4, 5, 7, 8, 9, 16, 17, 18, 19, 24, 25, 29, 31, 64):
             full = 1
             for p in SMALL_PRIMES:
                 full *= f_p(ctx, p, N)
