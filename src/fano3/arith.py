@@ -18,7 +18,6 @@ __all__ = [
     "Frozen",
     "sigma_pair",
     "sigma_numerator",
-    "indicator",
     "factorize",
     "prime_powers",
 ]
@@ -108,8 +107,3 @@ def factorize(n: int) -> tuple:
 def prime_powers(n: int) -> tuple:
     """The prime powers of ``factorize``, sorted by value, e.g. 84 -> (3, 4, 7)."""
     return tuple(sorted(p**e for p, e in factorize(n)))
-
-
-def indicator(statement: bool) -> int:
-    """1 if the statement holds, else 0."""
-    return 1 if statement else 0

@@ -10,10 +10,12 @@ is the one type that validates such tuples: it holds them sorted, with the
 sorted multiset ``R`` of their indices and the Gorenstein index
 ``r_x`` = lcm(R).
 
+``enumerate_R_c2c1()`` lists every admissible index multiset R with its
+r_X c2c1, and ``enumerate_baskets(R)`` every basket over R.
 ``orbifold_column(r, r_x)`` is the one writer of a point's orbifold term:
-``rr.orbifold_columns``, the keys of ``point_classes`` and the offsets by
-which the search walk files ``enumerate_baskets(R)``, the one enumerator,
-all read it.  ``reach(R)`` gives r_X and the offsets with no Basket built.
+``rr.orbifold_columns``, the keys of ``point_classes`` and the search
+walk's basket offsets all read it.  ``reach(R)`` gives r_X and the
+offsets the baskets over R reach, with no Basket built.
 """
 
 from __future__ import annotations
@@ -29,15 +31,12 @@ __all__ = [
     "Basket",
     "BUDGET",
     "rX_c2c1",
-    "enumerate_R",
     "enumerate_R_c2c1",
     "orbifold_column",
     "point_classes",
     "reach",
-    "reach_offsets",
     "enumerate_baskets",
     "rr_fano_integral",
-    "r_budget",
     "budget_units",
 ]
 
@@ -91,12 +90,6 @@ def _scaled_budget(R):
     return r_x, sum(budget_units(r, r_x) for r in R)
 
 
-def r_budget(R) -> Fraction:
-    """sum(r - 1/r) over the multiset R, exactly."""
-    r_x, total = _scaled_budget(R)
-    return Fraction(total, r_x)
-
-
 def rX_c2c1(R) -> int:
     """r_X * c2c1 determined by R alone: r_X * 24 - sum(r * r_X - r_X / r),
     with r_X = lcm(R); a positive integer for every admissible R."""
@@ -107,16 +100,12 @@ def rX_c2c1(R) -> int:
     return BUDGET * r_x - total
 
 
-def enumerate_R():
-    """All admissible multisets of local indices as sorted tuples, in
-    lexicographic order; at most 24 each, as r - 1/r < 24 fails at r = 25."""
-    return (R for R, _ in enumerate_R_c2c1())
-
-
 def enumerate_R_c2c1():
-    """(R, rX_c2c1(R)) for every admissible R, in ``enumerate_R`` order.
-    The budget is counted in integer units of 1/scale, scale = lcm(2..24);
-    the recursion carries r_X and the units left; r_X c2c1 = r_X * left / scale."""
+    """(R, rX_c2c1(R)) for every admissible multiset R of local indices,
+    as sorted tuples in lexicographic order; each index is at most 24, as
+    r - 1/r < 24 fails at r = 25.  The budget is counted in integer units
+    of 1/scale, scale = lcm(2..24); the recursion carries r_X and the units
+    left; r_X c2c1 = r_X * left / scale."""
     indices = range(2, BUDGET + 1)  # r - 1/r < BUDGET fails at r = BUDGET + 1
     scale = lcm(*indices)
     costs = [(r, budget_units(r, scale)) for r in indices]
@@ -163,30 +152,20 @@ def _reach_step(r_p: int, r: int) -> tuple:
 
 @lru_cache(maxsize=32)
 def reach(R: tuple) -> tuple:
-    """(r_X, offsets) for the sorted multiset R, r_X = lcm(R): the prefix
-    R[:-1]'s offsets, lifted to the new r_X, plus the single-point keys of
-    r = R[-1], both scaled by ``_reach_step``.  ``enumerate_R`` lists R
-    depth first, so the prefix is almost always among the 32 entries
-    cached; ``reach_offsets`` says why the cache stays that small."""
+    """(r_X, offsets) for the sorted multiset R, r_X = lcm(R): the offsets
+    sum (r_X/r) b(r-b) mod 2 r_X that the baskets over R reach.  They are
+    the prefix R[:-1]'s offsets, lifted to the new r_X, plus the
+    single-point keys of r = R[-1], both scaled by ``_reach_step``.
+    ``enumerate_R_c2c1`` lists R depth first, so the prefix is almost
+    always among the 32 entries cached.  The cache stays that small on
+    purpose: an unbounded one, which keeps all 1852 reach sets of a search
+    alive until interpreter exit, measured about 0.7 MB more peak RSS and
+    2 ms more per ``fano3 search`` job."""
     if not R:
         return 1, frozenset((0,))
     r_p, offsets = reach(R[:-1])
     r_x, lift, modulus, keys = _reach_step(r_p, R[-1])
     return r_x, frozenset({(lift * s + k) % modulus for s in offsets for k in keys})
-
-
-def reach_offsets(R: tuple) -> frozenset:
-    """The offsets sum (r_X/r) b(r-b) mod 2 r_X that the baskets over the
-    sorted multiset R reach, r_X = lcm(R), with no Basket built: the
-    offsets of ``reach(R)``.  ``reach_offsets.cache_clear`` clears the
-    LRU cache of ``reach``, which keeps 32 entries on purpose: the walk
-    needs only the prefix, and an unbounded cache, which keeps all 1852
-    reach sets of a search alive until interpreter exit, measured about
-    0.7 MB more peak RSS and 2 ms more per ``fano3 search`` job."""
-    return reach(R)[1]
-
-
-reach_offsets.cache_clear = reach.cache_clear
 
 
 def enumerate_baskets(R):

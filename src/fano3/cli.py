@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .certificates import certificate_to_dict
 from .eliminate import eliminate_candidate, candidate_for_case, run_full_pipeline, group_c_closed_form
-from .lb import LBContext, lb
+from .lb import lb_of
 from .search import run_search
 from .wps import WeightedP3, h0 as wps_h0
 
@@ -98,43 +98,12 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _load_config(path: str | None) -> dict:
-    """Plain key-value file: 'qmin = 66' style lines, '#' comments."""
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read --config {path}: {exc.strerror}") from exc
-    out = {}
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"malformed config line: {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        out[key] = val
-    allowed = {"qmin", "jobs", "outdir"}
-    unknown = set(out) - allowed
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return out
-
-
 def cmd_search(args) -> int:
-    cfg = _load_config(args.config)
-    qmin = args.qmin if args.qmin is not None else int(cfg.get("qmin", 66))
-    jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", 1))
-    out = args.out
-    if out is None and "outdir" in cfg:
-        out = f"{cfg['outdir']}/search.{args.format}"
-    candidates = run_search(qmin, args.mode, jobs)
+    candidates = run_search(args.qmin, args.mode, args.jobs)
     records = [_candidate_record(c) for c in candidates]
     header = CANDIDATE_COLUMNS if args.format == "csv" else CANDIDATE_HEADINGS
     rows = _candidate_rows(records, args.format)
-    _emit(_render(args.format, {"payload": records}, header, rows), out)
+    _emit(_render(args.format, {"payload": records}, header, rows), args.out)
     return 0
 
 
@@ -219,13 +188,13 @@ def cmd_wps(args) -> int:
 
 def cmd_lb(args) -> int:
     try:
-        R = tuple(int(x) for x in args.R.split(","))
-        ctx = LBContext(R)
+        R = tuple(sorted(int(x) for x in args.R.split(",")))
+        lb_of(R, 2)  # LB(2) = 1: the call only checks R
     except ValueError as exc:
         raise UsageError(f"malformed R: {exc}")
     if args.N < 1:
         raise UsageError("N must be positive")
-    pairs = [(args.N, lb(ctx, args.N))]
+    pairs = [(args.N, lb_of(R, args.N))]
     _emit(_value_table(pairs, args), args.out)
     return 0
 
@@ -242,10 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p_search = sub.add_parser("search", help="enumerate candidates above the threshold")
-    p_search.add_argument("--qmin", type=int, default=None)
+    p_search.add_argument("--qmin", type=int, default=66)
     p_search.add_argument("--mode", choices=("greater", "equal"), default="greater")
-    p_search.add_argument("--jobs", type=int, default=None)
-    p_search.add_argument("--config", default=None)
+    p_search.add_argument("--jobs", type=int, default=1)
     common(p_search)
     p_search.set_defaults(func=cmd_search)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .arith import Frozen, factorize, indicator
+from .arith import Frozen, factorize
 from .basket import rX_c2c1
 
 __all__ = ["LBContext", "f_p", "lb", "lb_of", "SMALL_PRIMES"]
@@ -60,7 +60,7 @@ def f_p(ctx: LBContext, p: int, N: int) -> int:
     if p == 3:
         return _f3(ctx, N)
     n_p = ctx.n(p, 1)
-    if n_p > 0 and N - 1 >= n_p + 1 + indicator((n_p + 2) % p == 0):
+    if n_p > 0 and N - 1 >= n_p + 1 + int((n_p + 2) % p == 0):
         return p
     return 1
 
@@ -68,10 +68,10 @@ def f_p(ctx: LBContext, p: int, N: int) -> int:
 def _f3(ctx: LBContext, N: int) -> int:
     n9, n3 = ctx.n(3, 2), ctx.n(3, 1)
     if n9 > 0 and N - 1 >= 3:
-        if N - 1 >= n3 + 1 + indicator((n3 + 2) % 3 == 0):
+        if N - 1 >= n3 + 1 + int((n3 + 2) % 3 == 0):
             return 9
         return 3
-    if n9 == 0 and n3 > 0 and N - 1 >= n3 + 1 + indicator((n3 + 2) % 3 == 0):
+    if n9 == 0 and n3 > 0 and N - 1 >= n3 + 1 + int((n3 + 2) % 3 == 0):
         return 3
     return 1
 
@@ -130,8 +130,8 @@ def lb(ctx: LBContext, N: int) -> int:
 
 def lb_of(R: tuple, N: int) -> int:
     """LB(N) for the sorted multiset R: the one kernel behind ``lb``, which
-    the search walk and elimination read directly.  Only the primes dividing
-    some r in R enter: f_p is 1 for every other prime.
+    the search walk, elimination and ``fano3 lb`` read directly.  Only the
+    primes dividing some r in R enter: f_p is 1 for every other prime.
 
     Every N-test of the cascade is N == 2, N - 1 in {2, 3} or N - 1 >= k,
     and over admissible R every k is at most 16: the largest is branch (e)

@@ -54,7 +54,7 @@ def c_orbifold(r: int, b: int, i: int) -> Fraction:
 
 def admissible_R(max_r: int = 24):
     """(R, sum(r - 1/r)) for every admissible multiset R, in Fractions and
-    in the lexicographic order of ``enumerate_R``."""
+    in the lexicographic order of ``basket.enumerate_R_c2c1``."""
     out = []
 
     def rec(prefix, low, used):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, strategies as st
 
-from fano3.arith import factorize, indicator, prime_powers, sigma_pair
+from fano3.arith import factorize, prime_powers, sigma_pair
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 500))
@@ -24,11 +24,6 @@ def test_sigma_pair_period_sum_identity():
     for r in range(1, 51):
         total = sum(sigma_pair(x, r) for x in range(r))
         assert total == Fraction(r * r - 1, 12)
-
-
-def test_indicator():
-    assert indicator(True) == 1
-    assert indicator(False) == 0
 
 
 def test_prime_powers():

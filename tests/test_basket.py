@@ -7,12 +7,11 @@ import pytest
 from fano3.basket import (
     BUDGET,
     Basket,
-    enumerate_R,
+    enumerate_R_c2c1,
     enumerate_baskets,
     orbifold_column,
     point_classes,
-    r_budget,
-    reach_offsets,
+    reach,
     rX_c2c1,
     rr_fano_integral,
 )
@@ -55,13 +54,13 @@ def test_rX_c2c1_values():
 
 
 def test_rX_c2c1_always_positive_integer():
-    for R in enumerate_R():
+    for R, _ in enumerate_R_c2c1():
         v = rX_c2c1(R)
         assert isinstance(v, int) and v > 0
 
 
 def test_enumerate_R_membership():
-    everything = set(enumerate_R())
+    everything = {R for R, _ in enumerate_R_c2c1()}
     assert (24,) in everything
     assert (8, 16) in everything  # 7.875 + 15.9375 < 24
     assert (9, 16) not in everything
@@ -69,13 +68,14 @@ def test_enumerate_R_membership():
 
 
 def test_enumerate_R_canonical_and_admissible():
+    budget = dict(admissible_R())
     seen = set()
     max_len = 0
-    for R in enumerate_R():
+    for R, _ in enumerate_R_c2c1():
         assert R == tuple(sorted(R))
         assert R not in seen
         seen.add(R)
-        assert r_budget(R) < BUDGET
+        assert budget[R] < BUDGET
         assert all(2 <= r <= 24 for r in R)
         max_len = max(max_len, len(R))
     assert max_len <= 15
@@ -106,9 +106,9 @@ def test_orbifold_column_is_twice_r_x_sigma_pair():
 
 def test_baskets_and_reach_match_brute_force():
     """For every admissible R, ``enumerate_baskets`` lists exactly the
-    brute-force baskets, and ``reach_offsets`` exactly their classes
+    brute-force baskets, and ``reach`` exactly their classes
     2 r_X sum sigma_pair(b, r) mod 2 r_X, summed in Fractions."""
-    for R in enumerate_R():
+    for R, _ in enumerate_R_c2c1():
         brute = baskets_brute_force(R)
         assert sorted(b.points for b in enumerate_baskets(R)) == [b.points for b in brute], R
         r_x = lcm(*R)
@@ -116,7 +116,7 @@ def test_baskets_and_reach_match_brute_force():
             int(2 * r_x * sum((sigma_pair(b, r) for r, b in basket), Fraction(0))) % (2 * r_x)
             for basket in brute
         }
-        assert reach_offsets(R) == classes, R
+        assert reach(R) == (r_x, classes), R
 
 def test_point_classes_partition_the_b_combinations():
     """For each r and each m with m(r - 1/r) < 24, the classes of
@@ -152,16 +152,16 @@ def _sumset_reach(R) -> set:
 
 
 def test_prefix_reach_matches_point_class_sumset():
-    """``reach_offsets`` builds each R from its prefix, lifted to the new
-    r_X, plus one point; it equals the sumset over R's groups for every
+    """``reach`` builds each R from its prefix, lifted to the new r_X, plus
+    one point; its offsets equal the sumset over R's groups for every
     admissible R, in enumeration order (prefixes cached) and in reverse
     order with a cleared cache (prefixes rebuilt)."""
-    every_R = list(enumerate_R())
-    reach_offsets.cache_clear()
+    every_R = [R for R, _ in enumerate_R_c2c1()]
+    reach.cache_clear()
     for order in (every_R, every_R[::-1]):
         for R in order:
-            assert reach_offsets(R) == _sumset_reach(R), R
-        reach_offsets.cache_clear()
+            assert reach(R)[1] == _sumset_reach(R), R
+        reach.cache_clear()
 
 
 def test_basket_budget_enforced():
@@ -176,10 +176,9 @@ def test_rr_fano_integral():
 
 
 def test_integer_budget_matches_fractions():
-    """enumerate_R and rX_c2c1 count the budget in integers; the reference
-    sums r - 1/r in Fractions."""
-    reference = admissible_R()
-    assert list(enumerate_R()) == [R for R, _ in reference]
-    for R, used in reference:
-        assert r_budget(R) == used
-        assert rX_c2c1(R) == lcm(*R) * (BUDGET - used)
+    """enumerate_R_c2c1 and rX_c2c1 count the budget in integers; the
+    reference sums r - 1/r in Fractions."""
+    reference = [(R, lcm(*R) * (BUDGET - used)) for R, used in admissible_R()]
+    assert list(enumerate_R_c2c1()) == reference
+    for R, c2c1 in reference:
+        assert rX_c2c1(R) == c2c1

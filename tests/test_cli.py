@@ -85,6 +85,7 @@ def test_python_m_fano3():
 
 def test_bad_flags_exit_2(capsys):
     assert main(["search", "--mode", "diagonal"]) == 2
+    assert main(["search", "--config", "x"]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["h0", "--s", "0..70"]) == 2
     assert main(["wps", "--weights", "1,2", "--smax", "5"]) == 2
@@ -115,10 +116,14 @@ def test_wps_matches_h0(capsys):
     assert wps_pairs == h0_pairs
 
 
-def test_lb_command(capsys):
+def test_lb_command(tmp_path, capsys):
     code, text, _ = run_cli(capsys, "lb", "--R", "2,4,4,7", "--N", "3", "--format", "json")
     assert code == 0
     assert json.loads(text)["payload"] == [[3, 14]]
+    # --out writes the same bytes to the file and nothing to stdout
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, "lb", "--R", "2,4,4,7", "--N", "3", "--out", str(target)) == (0, "", "")
+    assert target.read_text() == text
 
 
 def test_readme_cli_block_lists_every_command():
@@ -131,28 +136,22 @@ def test_readme_cli_block_lists_every_command():
     assert documented == set(sub.choices)
 
 
-def test_config_file_and_out(tmp_path, capsys):
-    config = tmp_path / "engine.cfg"
-    config.write_text("qmin = 66\njobs = 1\n# comment\n")
-    target = tmp_path / "out.json"
-    code, text, _ = run_cli(
-        capsys, "search", "--mode", "equal", "--config", str(config),
-        "--out", str(target), "--format", "json",
-    )
-    assert code == 0 and text == ""
-    assert len(json.loads(target.read_text())["payload"]) == 7
-
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("verbosity = 11\n")
-    code, _, err = run_cli(capsys, "search", "--mode", "equal", "--config", str(bad))
-    assert code == 2
+@pytest.mark.parametrize(
+    "R, N, line",
+    [
+        ("0,3", "3", "error: malformed R: basket indices must lie in 2..24, got R=(0, 3)"),
+        ("24,24,24", "4", "error: malformed R: R=(24, 24, 24) is not admissible (budget 575/8 >= 24)"),
+        ("5", "1", "error: N must be at least 2"),
+        ("5", "0", "error: N must be positive"),
+    ],
+    ids=("indices", "budget", "N=1", "N=0"),
+)
+def test_lb_error_lines(capsys, R, N, line):
+    assert run_cli(capsys, "lb", "--R", R, "--N", N) == (2, "", line + "\n")
 
 
 def test_unreadable_config_and_unwritable_out_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing"
-    code, text, err = run_cli(capsys, "search", "--mode", "equal", "--config", str(missing / "x.cfg"))
-    assert (code, text) == (2, "")
-    assert err.startswith("error: cannot read --config") and err.count("\n") == 1
     code, text, err = run_cli(capsys, "lb", "--R", "2,3", "--N", "3", "--out", str(missing / "x.json"))
     assert (code, text) == (2, "")
     assert err.startswith("error: cannot write --out") and err.count("\n") == 1

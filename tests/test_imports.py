@@ -1,8 +1,9 @@
 """Import hygiene: every module-level import in the package is used or
-re-exported, every exported name exists, every module-level private
-function or class is referenced, no module holds an assert statement,
-`import fano3` loads no process-pool or dataclass machinery,
-`eliminate` reads LB and the budget through one kernel each, and each
+re-exported, every exported name exists, every module-level private name
+is referenced, every public name is read, exported from ``fano3`` or
+allow-listed with a reason, no module holds an assert statement,
+`import fano3` loads no process-pool or dataclass machinery, `eliminate`
+and the CLI read LB and the budget through one kernel each, and each
 Riemann-Roch term has one writer."""
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import fano3
 from conftest import run_python
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fano3"
@@ -56,26 +58,61 @@ def referenced_names(node) -> Counter:
     return found
 
 
-def orphan_private_defs(sources: dict) -> list:
-    """``module.name`` of every module-level private function or class in
-    ``sources`` (module name -> source) that no code of any of the sources
-    names outside its own definition."""
+def module_bindings(tree):
+    """(name, node) for each module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def unread_definitions(sources: dict) -> list:
+    """``module.name`` of every module-level function, class or assigned
+    name, dunders excepted, in ``sources`` (module name -> source) that no
+    code of any of the sources names outside its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum(map(referenced_names, trees.values()), Counter())
     return [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and everywhere[node.name] == referenced_names(node)[node.name]
+        for name, node in module_bindings(tree)
+        if not name.startswith("__") and everywhere[name] == referenced_names(node)[name]
     ]
 
 
+def orphan_private_defs(sources: dict) -> list:
+    """The private names among ``unread_definitions(sources)``."""
+    return [name for name in unread_definitions(sources) if name.split(".")[1].startswith("_")]
+
+
+def package_sources() -> dict:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_no_orphan_private_definitions():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert orphan_private_defs(sources) == []
+    assert orphan_private_defs(package_sources()) == []
+
+
+#: public names that no package code reads and ``fano3.__all__`` leaves out
+PUBLIC_ENTRIES = {
+    "certificates.certificate_from_dict": "loads a certificate back from the CLI's JSON, "
+    "the entry a separate certificate checker builds on",
+    "tables.TABLE_EQ66": "the paper's 7-row q = 66 table, which the tests and the "
+    "benchmark harness check the equal-mode search against",
+    "wps.anticanonical_degree": "weighted-P^3 oracle: the index of P(5,6,22,33) is 66",
+    "wps.anticanonical_volume": "weighted-P^3 oracle: the volume the q = 66 row must match",
+}
+
+
+def test_public_names_are_read_exported_or_listed():
+    # a public name only tests read is a second way into code the engine
+    # reaches another way; each allow-list entry must still be unread
+    unread = [name for name in unread_definitions(package_sources()) if not name.split(".")[1].startswith("_")]
+    assert [n for n in unread if n.split(".")[1] not in fano3.__all__ and n not in PUBLIC_ENTRIES] == []
+    assert set(PUBLIC_ENTRIES) <= set(unread)
 
 
 def test_orphan_detection():
@@ -90,6 +127,7 @@ def test_orphan_detection():
         "b": "def _shared(): return 1\ndef _read(): pass\nx = a._read\n",
     }
     assert orphan_private_defs(sources) == ["a._self_only", "a._Gone"]
+    assert unread_definitions(sources) == ["a._self_only", "a._Gone", "a.public", "b.x"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -147,16 +185,18 @@ def test_import_loads_no_dataclass_machinery():
 
 
 def test_eliminate_reads_lb_of_and_the_integer_budget():
-    # LB comes from the one cached kernel lb_of(R, N), with no LBContext or
-    # lb call, and every budget bound from the integer kernel; the Fraction
-    # curve_cost is left to verify_candidate's independent re-check
-    tree = ast.parse((PACKAGE / "eliminate.py").read_text())
-    calls = [
-        n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-    ]
-    names = referenced_names(tree)
-    assert (calls.count("LBContext"), calls.count("lb"), names["curve_cost"]) == (0, 0, 0)
-    assert calls.count("lb_of") > 0
+    # in eliminate and the CLI, LB comes from the one cached kernel
+    # lb_of(R, N), with no LBContext or lb call, and every budget bound from
+    # the integer kernel; the Fraction curve_cost is left to
+    # verify_candidate's independent re-check
+    for module in ("eliminate.py", "cli.py"):
+        tree = ast.parse((PACKAGE / module).read_text())
+        calls = [
+            n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        ]
+        names = referenced_names(tree)
+        assert (calls.count("LBContext"), calls.count("lb"), names["curve_cost"]) == (0, 0, 0), module
+        assert calls.count("lb_of") > 0, module
 
 
 def test_cli_renders_through_one_writer_per_format():

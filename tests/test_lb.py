@@ -3,14 +3,19 @@ from math import gcd, lcm
 
 import pytest
 
-from fano3.basket import enumerate_R, r_budget
+from fano3.basket import enumerate_R_c2c1
 from fano3.lb import SMALL_PRIMES, LBContext, f_p, lb, lb_of
 from fano3.tables import TABLE_MAIN
+
+from oracles import admissible_R
+
+#: every sorted R with sum(r - 1/r) < 24, summed in Fractions
+ADMISSIBLE = {R for R, _ in admissible_R()}
 
 
 def test_n_counts_exact_valuations():
     # n(p, e) counts the r in R that p^e divides and p^(e+1) does not
-    for R in enumerate_R():
+    for R, _ in enumerate_R_c2c1():
         ctx = LBContext(R)
         for p in SMALL_PRIMES:
             for e in range(1, 6):
@@ -57,7 +62,7 @@ def test_lb_reads_only_the_primes_of_R():
     prime that divides no r in R, so lb skips those primes.  The N reach
     past 17, where lb reads the saturated LB(17), and include N = 2, where
     it returns 1 without the cascade."""
-    for R in enumerate_R():
+    for R, _ in enumerate_R_c2c1():
         ctx = LBContext(R)
         for N in (2, 3, 4, 5, 7, 8, 9, 16, 17, 18, 19, 24, 25, 29, 31, 64):
             full = 1
@@ -105,7 +110,7 @@ def _random_admissible_R(rng):
     R = []
     while True:
         r = rng.randint(2, 24)
-        if r_budget(tuple(R + [r])) >= 24:
+        if tuple(sorted(R + [r])) not in ADMISSIBLE:
             break
         R.append(r)
         if rng.random() < 0.25:
@@ -139,7 +144,7 @@ def test_lb4_for_coprime_squarefree():
         rng.shuffle(squarefree)
         R = []
         for r in squarefree:
-            if all(gcd(r, x) == 1 for x in R) and r_budget(tuple(R + [r])) < 24:
+            if all(gcd(r, x) == 1 for x in R) and tuple(sorted(R + [r])) in ADMISSIBLE:
                 R.append(r)
         if not R:
             continue

@@ -31,8 +31,8 @@ def test_step1_contains_known_rows():
 
 @pytest.mark.parametrize("q_min", [6, 66])
 def test_step1_matches_fraction_oracle(q_min):
-    """The integer budget carried down the enumerate_R recursion gives the
-    same (R, r_X c2c1) pairs as the Fraction budget, in the same order."""
+    """The integer budget carried down the enumerate_R_c2c1 recursion gives
+    the same (R, r_X c2c1) pairs as the Fraction budget, in the same order."""
     assert list(step1(q_min)) == list(oracles.step1(q_min))
 
 
