@@ -12,10 +12,12 @@ sorted multiset ``R`` of their indices and the Gorenstein index
 
 ``enumerate_R_c2c1()`` lists every admissible index multiset R with its
 r_X c2c1, and ``enumerate_baskets(R)`` every basket over R.
+``rX_c2c1(R)`` is the one admissibility check, which ``Basket`` and
+``lb.LBContext`` both call.
 ``orbifold_column(r, r_x)`` is the one writer of a point's orbifold term:
-``rr.orbifold_columns``, the keys of ``point_classes`` and the search
-walk's basket offsets all read it.  ``reach(R)`` gives r_X and the
-offsets the baskets over R reach, with no Basket built.
+``rr.orbifold_columns``, the per-index point table ``_index_points`` and
+the search walk's basket offsets all read it.  ``reach(R)`` gives r_X and
+the offsets the baskets over R reach, with no Basket built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "rX_c2c1",
     "enumerate_R_c2c1",
     "orbifold_column",
-    "point_classes",
     "reach",
     "enumerate_baskets",
     "rr_fano_integral",
@@ -61,12 +62,10 @@ class Basket(Frozen):
             if gcd(b, r) != 1:
                 raise ValueError(f"need gcd(b,r)=1, got (r,b)=({r},{b})")
         R = tuple(r for r, _ in pts)
-        r_x, total = _scaled_budget(R)
-        if total >= BUDGET * r_x:
-            raise ValueError(f"basket {pts} violates the admissibility budget")
+        rX_c2c1(R)  # raises on a basket over budget
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "r_x", r_x)
+        object.__setattr__(self, "r_x", lcm(*R))
 
     def __iter__(self):
         return iter(self.points)
@@ -84,17 +83,13 @@ def budget_units(r: int, scale: int) -> int:
     return r * scale - scale // r
 
 
-def _scaled_budget(R):
-    """(r_X, r_X * sum(r - 1/r)) for the multiset R, both integers."""
-    r_x = lcm(*R)
-    return r_x, sum(budget_units(r, r_x) for r in R)
-
-
 def rX_c2c1(R) -> int:
     """r_X * c2c1 determined by R alone: r_X * 24 - sum(r * r_X - r_X / r),
-    with r_X = lcm(R); a positive integer for every admissible R."""
+    with r_X = lcm(R); a positive integer for every admissible R, and the
+    one admissibility check: an R over budget raises ``ValueError``."""
     R = tuple(R)
-    r_x, total = _scaled_budget(R)
+    r_x = lcm(*R)
+    total = sum(budget_units(r, r_x) for r in R)
     if total >= BUDGET * r_x:
         raise ValueError(f"R={R} is not admissible (budget {Fraction(total, r_x)} >= {BUDGET})")
     return BUDGET * r_x - total
@@ -127,35 +122,33 @@ def orbifold_column(r: int, r_x: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def point_classes(r: int, m: int) -> dict:
-    """The point tuples ((r, b), ...) of m points of index r, deduplicated
-    as multisets and keyed by their ``orbifold_column(r, r)`` sum mod 2r.
-    Over R with r_X = lcm(R) they add (r_X/r) * key to the offset mod
-    2 r_X = (r_X/r) * 2r."""
-    classes, col = {}, orbifold_column(r, r)
-    for bs in combinations_with_replacement([b for b in range(1, r // 2 + 1) if gcd(b, r) == 1], m):
-        key = sum(col[b] for b in bs) % (2 * r)
-        classes[key] = classes.get(key, ()) + (tuple((r, b) for b in bs),)
-    return classes
+def _index_points(r: int) -> tuple:
+    """(points, keys) for index r: the points (r, b) with 0 < b <= r/2 and
+    gcd(b, r) = 1, and each one's ``orbifold_column(r, r)`` entry b(r-b)
+    mod 2r.  Over R with r_X = lcm(R) a point adds (r_X/r) * key to the
+    offset mod 2 r_X = (r_X/r) * 2r."""
+    col = orbifold_column(r, r)
+    points = tuple((r, b) for b in range(1, r // 2 + 1) if gcd(b, r) == 1)
+    return points, tuple(col[b] % (2 * r) for _, b in points)
 
 
 @lru_cache(maxsize=None)
 def _reach_step(r_p: int, r: int) -> tuple:
     """Appending index r to a multiset of Gorenstein index r_p: the new
     r_X = lcm(r_p, r), the lift r_X / r_p, the modulus 2 r_X, and the
-    single-point keys b(r-b) mod 2r of ``point_classes(r, 1)`` scaled by
-    r_X/r.  Few (r_p, r) pairs occur, so the cache is unbounded."""
+    distinct keys of ``_index_points(r)`` scaled by r_X/r.  Few (r_p, r)
+    pairs occur, so the cache is unbounded."""
     r_x = lcm(r_p, r)
     scale = r_x // r
-    return r_x, r_x // r_p, 2 * r_x, tuple(scale * key for key in point_classes(r, 1))
+    return r_x, r_x // r_p, 2 * r_x, tuple(dict.fromkeys(scale * key for key in _index_points(r)[1]))
 
 
 @lru_cache(maxsize=32)
 def reach(R: tuple) -> tuple:
     """(r_X, offsets) for the sorted multiset R, r_X = lcm(R): the offsets
     sum (r_X/r) b(r-b) mod 2 r_X that the baskets over R reach.  They are
-    the prefix R[:-1]'s offsets, lifted to the new r_X, plus the
-    single-point keys of r = R[-1], both scaled by ``_reach_step``.
+    the prefix R[:-1]'s offsets, lifted to the new r_X, plus the keys of
+    r = R[-1] in its ``_index_points`` table, both scaled by ``_reach_step``.
     ``enumerate_R_c2c1`` lists R depth first, so the prefix is almost
     always among the 32 entries cached.  The cache stays that small on
     purpose: an unbounded one, which keeps all 1852 reach sets of a search
@@ -169,11 +162,12 @@ def reach(R: tuple) -> tuple:
 
 
 def enumerate_baskets(R):
-    """All baskets over the multiset R, deduplicated as multisets: one
-    point tuple per group of equal indices, from ``point_classes``."""
+    """All baskets over the multiset R, deduplicated as multisets: for
+    each group of m equal indices r, the m-point multisets of
+    ``_index_points(r)``."""
     R = sorted(R)
-    tables = [[pts for ps in point_classes(r, R.count(r)).values() for pts in ps] for r in dict.fromkeys(R)]
-    for parts in product(*tables):
+    groups = [combinations_with_replacement(_index_points(r)[0], R.count(r)) for r in dict.fromkeys(R)]
+    for parts in product(*groups):
         yield Basket(sum(parts, ()))
 
 

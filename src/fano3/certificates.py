@@ -115,10 +115,6 @@ class EliminationCertificate:
     def has_contradiction(self) -> bool:
         return any(s.outcome == "contradiction" for s in self.steps)
 
-    @property
-    def fully_mechanical(self) -> bool:
-        return all(s.kind == MECHANICAL for s in self.steps)
-
     def kind_counts(self):
         counts = {MECHANICAL: 0, CITED_LEMMA: 0}
         for s in self.steps:

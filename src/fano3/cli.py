@@ -109,7 +109,7 @@ def cmd_search(args) -> int:
 
 def cmd_eliminate(args) -> int:
     if args.all:
-        report = run_full_pipeline(args.jobs or 1)
+        report = run_full_pipeline(args.jobs)
         payload = [certificate_to_dict(v.certificate) for _, v in report.verdicts]
         summary = {
             "total": report.total,
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p_elim.add_mutually_exclusive_group(required=True)
     which.add_argument("--case", type=int)
     which.add_argument("--all", action="store_true")
-    p_elim.add_argument("--jobs", type=int, default=None)
+    p_elim.add_argument("--jobs", type=int, default=1)
     common(p_elim)
     p_elim.set_defaults(func=cmd_eliminate)
 

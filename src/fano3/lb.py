@@ -23,7 +23,8 @@ LB_SATURATION = 17
 
 class LBContext(Frozen):
     """An admissible multiset R of basket indices with its p-valuation
-    counts cached; an inadmissible R raises ``ValueError``."""
+    counts, (p, e) -> number of r in R with exact p-valuation e >= 1; an
+    inadmissible R raises ``ValueError``."""
 
     __slots__ = ("R", "_counts")
     _fields = ("R",)
@@ -34,20 +35,13 @@ class LBContext(Frozen):
         # checked before the budget, whose units divide by r
         if R and not 2 <= R[0] <= R[-1] <= 24:
             raise ValueError(f"basket indices must lie in 2..24, got R={R}")
+        rX_c2c1(R)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "_counts", _valuation_counts(R))
+        object.__setattr__(self, "_counts", Counter(pe for r in R for pe in factorize(r)))
 
     def n(self, p: int, e: int) -> int:
         """Number of r in R with p-valuation exactly e."""
         return self._counts.get((p, e), 0)
-
-
-@lru_cache(maxsize=None)
-def _valuation_counts(R: tuple) -> dict:
-    """(p, e) -> number of r in R with exact p-valuation e >= 1, once R
-    passes the admissibility budget (checked once per R)."""
-    rX_c2c1(R)
-    return Counter(pe for r in R for pe in factorize(r))
 
 
 def f_p(ctx: LBContext, p: int, N: int) -> int:

@@ -203,11 +203,13 @@ def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
     over at most one process per unit and per CPU.  Each unit runs the
     Step-2 walk over the residue classes of R and sends every tuple it
     yields through Step 3.  The merge sorts canonically, so the output does
-    not depend on ``workers``; every candidate is then re-checked by
-    ``verify_candidate``.
+    not depend on ``workers``, which must be at least 1; every candidate
+    is then re-checked by ``verify_candidate``.
     """
     if mode not in (GREATER, EQUAL):
         raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     units = list(step1(q_min))
     workers = min(workers, len(units), os.cpu_count() or 1)
     if workers <= 1:

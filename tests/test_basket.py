@@ -9,8 +9,8 @@ from fano3.basket import (
     Basket,
     enumerate_R_c2c1,
     enumerate_baskets,
+    _index_points,
     orbifold_column,
-    point_classes,
     reach,
     rX_c2c1,
     rr_fano_integral,
@@ -118,49 +118,45 @@ def test_baskets_and_reach_match_brute_force():
         }
         assert reach(R) == (r_x, classes), R
 
-def test_point_classes_partition_the_b_combinations():
-    """For each r and each m with m(r - 1/r) < 24, the classes of
-    ``point_classes(r, m)`` together hold every multiset of m values b
-    (coprime to r, 0 < b <= r/2) exactly once, each under its own
-    sum b(r-b) mod 2r."""
+
+def test_index_points_table():
+    """``_index_points(r)`` holds the points (r, b), 0 < b <= r/2 and b
+    coprime to r, in increasing b, each with its class 2r sigma_pair(b, r)
+    mod 2r, summed in Fractions."""
     for r in range(2, 25):
-        choices = [b for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
-        m = 1
-        while m * Fraction(r * r - 1, r) < BUDGET:
-            listed = []
-            for key, members in point_classes(r, m).items():
-                assert 0 <= key < 2 * r
-                for points in members:
-                    assert all(pr == r for pr, _ in points)
-                    bs = tuple(b for _, b in points)
-                    assert sum(b * (r - b) for b in bs) % (2 * r) == key
-                    listed.append(bs)
-            assert sorted(listed) == sorted(combinations_with_replacement(choices, m))
-            assert len(set(listed)) == len(listed)
-            m += 1
+        points, keys = _index_points(r)
+        assert points == tuple((r, b) for b in range(1, r + 1) if 2 * b <= r and gcd(b, r) == 1), r
+        assert keys == tuple(int(2 * r * sigma_pair(b, r)) % (2 * r) for _, b in points), r
 
 
 def _sumset_reach(R) -> set:
-    """The offsets mod 2 r_X of every basket over R, as the sumset of the
-    ``point_classes`` keys of its groups, each scaled by r_X/r."""
+    """The offsets mod 2 r_X of every basket over R, as the sumset over
+    R's groups of the brute-force classes of m points of index r: each
+    multiset of m values b, coprime to r with 0 < b <= r/2, gives
+    2 r_X sum sigma_pair(b, r) mod 2 r_X, summed in Fractions."""
     r_x = lcm(*R)
     reach = {0}
     for r in dict.fromkeys(R):
-        keys = [r_x // r * key for key in point_classes(r, R.count(r))]
+        choices = [b for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
+        keys = {
+            int(2 * r_x * sum((sigma_pair(b, r) for b in bs), Fraction(0))) % (2 * r_x)
+            for bs in combinations_with_replacement(choices, R.count(r))
+        }
         reach = {(s + k) % (2 * r_x) for s in reach for k in keys}
     return reach
 
 
 def test_prefix_reach_matches_point_class_sumset():
     """``reach`` builds each R from its prefix, lifted to the new r_X, plus
-    one point; its offsets equal the sumset over R's groups for every
-    admissible R, in enumeration order (prefixes cached) and in reverse
-    order with a cleared cache (prefixes rebuilt)."""
-    every_R = [R for R, _ in enumerate_R_c2c1()]
+    one point; its offsets equal the brute-force sumset over R's groups
+    for every admissible R, in enumeration order (prefixes cached) and in
+    reverse order with a cleared cache (prefixes rebuilt)."""
+    expected = {R: _sumset_reach(R) for R, _ in enumerate_R_c2c1()}
+    every_R = list(expected)
     reach.cache_clear()
     for order in (every_R, every_R[::-1]):
         for R in order:
-            assert reach(R)[1] == _sumset_reach(R), R
+            assert reach(R)[1] == expected[R], R
         reach.cache_clear()
 
 

@@ -36,14 +36,13 @@ def test_verdict_requires_contradiction():
     Verdict(True, cert)
 
 
-def test_fully_mechanical_flag():
+def test_kind_counts_split_mechanical_and_cited():
     cert = EliminationCertificate(2)
+    assert cert.kind_counts() == {MECHANICAL: 0, CITED_LEMMA: 0}
     cert.mechanical("a", "narrowed")
-    assert cert.fully_mechanical
+    assert cert.kind_counts() == {MECHANICAL: 1, CITED_LEMMA: 0}
     cert.cite("hirzebruch-bound", "b")
-    assert not cert.fully_mechanical
-    counts = cert.kind_counts()
-    assert counts[MECHANICAL] == 1 and counts[CITED_LEMMA] == 1
+    assert cert.kind_counts() == {MECHANICAL: 1, CITED_LEMMA: 1}
 
 
 def test_json_round_trip(capsys):

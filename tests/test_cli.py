@@ -150,6 +150,13 @@ def test_lb_error_lines(capsys, R, N, line):
     assert run_cli(capsys, "lb", "--R", R, "--N", N) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize("command", (["search"], ["eliminate", "--all"]), ids=("search", "eliminate"))
+@pytest.mark.parametrize("jobs", ("0", "-3"))
+def test_non_positive_jobs_exit_2(capsys, command, jobs):
+    line = f"error: workers must be at least 1, got {jobs}\n"
+    assert run_cli(capsys, *command, "--jobs", jobs) == (2, "", line)
+
+
 def test_unreadable_config_and_unwritable_out_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing"
     code, text, err = run_cli(capsys, "lb", "--R", "2,3", "--N", "3", "--out", str(missing / "x.json"))

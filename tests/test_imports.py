@@ -1,7 +1,7 @@
 """Import hygiene: every module-level import in the package is used or
 re-exported, every exported name exists, every module-level private name
-is referenced, every public name is read, exported from ``fano3`` or
-allow-listed with a reason, no module holds an assert statement,
+is referenced, every public name, method and property is read, exported
+from ``fano3`` or allow-listed with a reason, no module holds an assert statement,
 `import fano3` loads no process-pool or dataclass machinery, `eliminate`
 and the CLI read LB and the budget through one kernel each, and each
 Riemann-Roch term has one writer."""
@@ -69,23 +69,41 @@ def module_bindings(tree):
             yield node.target.id, node
 
 
+def definitions(tree):
+    """(name, node) for each of ``module_bindings(tree)``, and
+    ("Class.name", node) for each method and property of a module-level
+    class."""
+    for name, node in module_bindings(tree):
+        yield name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{name}.{member.name}", member
+
+
 def unread_definitions(sources: dict) -> list:
     """``module.name`` of every module-level function, class or assigned
-    name, dunders excepted, in ``sources`` (module name -> source) that no
-    code of any of the sources names outside its own definition."""
+    name, and ``module.Class.name`` of every method and property, dunders
+    excepted, in ``sources`` (module name -> source) that no code of any
+    of the sources names outside its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum(map(referenced_names, trees.values()), Counter())
     return [
-        f"{module}.{name}"
+        f"{module}.{qualname}"
         for module, tree in trees.items()
-        for name, node in module_bindings(tree)
+        for qualname, node in definitions(tree)
+        for name in [qualname.rsplit(".", 1)[-1]]
         if not name.startswith("__") and everywhere[name] == referenced_names(node)[name]
     ]
 
 
+def is_private(qualname: str) -> bool:
+    return qualname.rsplit(".", 1)[-1].startswith("_")
+
+
 def orphan_private_defs(sources: dict) -> list:
     """The private names among ``unread_definitions(sources)``."""
-    return [name for name in unread_definitions(sources) if name.split(".")[1].startswith("_")]
+    return [name for name in unread_definitions(sources) if is_private(name)]
 
 
 def package_sources() -> dict:
@@ -109,9 +127,11 @@ PUBLIC_ENTRIES = {
 
 def test_public_names_are_read_exported_or_listed():
     # a public name only tests read is a second way into code the engine
-    # reaches another way; each allow-list entry must still be unread
-    unread = [name for name in unread_definitions(package_sources()) if not name.split(".")[1].startswith("_")]
-    assert [n for n in unread if n.split(".")[1] not in fano3.__all__ and n not in PUBLIC_ENTRIES] == []
+    # reaches another way; each allow-list entry must still be unread.
+    # Exporting a class from ``fano3`` excuses the class, not its methods
+    unread = [name for name in unread_definitions(package_sources()) if not is_private(name)]
+    exported = {n for n in unread if n.split(".", 1)[1] in fano3.__all__}
+    assert [n for n in unread if n not in exported and n not in PUBLIC_ENTRIES] == []
     assert set(PUBLIC_ENTRIES) <= set(unread)
 
 
@@ -128,6 +148,20 @@ def test_orphan_detection():
     }
     assert orphan_private_defs(sources) == ["a._self_only", "a._Gone"]
     assert unread_definitions(sources) == ["a._self_only", "a._Gone", "a.public", "b.x"]
+
+
+def test_unread_method_detection():
+    source = (
+        "class Box:\n"
+        "    def __init__(self): self.n = self.size\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    def spare(self): return self.spare()\n"
+        "    def _hidden(self): pass\n"
+        "Box()\n"
+    )
+    assert unread_definitions({"m": source}) == ["m.Box.spare", "m.Box._hidden"]
+    assert orphan_private_defs({"m": source}) == ["m.Box._hidden"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -243,7 +277,7 @@ def test_one_writer_per_riemann_roch_term():
     writers = {name for name, fn in defs["basket"].items() if referenced_names(fn)["sigma_numerator"]}
     assert writers == {"orbifold_column"}
     assert {"sigma_numerator", "r_x"} <= arithmetic_names(defs["basket"]["orbifold_column"])
-    for reader in (defs["basket"]["point_classes"], defs["rr"]["orbifold_columns"], defs["search"]["step2"]):
+    for reader in (defs["basket"]["_index_points"], defs["rr"]["orbifold_columns"], defs["search"]["step2"]):
         assert calls_to(reader, "orbifold_column") == 1, reader.name
     # the volume, curve and A_1 terms: written in rr.rr_terms alone; the
     # builder keeps only its quadratic sigma table, outside any arithmetic

@@ -275,6 +275,16 @@ def test_bad_mode_rejected_before_any_work(monkeypatch):
         run_search(66, "sideways", 2)
 
 
+def test_non_positive_workers_rejected_before_any_work(monkeypatch):
+    def no_step1(q_min):
+        raise AssertionError("step 1 ran")
+
+    monkeypatch.setattr(search, "step1", no_step1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_search(66, "equal", workers)
+
+
 @pytest.mark.parametrize(
     "q_min, mode",
     [(30, "equal"), (40, "equal"), (50, "equal"), (60, "equal"), (66, "equal"), (63, "greater")],
