@@ -98,8 +98,16 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _jobs(args) -> int:
+    """The worker count ``--jobs`` asks for, 1 when it is not given."""
+    jobs = 1 if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def cmd_search(args) -> int:
-    candidates = run_search(args.qmin, args.mode, args.jobs)
+    candidates = run_search(args.qmin, args.mode, _jobs(args))
     records = [_candidate_record(c) for c in candidates]
     header = CANDIDATE_COLUMNS if args.format == "csv" else CANDIDATE_HEADINGS
     rows = _candidate_rows(records, args.format)
@@ -109,7 +117,7 @@ def cmd_search(args) -> int:
 
 def cmd_eliminate(args) -> int:
     if args.all:
-        report = run_full_pipeline(args.jobs)
+        report = run_full_pipeline(_jobs(args))
         payload = [certificate_to_dict(v.certificate) for _, v in report.verdicts]
         summary = {
             "total": report.total,
@@ -122,6 +130,8 @@ def cmd_eliminate(args) -> int:
             print(f"survivors remain: {report.survivors}", file=sys.stderr)
             return 1
     else:
+        if args.jobs is not None:
+            raise UsageError("--jobs applies to --all only")
         verdict = eliminate_candidate(args.case, candidate_for_case(args.case))
         payload = [certificate_to_dict(verdict.certificate)]
         summary = {"eliminated": verdict.eliminated}
@@ -192,8 +202,6 @@ def cmd_lb(args) -> int:
         lb_of(R, 2)  # LB(2) = 1: the call only checks R
     except ValueError as exc:
         raise UsageError(f"malformed R: {exc}")
-    if args.N < 1:
-        raise UsageError("N must be positive")
     pairs = [(args.N, lb_of(R, args.N))]
     _emit(_value_table(pairs, args), args.out)
     return 0
@@ -213,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="enumerate candidates above the threshold")
     p_search.add_argument("--qmin", type=int, default=66)
     p_search.add_argument("--mode", choices=("greater", "equal"), default="greater")
-    p_search.add_argument("--jobs", type=int, default=1)
+    p_search.add_argument("--jobs", type=int)
     common(p_search)
     p_search.set_defaults(func=cmd_search)
 
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p_elim.add_mutually_exclusive_group(required=True)
     which.add_argument("--case", type=int)
     which.add_argument("--all", action="store_true")
-    p_elim.add_argument("--jobs", type=int, default=1)
+    p_elim.add_argument("--jobs", type=int)
     common(p_elim)
     p_elim.set_defaults(func=cmd_eliminate)
 

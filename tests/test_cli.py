@@ -87,6 +87,10 @@ def test_bad_flags_exit_2(capsys):
     assert main(["search", "--mode", "diagonal"]) == 2
     assert main(["search", "--config", "x"]) == 2
     assert main(["frobnicate"]) == 2
+    capsys.readouterr()
+    # only --all reads --jobs
+    assert main(["eliminate", "--case", "3", "--jobs", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: --jobs applies to --all only\n")
     assert main(["h0", "--s", "0..70"]) == 2
     assert main(["wps", "--weights", "1,2", "--smax", "5"]) == 2
     assert main(["wps", "--weights", "5,6,22,33", "--smax", "0"]) == 2
@@ -142,7 +146,7 @@ def test_readme_cli_block_lists_every_command():
         ("0,3", "3", "error: malformed R: basket indices must lie in 2..24, got R=(0, 3)"),
         ("24,24,24", "4", "error: malformed R: R=(24, 24, 24) is not admissible (budget 575/8 >= 24)"),
         ("5", "1", "error: N must be at least 2"),
-        ("5", "0", "error: N must be positive"),
+        ("5", "0", "error: N must be at least 2"),
     ],
     ids=("indices", "budget", "N=1", "N=0"),
 )
@@ -153,7 +157,7 @@ def test_lb_error_lines(capsys, R, N, line):
 @pytest.mark.parametrize("command", (["search"], ["eliminate", "--all"]), ids=("search", "eliminate"))
 @pytest.mark.parametrize("jobs", ("0", "-3"))
 def test_non_positive_jobs_exit_2(capsys, command, jobs):
-    line = f"error: workers must be at least 1, got {jobs}\n"
+    line = f"error: --jobs must be at least 1, got {jobs}\n"
     assert run_cli(capsys, *command, "--jobs", jobs) == (2, "", line)
 
 
