@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 internal invariant violation, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -60,6 +59,8 @@ def _render(fmt: str, doc: dict, header, rows) -> str:
     if fmt == "json":
         return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n"
     if fmt == "csv":
+        import csv  # only CSV output needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

@@ -823,18 +823,8 @@ def movable_thresholds(h0) -> set:
     ``h0`` maps s in 1..34 to values; the empty divisor contributes
     h^0(0) = 1 and negative degrees 0.
     """
-    def g(t):
-        if t == 0:
-            return 1
-        if t < 0:
-            return 0
-        return h0[t]
-
-    out = {0}
-    for s in range(1, 35):
-        if g(s) > g(s - 5) and g(s) > g(s - 6):
-            out.add(s)
-    return out
+    g = {**dict.fromkeys(range(-6, 0), 0), 0: 1, **h0}
+    return {0} | {s for s in range(1, 35) if g[s] > g[s - 5] and g[s] > g[s - 6]}
 
 
 #: The largest q - p the leaf-degree decision tree covers.
@@ -858,7 +848,7 @@ def _leaf_degree_steps() -> tuple:
     gens = (5, 6)
     bad_g = [g for g in range(g_floor, 60) if g != 44 and g - 44 in movable]
     shapes44 = decompose(44)
-    excess_degrees = sorted({e for e, _ in _nonreduced_excesses(movable)})
+    excess_degrees = _nonreduced_excesses(movable)
     if not (
         movable == {0, 22, 30, 33}
         and g_floor > _TREE_REACH
@@ -925,21 +915,17 @@ def _leaf_degree_steps() -> tuple:
 
 
 def decompose(n: int):
-    """All multiset writings of n over the parts (5, 6, 22), as count tuples."""
+    """All multiset writings of n over the parts (5, 6, 22): the count
+    tuples (a, b, c) with 5a + 6b + 22c = n, sorted."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    parts = (5, 6, 22)
-
-    def rec(i, remaining, acc):
-        if i == len(parts):
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        step = parts[i]
-        for k in range(remaining // step + 1):
-            yield from rec(i + 1, remaining - k * step, acc + [k])
-
-    return sorted(rec(0, n, []))
+    return sorted(
+        (a, b, c)
+        for c in range(n // 22 + 1)
+        for b in range((n - 22 * c) // 6 + 1)
+        for a, rest in [divmod(n - 22 * c - 6 * b, 5)]
+        if rest == 0
+    )
 
 
 def foliation_bounds(c: Candidate, delta: Fraction) -> int:
@@ -1033,6 +1019,12 @@ def eliminate_group_c_plus(c, cert) -> None:
         "determined",
         domain_size=q - 1 - 2 * q // 3,
     )
+    # On the Group C list (every q >= 67) only d_max <= _TREE_REACH can
+    # fail here: 1 <= d_max since foliation_bounds returns p < q, and for
+    # q > 60, p_min >= q - 10 gives 6 p_min >= 6q - 60 > 5q.  For q >= 64,
+    # p > 5q/6 gives 60 p^2 > 125 q^2 / 3 >= 2640 q = 8 * 330 q, so the
+    # leaf-square check below holds too.  Both guards stay, so that the
+    # contradiction steps remain sound if the list changes.
     _expect(
         1 <= d_max <= _TREE_REACH and 6 * p_min > 5 * q,
         "index window outside the decision tree's reach",
@@ -1052,21 +1044,20 @@ def eliminate_group_c_plus(c, cert) -> None:
 
 
 def _nonreduced_excesses(movable) -> list:
-    """Possible (excess degree, uses-a-generator) of a non-reduced member of
-    leaf degree 44.
+    """The possible excess degrees, sorted, of a non-reduced member of leaf
+    degree 44.
 
     A non-reduced member contains a doubled prime divisor of degree 5, 6 or
-    22: either twice a degree-22 member (excess 22, generator-free), or
-    generators with multiplicity whose remainder is movable (the empty
-    remainder of degree 0 included).  The excess is
-    the degree beyond the reduced part of each present generator component;
-    the reduced remainder stays.
+    22: either twice a degree-22 member (excess 22), or generators with
+    multiplicity whose remainder is movable (the empty remainder of degree
+    0 included).  The excess is the degree beyond the reduced part of each
+    present generator component; the reduced remainder stays.
     """
-    return [(22, False)] + [
-        (5 * max(a - 1, 0) + 6 * max(b - 1, 0), True)
+    return sorted({22} | {
+        5 * max(a - 1, 0) + 6 * max(b - 1, 0)
         for a, b in iproduct(range(9), range(8))
         if max(a, b) >= 2 and 44 - 5 * a - 6 * b in movable
-    ]
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,12 @@ def baskets_brute_force(R):
     return [Basket(points) for points in sorted({tuple(sorted(pts)) for pts in product(*choices)})]
 
 
-def step2(R, rXc2c1: int, q_min: int, mode: str):
-    """Every (basket, q, J_A, rXc13): each triple against each basket's
-    Riemann-Roch class 2 r_X sum sigma_pair(b, r) mod 2 r_X, in Fractions.
-    Every basket over R shares r_X = lcm(R), so one pass over the triples
-    files them, in order, under the baskets' classes, and each basket reads
-    its own class."""
+def step2(R, triples):
+    """Every (basket, q, J_A, rXc13): each of ``triples`` (``step2_tuples``
+    of R's r_X c2c1) against each basket's Riemann-Roch class
+    2 r_X sum sigma_pair(b, r) mod 2 r_X, in Fractions.  Every basket over
+    R shares r_X = lcm(R), so one pass over the triples files them, in
+    order, under the baskets' classes, and each basket reads its own class."""
     r_x = lcm(*R)
     classes = []
     for basket in baskets_brute_force(R):
@@ -139,7 +139,7 @@ def step2(R, rXc2c1: int, q_min: int, mode: str):
             raise ValueError(f"2 r_X sigma sum of {basket} is not an integer")
         classes.append((basket, offset.numerator % (2 * r_x)))
     by_class = {k: [] for _, k in classes}
-    for triple in step2_tuples(rXc2c1, q_min, mode):
+    for triple in triples:
         k = triple[2] % (2 * r_x)
         if k in by_class:
             by_class[k].append(triple)
@@ -154,16 +154,23 @@ def nabla_fraction(q: int, rXc13: int, rXc2c1: int) -> Fraction:
 
 
 def run_search(q_min: int, mode: str):
-    """The candidate list in triple order with the Fraction budget test."""
-    found = []
+    """The candidate list in triple order with the Fraction budget test.
+    The triples depend on R only through r_X c2c1, so the R of Step 1 are
+    grouped by it and each group's triples are built once."""
+    groups = {}
     for R, c2c1 in step1(q_min):
-        ctx = LBContext(R)
-        for basket, q, j_a, rXc13 in step2(R, c2c1, q_min, mode):
-            pas = prime_powers(j_a)
-            lbs = tuple(lb(ctx, pa) for pa in pas)
-            nab = nabla_fraction(q, rXc13, c2c1)
-            if nab >= sum(curve_cost(pa, val) for pa, val in zip(pas, lbs)):
-                found.append(Candidate(basket, q, j_a, rXc13, c2c1, pas, lbs, nab))
+        groups.setdefault(c2c1, []).append(R)
+    found = []
+    for c2c1, group in groups.items():
+        triples = step2_tuples(c2c1, q_min, mode)
+        for R in group:
+            ctx = LBContext(R)
+            for basket, q, j_a, rXc13 in step2(R, triples):
+                pas = prime_powers(j_a)
+                lbs = tuple(lb(ctx, pa) for pa in pas)
+                nab = nabla_fraction(q, rXc13, c2c1)
+                if nab >= sum(curve_cost(pa, val) for pa, val in zip(pas, lbs)):
+                    found.append(Candidate(basket, q, j_a, rXc13, c2c1, pas, lbs, nab))
     return sorted(found, key=lambda c: c.key)
 
 

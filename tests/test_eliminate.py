@@ -576,10 +576,10 @@ def test_nonreduced_excess_counts_only_present_generators():
     """At g = 44 a writing 5a + 6b + rest with a or b zero has no excess on
     the absent generator: on the movable set {0, 22, 30, 32, 33}, (a, b) =
     (0, 2) with rest 32 has excess 6, and (2, 2) and (4, 4) have 11 and 33;
-    on {0, 34}, (2, 0) with rest 34 has excess 5."""
-    shapes = eliminate._nonreduced_excesses({0, 22, 30, 32, 33})
-    assert shapes == [(22, False), (6, True), (11, True), (33, True)]
-    assert eliminate._nonreduced_excesses({0, 34}) == [(22, False), (5, True), (33, True)]
+    on {0, 34}, (2, 0) with rest 34 has excess 5.  The doubled degree-22
+    member's excess 22 is always present."""
+    assert eliminate._nonreduced_excesses({0, 22, 30, 32, 33}) == [6, 11, 22, 33]
+    assert eliminate._nonreduced_excesses({0, 34}) == [5, 22, 33]
 
 
 def _group_c_delta(cid):
@@ -809,6 +809,23 @@ def test_group_c_plus_stall_guards(monkeypatch):
         assert text.startswith(
             f"for every feasible p the leaf square 60 p^2/(330 q) >= {worst} > 8"
         )
+
+
+def test_group_c_plus_window_stall():
+    """Row 3 with r_Xc2c1 moved, every other route input as in the table:
+    at 356 the foliation index p_min = 60 leaves q - p <= 10, the decision
+    tree's reach, and the row is eliminated; at 357 p_min = 59 leaves
+    q - p <= 11 and the route stalls on the window."""
+    outcomes = {}
+    for rxc2c1, p_min in ((356, 60), (357, 59)):
+        verdict = eliminate_group_c_plus(3, candidate_for_case(3)._replace(rXc2c1=rxc2c1))
+        steps = [s.description for s in verdict.certificate.steps]
+        assert steps[6].startswith(f"foliation index p lies in [{p_min}, 69] "), steps[6]
+        outcomes[rxc2c1] = verdict.eliminated, steps[-1]
+    assert outcomes[356][0] and outcomes[356][1].startswith(
+        "for every feasible p the leaf square 60 p^2/(330 q) >= 216000/23100 > 8"
+    )
+    assert outcomes[357] == (False, "index window outside the decision tree's reach")
 
 
 def test_tampered_candidate_flags_not_crashes():

@@ -218,6 +218,13 @@ def test_import_loads_no_dataclass_machinery():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_csv():
+    # only CSV output imports csv, inside cli._render
+    done = run_python("-c", "import fano3.cli, sys; print('csv' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_eliminate_reads_lb_of_and_the_integer_budget():
     # in eliminate and the CLI, LB comes from the one cached kernel
     # lb_of(R, N), with no LBContext or lb call, and every budget bound from

@@ -45,7 +45,7 @@ def test_step2_matches_triple_order_oracle():
         walk = [(b.points, q, j_a, x) for b, q, j_a, x in step2(R, c2c1, 66, "equal")]
         assert len(set(walk)) == len(walk)
         oracle = {}
-        for b, q, j_a, x in oracles.step2(R, c2c1, 66, "equal"):
+        for b, q, j_a, x in oracles.step2(R, oracles.step2_tuples(c2c1, 66, "equal")):
             oracle[(b.points, q, j_a, x)] = b
         assert set(walk) <= set(oracle)
         for key, basket in oracle.items():
