@@ -1,6 +1,6 @@
 """Command-line surface: searches, eliminations, oracle tables.
 
-Exit codes: 0 success, 1 internal invariant violation, 2 usage error.
+Exit codes: 0 success, 1 survivors or an invariant violation, 2 usage error.
 """
 
 from __future__ import annotations
@@ -120,13 +120,8 @@ def cmd_eliminate(args) -> int:
     if args.all:
         report = run_full_pipeline(_jobs(args))
         payload = [certificate_to_dict(v.certificate) for _, v in report.verdicts]
-        summary = {
-            "total": report.total,
-            "eliminated": report.eliminated,
-            "survivors": report.survivors,
-            "mechanical_steps": report.mechanical_steps,
-            "cited_steps": report.cited_steps,
-        }
+        summary = report._asdict()
+        del summary["verdicts"]  # the payload holds them
         if report.survivors:
             print(f"survivors remain: {report.survivors}", file=sys.stderr)
             return 1

@@ -21,7 +21,9 @@ group a candidate falls in is found, not looked up.  No table row, and
 no candidate of the searches at q_min 40, 50 or 60, is killed by two Group
 B scripts, so their order only sets the cost of the stalls: case 20's
 script stalls on an open curve configuration after a full residue solve,
-so it runs last.
+so it runs last.  Off the table, Group A and case 32/33's script both kill
+two q_min 40 candidates (q = 48 and 54): there the order A before B
+decides which certificate is issued.
 
 Every residue question goes to one of two primitives over the integer
 tables of ``residue_term_builder``: ``exists_integral_solution`` (a greedy
@@ -48,13 +50,13 @@ verdict and the candidate stands.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, wraps
+from functools import cache, lru_cache, wraps
 from itertools import compress, product as iproduct
 from typing import NamedTuple
 
 from .arith import InvariantViolation, factorize
 from .basket import Basket
-from .certificates import CITED_LEMMA, MECHANICAL, CertStep, EliminationCertificate, Verdict
+from .certificates import CITED_LEMMA, MECHANICAL, EliminationCertificate, Verdict
 from .lb import lb_of
 from .rr import (
     CrepantCurve,
@@ -161,7 +163,7 @@ def _completions(sys: ResidueConstraintSystem, positions, constants) -> list:
 # Curve-configuration determination
 # ---------------------------------------------------------------------------
 
-@cache  # one derivation per candidate, which every route only reads
+@lru_cache(maxsize=1)  # every route of a candidate runs before the next candidate's
 def determine_curves(c: Candidate):
     """Crepant-curve configuration forced by the degree budget.
 
@@ -330,15 +332,12 @@ def eliminate_group_a(c, cert) -> None:
 
 def run_group_b_script(case_id: int, c: Candidate) -> Verdict:
     """Each Group B script in turn on the candidate; the first contradiction
-    wins, and when every script stalls the last stall is the verdict.
-    Each table row is killed by exactly one script, so the order decides
-    only the cost of the stalls: case 20's script comes last, because it
-    stalls on an open curve configuration only after a full residue solve.
-    """
+    wins, and when every script stalls the last stall is the verdict.  The
+    module docstring says why the order sets only the cost of the stalls."""
     return _first_contradiction(script(case_id, c) for script in _GROUP_B_SCRIPTS)
 
 
-@cache  # once per candidate, which every script's order check only reads
+@lru_cache(maxsize=1)  # every script of a candidate runs before the next candidate's
 def _curve_order_bounds(c: Candidate) -> tuple:
     """``(bounds, allowed)``: LB(j) for every curve class order j | J_A, and
     the orders whose minimal degree cost fits the budget."""
@@ -761,8 +760,7 @@ def _group_c_shared_steps():
     and the odd step's 165 differences those of per-point column differences,
     both in the order of the residue tuples.
     """
-    steps = []
-
+    derivation = EliminationCertificate(None)  # only its steps are kept
     residues = iproduct(*(range(r) for r in _GROUP_C_BASKET.R))
     values = h0_integral_values(
         _group_c_s_part(2), _GROUP_C_BASKET.r_x, column_sums(_GROUP_C_COLUMNS)
@@ -770,14 +768,11 @@ def _group_c_shared_steps():
     sols = {(y, v) for y, v in zip(residues, values) if v is not None}
     even = {r: sorted({x[k] for x, _ in sols}) for k, r in enumerate(_GROUP_C_BASKET.R)}
     h0_2a_vals = {v for _, v in sols}
-    steps.append(
-        CertStep(
-            MECHANICAL,
-            f"h^0(2A) integral only for even-multiple residues {even} "
-            f"(sign-symmetric pairs); its value is always {sorted(h0_2a_vals)}",
-            "narrowed",
-            2 * 3 * 5 * 11,
-        )
+    derivation.mechanical(
+        f"h^0(2A) integral only for even-multiple residues {even} "
+        f"(sign-symmetric pairs); its value is always {sorted(h0_2a_vals)}",
+        "narrowed",
+        2 * 3 * 5 * 11,
     )
     if even != {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]} or h0_2a_vals != {0}:
         raise InvariantViolation(f"unexpected h^0(2A) residues {even} or values {h0_2a_vals}")
@@ -796,13 +791,10 @@ def _group_c_shared_steps():
     )
     odd_sols = {y for y, v in zip(odd_residues, values) if v is not None}
     odd = {r: sorted({y[k] for y in odd_sols}) for k, r in enumerate((3, 5, 11))}
-    steps.append(
-        CertStep(
-            MECHANICAL,
-            f"h^0(A) - h^0(3A) integral only for odd-correction residues {odd}",
-            "narrowed",
-            3 * 5 * 11,
-        )
+    derivation.mechanical(
+        f"h^0(A) - h^0(3A) integral only for odd-correction residues {odd}",
+        "narrowed",
+        3 * 5 * 11,
     )
     if odd != {3: [1], 5: [2], 11: [2]}:
         raise InvariantViolation(f"unexpected odd-correction residues {odd}")
@@ -813,7 +805,7 @@ def _group_c_shared_steps():
     residual = Fraction(_group_c_s_part(1) - numerator, 2 * _GROUP_C_BASKET.r_x)
     if residual != Fraction(1, 4):
         raise InvariantViolation(f"h^0(A) residual is {residual}, not 1/4")
-    return even, odd, residual, tuple(steps)
+    return even, odd, residual, tuple(derivation.steps)
 
 
 def movable_thresholds(h0) -> set:
@@ -1088,28 +1080,21 @@ def run_full_pipeline(workers: int = 1) -> PipelineReport:
     and aggregate the certificates in case-id order."""
     from .search import run_search
 
-    candidates = run_search(66, "greater", workers)
-    by_key = {r.key: r for r in TABLE_MAIN}
-    if len(candidates) != len(TABLE_MAIN):
+    found = {c.key: c for c in run_search(66, "greater", workers)}
+    nos = {r.key: r.no for r in TABLE_MAIN}
+    if found.keys() != nos.keys():
         raise InvariantViolation(
-            f"search found {len(candidates)} candidates, the table has {len(TABLE_MAIN)}"
+            f"search and frozen table differ: only the search has {sorted(found.keys() - nos.keys())}, "
+            f"only the table has {sorted(nos.keys() - found.keys())}"
         )
-    verdicts = []
-    for cand in candidates:
-        table_row = by_key.get(cand.key)
-        if table_row is None:
-            raise InvariantViolation(f"candidate {cand} missing from the frozen table")
-        verdicts.append((table_row.no, eliminate_candidate(table_row.no, cand)))
-    verdicts.sort(key=lambda pair: pair[0])
-
+    verdicts = sorted((nos[key], eliminate_candidate(nos[key], c)) for key, c in found.items())
     survivors = [no for no, v in verdicts if not v.eliminated]
-    mech = sum(v.certificate.kind_counts()[MECHANICAL] for _, v in verdicts)
-    cited = sum(v.certificate.kind_counts()[CITED_LEMMA] for _, v in verdicts)
+    counts = [v.certificate.kind_counts() for _, v in verdicts]
     return PipelineReport(
         total=len(verdicts),
-        eliminated=sum(1 for _, v in verdicts if v.eliminated),
+        eliminated=len(verdicts) - len(survivors),
         survivors=survivors,
         verdicts=verdicts,
-        mechanical_steps=mech,
-        cited_steps=cited,
+        mechanical_steps=sum(n[MECHANICAL] for n in counts),
+        cited_steps=sum(n[CITED_LEMMA] for n in counts),
     )

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fano3.cli import build_parser, main
+from fano3.eliminate import candidate_for_case
 
 from conftest import run_python
 
@@ -109,6 +110,8 @@ def test_h0_values(capsys):
         (int(k), int(v)) for k, v in csv.reader(io.StringIO(text)) if k != "key"
     )
     assert rows == {30: 2, 31: 1, 32: 2, 33: 3}
+    # a single degree is the range s..s
+    assert run_cli(capsys, "h0", "--s", "5", "--format", "csv") == (0, "key,value\n5,1\n", "")
 
 
 def test_wps_matches_h0(capsys):
@@ -276,3 +279,33 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr("fano3.cli.cmd_lb", broken_lookup)
     with pytest.raises(KeyError):
         main(["lb", "--R", "2,3", "--N", "3"])
+
+
+def test_search_table_mismatch_exits_1(monkeypatch, capsys, candidates_greater):
+    """A search that disagrees with the frozen table is an InvariantViolation
+    of run_full_pipeline naming the keys on each side; main prints it as one
+    `invariant violation:` line and exits 1."""
+    first, *rest = candidates_greater
+    moved = first._replace(rXc13=first.rXc13 + 1)
+    monkeypatch.setattr("fano3.search.run_search", lambda q_min, mode, workers: [moved, *rest])
+    assert run_cli(capsys, "eliminate", "--all") == (
+        1,
+        "",
+        f"invariant violation: search and frozen table differ: only the search has "
+        f"{[moved.key]}, only the table has {[first.key]}\n",
+    )
+
+
+def test_survivors_exit_1(monkeypatch, capsys, pipeline_report):
+    """`eliminate --all` with a survivor writes no report, one stderr line, and exits 1."""
+    report = pipeline_report._replace(eliminated=35, survivors=[35])
+    monkeypatch.setattr("fano3.cli.run_full_pipeline", lambda workers: report)
+    assert run_cli(capsys, "eliminate", "--all") == (1, "", "survivors remain: [35]\n")
+
+
+def test_case_not_eliminated_exits_1(monkeypatch, capsys):
+    """`eliminate --case N` on a candidate every route stalls on (its budget
+    raised out of reach) writes no certificate, one stderr line, and exits 1."""
+    c = candidate_for_case(4)
+    monkeypatch.setattr("fano3.cli.candidate_for_case", lambda n: c._replace(nabla=c.nabla + 10**6))
+    assert run_cli(capsys, "eliminate", "--case", "4") == (1, "", "case 4 not eliminated\n")

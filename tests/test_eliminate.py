@@ -268,6 +268,25 @@ def test_each_row_killed_by_exactly_one_route():
         assert sum(v.eliminated for v in verdicts) == 1, r.no
 
 
+def test_group_b_scripts_kill_disjoint_candidates_off_the_table(candidates_q40):
+    """No q_min 40 candidate (those of q = 50 and 60 among them) is killed
+    by two Group B scripts, so their order changes no certificate.  Group A
+    and case 32/33's script both kill two of the 18 that one script kills,
+    so there the order A before B picks the certificate."""
+    killed, also_a = 0, []
+    for c in candidates_q40:
+        kills = [s.__name__ for s in eliminate._GROUP_B_SCRIPTS if s(-1, c).eliminated]
+        assert len(kills) <= 1, c
+        killed += len(kills)
+        if kills and eliminate_group_a(-1, c).eliminated:
+            also_a.append((c.basket.points, c.q, c.j_a, c.rXc13, kills[0]))
+    assert killed == 18
+    assert sorted(also_a) == [
+        (((2, 1), (3, 1), (5, 1), (6, 1), (7, 1)), 48, 6, 768, "_case_32_33"),
+        (((2, 1), (3, 1), (5, 2), (6, 1), (7, 2)), 54, 6, 972, "_case_32_33"),
+    ]
+
+
 def test_group_b_stall_order_puts_case_20_last():
     """A candidate every script stalls on reports case 20's stall."""
     assert eliminate._GROUP_B_SCRIPTS[-1] is eliminate._case_20

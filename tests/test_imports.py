@@ -297,3 +297,17 @@ def test_one_writer_per_riemann_roch_term():
         assert calls_to(fn, "rr_terms") == 1, name
         assert arithmetic_names(fn) & term_names == set(), name
         assert referenced_names(fn)["degree_rXKC"] + referenced_names(fn)["numerator"] == 0, name
+
+
+def test_cert_steps_are_built_only_in_certificates():
+    # EliminationCertificate.add is the one constructor call, so every step
+    # goes through its kind and citation checks; a module that needs steps
+    # outside a certificate writes them through a scratch one
+    builders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Call)
+        and "CertStep" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+    assert builders == ["certificates.py"]
