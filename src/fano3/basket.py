@@ -70,9 +70,6 @@ class Basket(Frozen):
     def __iter__(self):
         return iter(self.points)
 
-    def __len__(self):
-        return len(self.points)
-
     def __str__(self):
         return "{" + ",".join(f"({r},{b})" for r, b in self.points) + "}"
 

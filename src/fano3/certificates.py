@@ -101,15 +101,13 @@ class EliminationCertificate:
         return f"EliminationCertificate(case_id={self.case_id!r}, steps={self.steps!r})"
 
     def add(self, kind, description, outcome, domain_size=None, citation=None):
-        step = CertStep(kind, description, outcome, domain_size, citation)
-        self.steps.append(step)
-        return step
+        self.steps.append(CertStep(kind, description, outcome, domain_size, citation))
 
     def mechanical(self, description, outcome, domain_size=None):
-        return self.add(MECHANICAL, description, outcome, domain_size)
+        self.add(MECHANICAL, description, outcome, domain_size)
 
     def cite(self, citation, description):
-        return self.add(CITED_LEMMA, description, "assumed", None, citation)
+        self.add(CITED_LEMMA, description, "assumed", None, citation)
 
     @property
     def has_contradiction(self) -> bool:

@@ -213,7 +213,7 @@ def candidate_for_case(case_id: int) -> Candidate:
     """Rebuild the search candidate from the frozen table row."""
     r = row(case_id)
     cand = step3(Basket(r.basket), r.q, r.j_a, r.rXc13, r.rXc2c1)
-    if cand is None:
+    if not within_budget(cand.nabla, cand.q, demand_units(cand.q, cand.prime_powers, cand.lb_values)):
         raise InvariantViolation(f"table row {case_id} fails the budget inequality")
     return cand
 
@@ -753,12 +753,12 @@ def group_c_closed_form(s: int) -> int:
 
 @cache  # no step here depends on the candidate
 def _group_c_shared_steps():
-    """The even step, the odd step and the h^0(A) residual of the Group C
-    derivation: ``(even, odd, residual, steps)``, the two steps as frozen
-    ``CertStep``s shared by every Group C certificate.  The even step's 330
-    orbifold numerators are the ``column_sums`` of the ``orbifold_columns``,
-    and the odd step's 165 differences those of per-point column differences,
-    both in the order of the residue tuples.
+    """The h^0(A) residual of the Group C derivation and its even and odd
+    steps: ``(residual, steps)``, the steps as frozen ``CertStep``s shared
+    by every Group C certificate.  The even step's 330 orbifold numerators
+    are the ``column_sums`` of the ``orbifold_columns``, and the odd step's
+    165 differences those of per-point column differences, both in the
+    order of the residue tuples.
     """
     derivation = EliminationCertificate(None)  # only its steps are kept
     residues = iproduct(*(range(r) for r in _GROUP_C_BASKET.R))
@@ -805,7 +805,7 @@ def _group_c_shared_steps():
     residual = Fraction(_group_c_s_part(1) - numerator, 2 * _GROUP_C_BASKET.r_x)
     if residual != Fraction(1, 4):
         raise InvariantViolation(f"h^0(A) residual is {residual}, not 1/4")
-    return even, odd, residual, tuple(derivation.steps)
+    return residual, tuple(derivation.steps)
 
 
 def movable_thresholds(h0) -> set:
@@ -961,7 +961,7 @@ def _group_c_curves(c: Candidate, cert) -> CurveConfig:
     """
     if c.key not in GROUP_C_KEYS:
         raise ValueError(f"candidate {c.key} is not on the Group C list")
-    _, _, residual, steps = _group_c_shared_steps()
+    residual, steps = _group_c_shared_steps()
     if c.r_x % 2 == 1:
         x_a1 = c.r_x
         why = "r_X is odd, so the half-point correction is absent and x_A1 = r_X"

@@ -5,8 +5,9 @@ Step 2 walks the Riemann-Roch classes of r_Xc1^3 that R reaches, reads off q
 and the codimension-2 Cartier index J_A, charges each triple the curve-degree
 budget (nabla) against the curves forced by the prime powers of J_A, and
 builds baskets for survivors only; Step 3 attaches the degree lower bounds
-and nabla to each and re-checks the budget.  Everything is exact integer
-arithmetic, and the result is independent of the worker count.
+and nabla to each, and ``verify_candidate`` re-checks the budget in
+Fractions.  Everything is exact, and the result is independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def step1(q_min: int):
 
 
 def step2(R, rXc2c1: int, q_min: int, mode: str = GREATER):
-    """Tuples (basket, q, J_A, rXc13) that Step 3 keeps.
+    """Tuples (basket, q, J_A, rXc13) within the curve-degree budget.
 
     A residue-first walk on integer sets.  Riemann-Roch integrality depends
     on the basket only through its offset (its ``orbifold_column`` entries
@@ -161,28 +162,24 @@ def _index_pairs(rXc13: int, q_min: int, mode: str) -> tuple:
 _prime_powers = lru_cache(maxsize=None)(prime_powers)
 
 
-def step3(basket: Basket, q: int, j_a: int, rXc13: int, rXc2c1: int):
-    """Attach prime powers, degree bounds and nabla; filter by the budget,
-    compared in integers scaled by 4q^2."""
+def step3(basket: Basket, q: int, j_a: int, rXc13: int, rXc2c1: int) -> Candidate:
+    """The Candidate: attach prime powers, degree bounds and nabla.  Step 2
+    has charged the budget, so nothing is filtered here."""
     if q % j_a:
         raise ValueError(f"J_A = {j_a} does not divide q = {q}")
     ctx = LBContext(basket.R)
     pas = _prime_powers(j_a)
     lbs = tuple(lb(ctx, pa) for pa in pas)
-    if nabla_units(q, rXc13, rXc2c1) < demand_units(q, pas, lbs):
-        return None
     return Candidate(basket, q, j_a, rXc13, rXc2c1, pas, lbs, nabla(q, rXc13, rXc2c1))
 
 
 def _process_units(args):
     q_min, mode, units = args
-    found = []
-    for R, c2c1 in units:
-        for basket, q, j_a, rXc13 in step2(R, c2c1, q_min, mode):
-            cand = step3(basket, q, j_a, rXc13, c2c1)
-            if cand is not None:
-                found.append(cand)
-    return found
+    return [
+        step3(basket, q, j_a, rXc13, c2c1)
+        for R, c2c1 in units
+        for basket, q, j_a, rXc13 in step2(R, c2c1, q_min, mode)
+    ]
 
 
 def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):

@@ -281,7 +281,8 @@ def integral_assignments(sys, constant):
     """Every assignment making ``constant`` plus the unknowns of ``sys``
     integral, in lexicographic order: brute force over the full product of
     residue ranges, on the tables of ``scaled_fractions``.  Each prefix is
-    summed once and every residue of the last unknown is tested against it."""
+    summed once and looks up the last unknown's residues whose value
+    completes it mod L, so an unsolvable system costs its head product."""
     big_l, tables = scaled_fractions(sys.unknown_terms)
     if (constant * big_l).denominator != 1:
         return
@@ -291,11 +292,13 @@ def integral_assignments(sys, constant):
             yield ()
         return
     *head, last = tables
+    completing = {}
+    for u, a in enumerate(last):
+        completing.setdefault(-a % big_l, []).append(u)
     for prefix in product(*(range(len(tab)) for tab in head)):
         acc = base + sum(tab[u] for tab, u in zip(head, prefix))
-        for u, a in enumerate(last):
-            if (acc + a) % big_l == 0:
-                yield prefix + (u,)
+        for u in completing.get(acc % big_l, ()):
+            yield prefix + (u,)
 
 
 def h0_s_part_fraction(q, A2mK, cfg, B, s) -> Fraction:

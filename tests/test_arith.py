@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from fano3.arith import factorize, prime_powers, sigma_pair
+from fano3.arith import factorize, prime_powers, sigma_numerator, sigma_pair
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 500))
@@ -17,6 +18,13 @@ def test_sigma_pair_vanishes_exactly_on_multiples():
     for r in range(1, 30):
         for x in range(r):
             assert (sigma_pair(x, r) == 0) == (x % r == 0)
+
+
+def test_sigma_numerator_needs_a_positive_modulus():
+    assert sigma_numerator(1, 1) == 0
+    for r in (0, -3):
+        with pytest.raises(ValueError, match="modulus"):
+            sigma_numerator(1, r)
 
 
 def test_sigma_pair_period_sum_identity():

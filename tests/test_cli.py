@@ -89,6 +89,8 @@ def test_bad_flags_exit_2(capsys):
     assert main(["search", "--config", "x"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+    assert main(["search", "--qmin", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: q_min must be at least 6\n")
     # only --all reads --jobs
     assert main(["eliminate", "--case", "3", "--jobs", "-3"]) == 2
     assert capsys.readouterr() == ("", "error: --jobs applies to --all only\n")

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -43,6 +44,7 @@ from fano3.rr import (
     CurveConfig,
     ResidueConstraintSystem,
     UnknownTerm,
+    curve_cost,
     residue_term_builder,
 )
 from fano3.tables import GROUP_C_KEYS, TABLE_MAIN, row
@@ -195,6 +197,18 @@ def test_solver_witness_matches_brute_force():
         first = next(integral_assignments(sys, constant), None)
         ok, record = exists_integral_solution(sys, constant)
         assert record.get("witness") == first and ok == (first is not None), (k, sys)
+
+
+def test_solver_rechecks_its_witness_in_fractions():
+    """A system whose integer table disagrees with its Fraction term: the
+    table completes 1/2 at residue 0, where the term is 0, so the greedy
+    witness fails the Fraction re-check."""
+    term = UnknownTerm(Fraction(1, 2), 2, "linear")
+    good = ResidueConstraintSystem((Fraction(1, 2),), (term,), 2, ((0, 1),))
+    assert exists_integral_solution(good, Fraction(1, 2)) == (True, {"witness": (1,)})
+    bad = ResidueConstraintSystem((Fraction(1, 2),), (term,), 2, ((1, 0),))
+    with pytest.raises(InvariantViolation, match="solver witness"):
+        exists_integral_solution(bad, Fraction(1, 2))
 
 
 def test_solver_trivial_systems():
@@ -585,10 +599,36 @@ def test_movable_thresholds():
     assert movable_thresholds(h0) == {0, 22, 30, 33}
 
 
+def test_row_checks_its_stored_position(monkeypatch):
+    """A table whose first two rows are swapped is refused by number."""
+    monkeypatch.setattr("fano3.tables.TABLE_MAIN", (TABLE_MAIN[1], TABLE_MAIN[0], *TABLE_MAIN[2:]))
+    with pytest.raises(InvariantViolation, match="table row 2 stored at position 1"):
+        row(1)
+
+
+def test_candidate_for_case_charges_its_row(monkeypatch):
+    """Step 3 filters nothing, so ``candidate_for_case`` charges the row's
+    budget itself: at the least r_X c2c1 the budget allows the row is
+    rebuilt, and one below it is refused."""
+    r = row(1)
+    c = candidate_for_case(1)
+    demand = sum(map(curve_cost, c.prime_powers, c.lb_values))
+    least = math.ceil(demand + c.rXc2c1 - c.nabla)
+    for rXc2c1, holds in ((least, True), (least - 1, False)):
+        monkeypatch.setattr(eliminate, "row", lambda n: r._replace(rXc2c1=rXc2c1))
+        if holds:
+            assert candidate_for_case(1).nabla >= demand
+        else:
+            with pytest.raises(InvariantViolation, match="table row 1 fails the budget"):
+                candidate_for_case(1)
+
+
 def test_decompose():
     assert decompose(44) == [(0, 0, 2), (2, 2, 1), (4, 4, 0)]
     assert decompose(11) == [(1, 1, 0)]
     assert decompose(0) == [(0, 0, 0)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        decompose(-1)
 
 
 def test_nonreduced_excess_counts_only_present_generators():
@@ -608,9 +648,9 @@ def _group_c_delta(cid):
 
 
 def test_group_c_curves():
-    even, odd, residual, steps = _group_c_shared_steps()
-    assert even == {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]}
-    assert odd == {3: [1], 5: [2], 11: [2]}
+    residual, steps = _group_c_shared_steps()
+    assert f"residues {({2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]})} " in steps[0].description
+    assert steps[1].description.endswith(f"residues {({3: [1], 5: [2], 11: [2]})}")
     assert residual == Fraction(1, 4)
     assert all(isinstance(s, CertStep) for s in steps)
     assert "its value is always [0]" in steps[0].description  # h^0(2A) = 0
@@ -639,8 +679,37 @@ def test_group_c_both_even_stalls(monkeypatch):
 
 
 def test_group_c_shared_steps_match_fraction_oracle():
-    """The column-kernel derivation against Fraction h^0 at every tuple."""
-    assert _group_c_shared_steps()[:3] == group_c_residues()
+    """The column-kernel derivation against Fraction h^0 at every tuple:
+    the oracle's even and odd residues are the ones the two step
+    descriptions print."""
+    even, odd, residual = group_c_residues()
+    assert _group_c_shared_steps()[0] == residual
+    even_step, odd_step = (s.description for s in _group_c_shared_steps()[1])
+    assert even_step.startswith(f"h^0(2A) integral only for even-multiple residues {even} ")
+    assert odd_step == f"h^0(A) - h^0(3A) integral only for odd-correction residues {odd}"
+
+
+@pytest.mark.parametrize(
+    "shifts, match",
+    [
+        ({2: 1}, r"unexpected h\^0\(2A\) residues"),
+        ({3: 1}, "unexpected odd-correction residues"),
+        # 2 r_X = 660 at s = 1 and 3 keeps both integrality steps and adds 1
+        # to h^0(A)
+        ({1: 660, 3: 660}, "residual is 5/4, not 1/4"),
+    ],
+)
+def test_group_c_derivation_checks(monkeypatch, shifts, match):
+    """An s-part off at s = 2, at s = 3, or at s = 1 and 3 together, fails
+    the even, the odd or the residual check of the shared derivation."""
+    part = eliminate._group_c_s_part
+    monkeypatch.setattr(eliminate, "_group_c_s_part", lambda s: part(s) + shifts.get(s, 0))
+    _group_c_shared_steps.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match=match):
+            _group_c_shared_steps()
+    finally:
+        _group_c_shared_steps.cache_clear()
 
 
 def test_case_24_grid_matches_per_tuple_oracle():

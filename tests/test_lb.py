@@ -55,6 +55,10 @@ def test_f_p_examples():
     assert f_p(LBContext((5,)), 5, 3) == 5
     assert f_p(LBContext((2, 4, 4, 7)), 2, 3) == 2
     assert f_p(LBContext((3, 3)), 7, 10) == 1
+    with pytest.raises(ValueError, match="N must be"):
+        f_p(LBContext((5,)), 5, 1)
+    with pytest.raises(ValueError, match="p must be"):
+        f_p(LBContext((5,)), 29, 3)
 
 
 def test_lb_reads_only_the_primes_of_R():

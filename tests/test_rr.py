@@ -204,6 +204,8 @@ def test_case_24_integer_h0_table_matches_h0_s_part():
 def test_nabla():
     # budget formula against a hand evaluation
     assert nabla(66, 198, 162) == Fraction(162) - Fraction(66**2 + 2 * 66 - 4, 4 * 66**2) * 198
+    with pytest.raises(ValueError, match="q must be positive"):
+        nabla(0, 1, 1)
 
 
 def test_nabla_matches_three_fraction_formula(candidates_equal, candidates_q40):
@@ -248,6 +250,17 @@ def test_s_part_needs_s_strictly_between_0_and_q():
             h0_s_part(*args, s)
     for s in (1, c.q - 1):
         h0_s_part(*args, s)
+
+
+def test_s_part_needs_concrete_units_and_x_a1():
+    """A curve of unknown generator unit, or an open A_1 aggregate, leaves
+    the s-part undetermined."""
+    c = candidate_for_case(1)
+    minus_a2k = a2mk(c.q, c.rXc13, c.r_x)
+    for cfg in (CurveConfig((CrepantCurve(7, 5),), x_A1=0), CurveConfig((), x_A1=None)):
+        with pytest.raises(ValueError, match="concrete"):
+            h0_s_part(c.q, minus_a2k, cfg, c.basket, 1)
+    h0_s_part(c.q, minus_a2k, CurveConfig((CrepantCurve(7, 5, 1),), x_A1=0), c.basket, 1)
 
 
 def test_curve_config_rejects_low_j():

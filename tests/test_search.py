@@ -36,10 +36,15 @@ def test_step1_matches_fraction_oracle(q_min):
     assert list(step1(q_min)) == list(oracles.step1(q_min))
 
 
+def _within_fraction_budget(c) -> bool:
+    """The budget inequality in Fractions, apart from the integer kernels."""
+    return sum(map(curve_cost, c.prime_powers, c.lb_values)) <= c.nabla
+
+
 def test_step2_matches_triple_order_oracle():
     """At q_min 66, equal mode, on every Step-1 unit: each tuple the walk
-    yields is an oracle tuple, and each oracle tuple that Step 3 keeps is
-    yielded.  The walk charges the real demand, so it yields only those."""
+    yields is an oracle tuple within the Fraction budget, and each oracle
+    tuple within it is yielded.  Step 2 is the one budget charge."""
     yielded = kept = 0
     for R, c2c1 in step1(66):
         walk = [(b.points, q, j_a, x) for b, q, j_a, x in step2(R, c2c1, 66, "equal")]
@@ -49,20 +54,21 @@ def test_step2_matches_triple_order_oracle():
             oracle[(b.points, q, j_a, x)] = b
         assert set(walk) <= set(oracle)
         for key, basket in oracle.items():
-            if step3(basket, *key[1:], c2c1) is not None:
-                assert key in walk
-                kept += 1
+            within = _within_fraction_budget(step3(basket, *key[1:], c2c1))
+            assert within == (key in walk), key
+            kept += within
         yielded += len(walk)
     assert (yielded, kept) == (7, 7)
 
 
 def test_greater_walk_yields_only_what_step3_keeps():
-    """At q_min 63, greater mode, every tuple the walk yields survives
-    Step 3: the walk has already charged each triple its real demand."""
+    """At q_min 63, greater mode, every tuple the walk yields is within the
+    Fraction budget: Step 3 filters nothing, so the walk alone charges
+    each triple its real demand."""
     yielded = 0
     for R, c2c1 in step1(63):
         for basket, q, j_a, x in step2(R, c2c1, 63, "greater"):
-            assert step3(basket, q, j_a, x, c2c1) is not None, (basket, q, j_a, x)
+            assert _within_fraction_budget(step3(basket, q, j_a, x, c2c1)), (basket, q, j_a, x)
             yielded += 1
     assert yielded == len(run_search(63, "greater")) > 36
 
@@ -111,7 +117,6 @@ def test_walk_reaches_its_boundary_triples(R, q_min, mode, triple, spent):
 
 def test_step3_attaches_budget():
     cand = step3(Basket([(5, 1)]), 84, 84, 84, 96)
-    assert cand is not None
     assert cand.lb_values == (5, 5, 5)
     assert cand.nabla == Fraction(6259, 84)
     with pytest.raises(ValueError):
@@ -263,6 +268,8 @@ def test_verify_candidate_rederives_nabla(monkeypatch):
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         run_search(66, "sideways", 1)
+    with pytest.raises(ValueError, match="mode must be"):
+        next(step2((5,), 96, 66, "sideways"))
 
 
 def test_bad_mode_rejected_before_any_work(monkeypatch):
@@ -273,6 +280,14 @@ def test_bad_mode_rejected_before_any_work(monkeypatch):
     monkeypatch.setattr(search, "step1", no_step1)
     with pytest.raises(ValueError):
         run_search(66, "sideways", 2)
+
+
+def test_duplicate_candidates_rejected(monkeypatch):
+    """A work unit that reports a candidate twice fails the merge."""
+    process = search._process_units
+    monkeypatch.setattr(search, "_process_units", lambda args: 2 * process(args))
+    with pytest.raises(InvariantViolation, match="duplicate candidates"):
+        run_search(66, "equal")
 
 
 def test_non_positive_workers_rejected_before_any_work(monkeypatch):
