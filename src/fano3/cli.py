@@ -263,7 +263,3 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,13 +30,11 @@ tables of ``residue_term_builder``: ``exists_integral_solution`` (a greedy
 witness) or ``_completions`` (the residue tuples of chosen unknowns that
 complete).  Both take one system and a constant per divisor D = sA: the
 routes build one system per family of divisors whose unknown terms agree
--- case 35's aggregate-A_1 residues over s in {1, 3, 5} (and likewise
-cases 10 and 32/33) and its half-point parities over s in {1, 4, 5},
-case 24's (y4, s) grid, case 27's index pairs over s in {2, 4} and the
-A_2 degrees of cases 27 and 32/33 -- and read every member off it.  Group
-A and the scripts of cases 20, 23 and 36 are each one ``_refute_at`` call
-with their case data: the system of one divisor D = sA at one auxiliary
-index r' has no integral assignment.
+and read every member off it.  Group A and the scripts of cases 20, 23
+and 36 are each one ``_refute_at`` call with their case data: the system
+of one divisor D = sA at one auxiliary index r' has no integral
+assignment.  Every domain size a certificate prints is read from the
+system, range or table that was exhausted, never restated as a literal.
 
 All arithmetic is exact; each step lands in an EliminationCertificate.  A
 route is a body ``(c, cert)`` that ``@_route`` turns into the
@@ -52,6 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache, wraps
 from itertools import compress, product as iproduct
+from math import prod
 from typing import NamedTuple
 
 from .arith import InvariantViolation, factorize
@@ -492,7 +491,8 @@ def _case_32_33(c, cert) -> None:
         f"y >= 1, since LB(3) = {lb3}) and at least one A_1",
         "determined",
     )
-    const, y_sols = _a2_degree_solutions(c, lb3, s=2, ys=range(3))
+    ys = range(3)
+    const, y_sols = _a2_degree_solutions(c, lb3, s=2, ys=ys)
     # the least positive y in the residues, where residue 0 gives y = 3
     least = min((y or 3 for y in y_sols), default=None)
     cert.mechanical(
@@ -500,15 +500,16 @@ def _case_32_33(c, cert) -> None:
         f"is integral only for y = {y_sols} mod 3, so "
         + (f"y >= {least}" if least else "no y fits"),
         "narrowed",
-        domain_size=3,
+        domain_size=len(ys),
     )
     _expect(y_sols == [2], "y residue not pinned")
     cfg = CurveConfig((CrepantCurve(3, lb3, 1),), x_A1=None)
     good, _ = _x_a1_residues_over_s(c, cfg, r_prime=18, s_values=(1, 3, 5), cert=cert)
-    _expect(not any(u % 35 for u in good), f"A_1 residues {sorted(good)} not multiples of 35")
-    cert.mechanical("the A_1 aggregate degree is a positive multiple of 35", "narrowed")
-    pinned = CurveConfig((CrepantCurve(3, 2 * lb3, 1),), x_A1=35)
-    _refute_budget(c, pinned, cert, "x_A1 >= 35 with y >= 2")
+    x_min = 35  # the A_1 multiple the residues are checked against
+    _expect(not any(u % x_min for u in good), f"A_1 residues {sorted(good)} not multiples of {x_min}")
+    cert.mechanical(f"the A_1 aggregate degree is a positive multiple of {x_min}", "narrowed")
+    pinned = CurveConfig((CrepantCurve(3, least * lb3, 1),), x_A1=x_min)
+    _refute_budget(c, pinned, cert, f"x_A1 >= {x_min} with y >= {least}")
 
 
 @_route
@@ -548,24 +549,24 @@ def _case_24(c, cert) -> None:
     cert.mechanical(
         f"integrality for D=sA, s in [1, 3], r'=9 leaves (x_A1, y4) in {sorted(sols)}",
         "narrowed",
-        domain_size=2 * (x_max + 1) * y4_max * 5,
+        domain_size=len(members) * (x_max + 1) * sys.domain_size // modulus,
     )
     _expect(sols == {(10, 1)}, "joint residue solution not unique")
-    x_a1, y4 = 10, 1
+    [(x_a1, y4)] = sols
     y3_max = int(_room(c, ((2, x_a1), (4, lb4 * y4)), 3, lb3))
     cert.mechanical(f"budget then forces y3 = 1 (y3 <= {y3_max})", "narrowed")
     _expect(y3_max == 1, "y3 not pinned")
 
-    # full h^0 formula with one A_2 and one A_3 curve of degree 5 and x_A1 = 10,
+    # full h^0 formula with one A_2 curve, the pinned A_3 degree and x_A1,
     # over every choice of residues at the basket points
-    cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4, 1)), x_A1=x_a1)
+    cfg = CurveConfig((CrepantCurve(3, lb3, 1), CrepantCurve(4, lb4 * y4, 1)), x_A1=x_a1)
     expected = {2: 1, 3: 1, 6: 1, 30: 4, 31: 3}
     _expect(max(expected) < c.q, f"h^0 degree {max(expected)} is not below q = {c.q}")
     computed = _h0_value_sets(c, cfg, expected)
     cert.mechanical(
         f"h^0 is pinned by integrality alone: {sorted((s, sorted(v)) for s, v in computed.items())}",
         "narrowed",
-        domain_size=5 * 135,
+        domain_size=len(computed) * prod(c.basket.R),
     )
     _expect(all(v == {expected[s]} for s, v in computed.items()), "h^0 values not unique")
     cert.mechanical(
@@ -606,8 +607,8 @@ def _case_27(c, cert) -> None:
     )
     _expect(y_sols == [2], "y not pinned")
     cert.mechanical(
-        "two cases: a single A_2 curve of degree 140, or two A_2 curves of degree "
-        "70 each",
+        f"two cases: a single A_2 curve of degree {2 * lb3}, or two A_2 curves of "
+        f"degree {lb3} each",
         "narrowed",
     )
 
@@ -624,7 +625,7 @@ def _case_27(c, cert) -> None:
         f"r'=70 integrality for D=2A, 4A: order-3 indices {sorted(i3_2)} / {sorted(i3_4)}, "
         f"order-6 indices {sorted(i6_2)} / {sorted(i6_4)}",
         "narrowed",
-        domain_size=2 * 18,
+        domain_size=len(sys.constants) * sys.domain_size,
     )
     _expect(
         pairs2 == set(iproduct(i3_2, i6_2)) and pairs4 == set(iproduct(i3_4, i6_4)),
@@ -659,18 +660,19 @@ def _case_27(c, cert) -> None:
 
 @_route
 def _case_35(c, cert) -> None:
-    _forced_curves(
+    [a3] = _forced_curves(
         c, cert, ((4, 35),), "forced curves: one A_3 of degree 35; A_1 aggregate possible"
-    )
-    unit_curves = (CrepantCurve(4, 35, 1),)
+    ).curves
+    unit_curves = (CrepantCurve(a3.j, a3.degree_rXKC, 1),)
     good, _ = _x_a1_residues_over_s(
         c, CurveConfig(unit_curves, x_A1=None), r_prime=1, s_values=(1, 3, 5), cert=cert
     )
-    _expect(not any(u % 35 for u in good), f"A_1 residues {sorted(good)} not multiples of 35")
-    fits, demand = _demand(c, CurveConfig(unit_curves, x_A1=35))
-    _expect(not fits, "x_A1 = 35 fits the budget")
+    x_min = 35  # the A_1 multiple the residues are checked against
+    _expect(not any(u % x_min for u in good), f"A_1 residues {sorted(good)} not multiples of {x_min}")
+    fits, demand = _demand(c, CurveConfig(unit_curves, x_A1=x_min))
+    _expect(not fits, f"x_A1 = {x_min} fits the budget")
     cert.mechanical(
-        f"a positive multiple of 35 would cost {demand} > {c.nabla}, so x_A1 = 0",
+        f"a positive multiple of {x_min} would cost {demand} > {c.nabla}, so x_A1 = 0",
         "narrowed",
     )
 
@@ -686,7 +688,7 @@ def _case_35(c, cert) -> None:
         "half-point parities: for D=A exactly two of the four indices are odd; "
         "for D=4A and D=5A all four parities agree",
         "narrowed",
-        domain_size=3 * sys.domain_size,
+        domain_size=len(sys.constants) * sys.domain_size,
     )
     _expect(
         p1 == two_two and p4 <= all_equal and p5 <= all_equal,
@@ -707,13 +709,14 @@ def _case_35(c, cert) -> None:
         "half-points",
     )
     # the D=A parities are e5 - e4 - eg for all-equal patterns e5, e4, eg
-    differences = {((e5 - e4 - eg) % 2,) * 4 for e5, e4, eg in iproduct((0, 1), repeat=3)}
+    triples = list(iproduct((0, 1), repeat=3))
+    differences = {((e5 - e4 - eg) % 2,) * 4 for e5, e4, eg in triples}
     _expect(not differences & two_two, "parity algebra admits a consistent pattern")
     cert.mechanical(
         "the D=A parities equal the componentwise difference of three all-equal "
         "patterns, hence are all equal -- but exactly two must be odd",
         "contradiction",
-        domain_size=8,
+        domain_size=len(triples),
     )
 
 
@@ -761,7 +764,7 @@ def _group_c_shared_steps():
     order of the residue tuples.
     """
     derivation = EliminationCertificate(None)  # only its steps are kept
-    residues = iproduct(*(range(r) for r in _GROUP_C_BASKET.R))
+    residues = list(iproduct(*(range(r) for r in _GROUP_C_BASKET.R)))
     values = h0_integral_values(
         _group_c_s_part(2), _GROUP_C_BASKET.r_x, column_sums(_GROUP_C_COLUMNS)
     )
@@ -772,7 +775,7 @@ def _group_c_shared_steps():
         f"h^0(2A) integral only for even-multiple residues {even} "
         f"(sign-symmetric pairs); its value is always {sorted(h0_2a_vals)}",
         "narrowed",
-        2 * 3 * 5 * 11,
+        len(residues),
     )
     if even != {2: [0], 3: [1, 2], 5: [1, 4], 11: [4, 7]} or h0_2a_vals != {0}:
         raise InvariantViolation(f"unexpected h^0(2A) residues {even} or values {h0_2a_vals}")
@@ -794,7 +797,7 @@ def _group_c_shared_steps():
     derivation.mechanical(
         f"h^0(A) - h^0(3A) integral only for odd-correction residues {odd}",
         "narrowed",
-        3 * 5 * 11,
+        len(odd_residues),
     )
     if odd != {3: [1], 5: [2], 11: [2]}:
         raise InvariantViolation(f"unexpected odd-correction residues {odd}")
@@ -835,7 +838,8 @@ def _leaf_degree_steps() -> tuple:
     generator-free remainder, so g - 44 would be movable), and the g = 44
     excess degrees against the ramification degree 88 - (q - p).
     """
-    movable = movable_thresholds({s: group_c_closed_form(s) for s in range(1, 35)})
+    table = {s: group_c_closed_form(s) for s in range(1, 35)}
+    movable = movable_thresholds(table)
     g_floor = min(m for m in movable if m > 0)
     gens = (5, 6)
     bad_g = [g for g in range(g_floor, 60) if g != 44 and g - 44 in movable]
@@ -858,7 +862,7 @@ def _leaf_degree_steps() -> tuple:
     tree.mechanical(
         f"closed-form h^0 gives admissible generator-avoiding degrees {sorted(movable)}",
         "determined",
-        domain_size=34,
+        domain_size=len(table),
     )
     tree.cite(
         "rank2-foliation-exists",

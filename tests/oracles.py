@@ -280,25 +280,24 @@ def fraction_system(constants, terms) -> ResidueConstraintSystem:
 def integral_assignments(sys, constant):
     """Every assignment making ``constant`` plus the unknowns of ``sys``
     integral, in lexicographic order: brute force over the full product of
-    residue ranges, on the tables of ``scaled_fractions``.  Each prefix is
-    summed once and looks up the last unknown's residues whose value
-    completes it mod L, so an unsolvable system costs its head product."""
+    residue ranges, on the tables of ``scaled_fractions``, met in the
+    middle.  Every assignment of the second half of the unknowns is listed
+    once, in order, under its sum mod L; each assignment of the first half
+    is summed once and extended by exactly the listed tails that complete
+    it, so an unsolvable system costs the two half products."""
     big_l, tables = scaled_fractions(sys.unknown_terms)
     if (constant * big_l).denominator != 1:
         return
     base = int(constant * big_l)
-    if not tables:
-        if base % big_l == 0:
-            yield ()
-        return
-    *head, last = tables
+    head, tail = tables[: len(tables) // 2], tables[len(tables) // 2 :]
     completing = {}
-    for u, a in enumerate(last):
-        completing.setdefault(-a % big_l, []).append(u)
+    for suffix in product(*(range(len(tab)) for tab in tail)):
+        total = sum(tab[u] for tab, u in zip(tail, suffix))
+        completing.setdefault(-total % big_l, []).append(suffix)
     for prefix in product(*(range(len(tab)) for tab in head)):
         acc = base + sum(tab[u] for tab, u in zip(head, prefix))
-        for u in completing.get(acc % big_l, ()):
-            yield prefix + (u,)
+        for suffix in completing.get(acc % big_l, ()):
+            yield prefix + suffix
 
 
 def h0_s_part_fraction(q, A2mK, cfg, B, s) -> Fraction:

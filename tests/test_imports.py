@@ -3,8 +3,9 @@ re-exported, every exported name exists, every module-level private name
 is referenced, every public name, method and property is read, exported
 from ``fano3`` or allow-listed with a reason, no module holds an assert statement,
 `import fano3` loads no process-pool or dataclass machinery, `eliminate`
-and the CLI read LB and the budget through one kernel each, and each
-Riemann-Roch term has one writer."""
+and the CLI read LB and the budget through one kernel each, each
+Riemann-Roch term has one writer, and every domain size `eliminate`
+records is computed."""
 
 import ast
 import importlib
@@ -311,3 +312,29 @@ def test_cert_steps_are_built_only_in_certificates():
         and "CertStep" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
     ]
     assert builders == ["certificates.py"]
+
+
+def constant_domains(tree) -> list:
+    """Line numbers of the domains (keyword ``domain_size`` or third
+    positional argument) of ``mechanical(...)`` calls that read no name: a
+    number restated as a literal rather than read from what was checked."""
+    return [
+        d.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None)) == "mechanical"
+        for d in n.args[2:3] + [k.value for k in n.keywords if k.arg == "domain_size"]
+        if not any(isinstance(m, ast.Name) for m in ast.walk(d))
+    ]
+
+
+def test_certificate_domains_are_computed():
+    # a domain size is the length of the range, table or residue system a
+    # step exhausted, so it cannot drift from what the engine checked
+    assert constant_domains(ast.parse((PACKAGE / "eliminate.py").read_text())) == []
+    source = (
+        "cert.mechanical('a', 'narrowed', domain_size=len(ys))\n"
+        "cert.mechanical('b', 'narrowed', domain_size=2 * 18)\n"
+        "tree.mechanical('c', 'narrowed', 3 * 5 * 11)\n"
+        "cert.mechanical('d', 'contradiction')\n"
+    )
+    assert constant_domains(ast.parse(source)) == [2, 3]
