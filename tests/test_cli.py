@@ -187,9 +187,9 @@ def test_search_bytes_under_optimize():
 #: sha256 of the contract bytes, by command line and format
 CONTRACT_SHA256 = {
     ("eliminate", "--all"): {
-        "json": "17e728f8436c840e3ffd13f30cbe9a96e7728b2328368502773cc0b8a30f20d8",
-        "csv": "29c9d889fd678c3b82d2a7c07a56c61f9f7a916bc81dcff780d19b15953210eb",
-        "md": "eb956d300d95ce281c101e2a20d6142a2f013f59ada6903dc33214643a4f35c9",
+        "json": "d84164365ee53554324d1260b900db028c241e8ea590206f95579fdc3e2822a9",
+        "csv": "274a3f5ee57537555558ed7366994e4c7f48c00d54385e04e1e5c655105fd75c",
+        "md": "7bb6c74123086d04805e98f121ef41e8f2c0b4332e7ffa3861ad195c0e7af3c3",
     },
     ("search", "--qmin", "66", "--mode", "equal"): {
         "json": "c422bc06a0da5ffdd345f0544f7cc276b1230a333729fed623e9a69ce7ba3596",
@@ -246,9 +246,9 @@ OUTPUT_SHA256 = {
         "md": "4e47c5f19430f71dfa2dba3554acdf79eaebee5a0f50c187d944ded372bb5fe0",
     },
     ("eliminate", "--case", "35"): {
-        "json": "ad26951078066b70b72409a01d5b5d856c4d3538882050f1e44d3811a1147a24",
-        "csv": "45918a6335b2d49069177b9d225c05aa5ec505251b80998578cef77c4844cee9",
-        "md": "aa311b1f0279bba8ccc1fc708ddb82a288d2917d30644e2e92fce1e822a091fb",
+        "json": "29e01e6fb141143b20189510620564d5e7c421f0f1e02498ffa62f1e9f7ce335",
+        "csv": "e6c0aec6f6f3aa7fc0bf789bb3316a98778176ab289ed15778711350f7cb866d",
+        "md": "5a4d663d2b3ebe50918cd491b93229f7f350d8160047ecdac38fcc165aba6c6c",
     },
     ("eliminate", "--case", "4"): {
         "json": "52e132c995baf7e8df01725dacdbd8748056c057aeba514673c93337a229dc55",

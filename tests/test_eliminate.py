@@ -285,7 +285,7 @@ def test_each_row_killed_by_exactly_one_route():
 def test_group_b_scripts_kill_disjoint_candidates_off_the_table(candidates_q40):
     """No q_min 40 candidate (those of q = 50 and 60 among them) is killed
     by two Group B scripts, so their order changes no certificate.  Group A
-    and case 32/33's script both kill two of the 18 that one script kills,
+    and case 32/33's script both kill 13 of the 29 that one script kills,
     so there the order A before B picks the certificate."""
     killed, also_a = 0, []
     for c in candidates_q40:
@@ -294,10 +294,21 @@ def test_group_b_scripts_kill_disjoint_candidates_off_the_table(candidates_q40):
         killed += len(kills)
         if kills and eliminate_group_a(-1, c).eliminated:
             also_a.append((c.basket.points, c.q, c.j_a, c.rXc13, kills[0]))
-    assert killed == 18
+    assert killed == 29
     assert sorted(also_a) == [
+        (((2, 1), (2, 1), (4, 1), (4, 1), (7, 1)), 54, 6, 486, "_case_32_33"),
+        (((2, 1), (2, 1), (7, 3)), 54, 6, 486, "_case_32_33"),
+        (((2, 1), (2, 1), (13, 2)), 54, 6, 486, "_case_32_33"),
+        (((2, 1), (2, 1), (13, 3)), 42, 6, 294, "_case_32_33"),
         (((2, 1), (3, 1), (5, 1), (6, 1), (7, 1)), 48, 6, 768, "_case_32_33"),
         (((2, 1), (3, 1), (5, 2), (6, 1), (7, 2)), 54, 6, 972, "_case_32_33"),
+        (((2, 1), (4, 1), (4, 1), (7, 2)), 60, 6, 600, "_case_32_33"),
+        (((3, 1), (3, 1), (3, 1), (11, 5)), 54, 6, 486, "_case_32_33"),
+        (((3, 1), (4, 1), (4, 1), (5, 1), (6, 1)), 42, 6, 588, "_case_32_33"),
+        (((3, 1), (15, 1)), 42, 6, 294, "_case_32_33"),
+        (((3, 1), (15, 4)), 42, 6, 294, "_case_32_33"),
+        (((5, 1),), 42, 6, 294, "_case_32_33"),
+        (((11, 1),), 48, 6, 384, "_case_32_33"),
     ]
 
 
@@ -320,6 +331,53 @@ def test_case_32_33_prints_the_candidates_lb3():
     assert "(total degree 10y, y >= 1, since LB(3) = 10)" in forced
     narrowed = verdict.certificate.steps[2].description
     assert narrowed.endswith("is integral only for y = [1] mod 3, so y >= 1")
+
+
+@pytest.mark.parametrize(
+    "script, spec, eliminated, text",
+    [
+        # residues [0, 70, 140, 210] mod 280 admit x_A1 = 70, not 35
+        (
+            "_case_35", 35, True,
+            "a positive x_A1 is at least 70, which costs 945/4 > 587/4, so x_A1 = 0",
+        ),
+        # residues [0] mod 10 admit x_A1 = 10, whose demand fits the budget
+        (
+            "_case_32_33", (((3, 1), (15, 2)), 12, 6, 96, 96), False,
+            "x_A1 >= 10 with y >= 2: curve demand 125/3 fits budget 206/3",
+        ),
+        (
+            "_case_32_33", (((3, 1), (15, 7)), 12, 6, 96, 96), False,
+            "x_A1 >= 10 with y >= 2: curve demand 125/3 fits budget 206/3",
+        ),
+        # r_X = 35 does not divide 18 LB(3): one y no longer stands for y mod 3
+        (
+            "_case_32_33", (((5, 1), (5, 2), (7, 2)), 30, 6, 750, 264), False,
+            "the A_2 term at r'=18 depends on more than y mod 3: "
+            "18*LB(3) = 126 is not a multiple of r_X = 35",
+        ),
+        # no residue mod 140 completes every D = sA: there is no floor
+        (
+            "_case_35", (((5, 1), (7, 1)), 44, 4, 968, 432), False,
+            "no A_1 aggregate residue is admitted",
+        ),
+    ],
+    ids=["row 35", "q12 (15,2)", "q12 (15,7)", "y-dependence", "no residue"],
+)
+def test_group_b_prices_x_a1_at_the_residue_floor(script, spec, eliminated, text):
+    """Cases 32/33 and 35 price x_A1 at the least positive degree the
+    solved residues admit, and stall when no residue is admitted; case
+    32/33 also stalls where its A_1 system at one y would not stand for
+    the whole y residue class.  Off-table candidates are built by
+    ``step3``, as ``candidate_for_case`` does."""
+    if isinstance(spec, int):
+        c = candidate_for_case(spec)
+    else:
+        points, *invariants = spec
+        c = step3(Basket(points), *invariants)
+    verdict = getattr(eliminate, script)(-1, c)
+    assert verdict.eliminated is eliminated
+    assert text in [s.description for s in verdict.certificate.steps]
 
 
 def test_candidate_for_case_matches_search(candidates_greater):
@@ -430,7 +488,7 @@ def test_group_a_all_eliminated_mechanically():
 
 # sha256 of the 36 certificates as compact JSON lines in case order, as
 # `fano3 eliminate --case N` serialises them
-CERTIFICATES_SHA256 = "d8e96ae2b03480abd53a481d2f467db7429a07db8dc0fb83638babefe41f88ff"
+CERTIFICATES_SHA256 = "332e6cc4676aacdb5d263ed0bc2b3adebef37f5e815765cc2f81d720564b6cf5"
 
 
 def test_certificates_byte_identical():
