@@ -21,9 +21,9 @@ group a candidate falls in is found, not looked up.  No table row, and
 no candidate of the searches at q_min 40, 50 or 60, is killed by two Group
 B scripts, so their order only sets the cost of the stalls: case 20's
 script stalls on an open curve configuration after a full residue solve,
-so it runs last.  Off the table, Group A and case 32/33's script both kill
-two q_min 40 candidates (q = 48 and 54): there the order A before B
-decides which certificate is issued.
+so it runs last.  Off the table, Group A also kills 35 of the 89 q_min 40
+candidates that one script kills (of cases 10, 23 and 32/33): there the
+order A before B decides which certificate is issued.
 
 Every residue question goes to one of two primitives over the integer
 tables of ``residue_term_builder``: ``exists_integral_solution`` (a greedy
@@ -31,10 +31,11 @@ witness) or ``_completions`` (the residue tuples of chosen unknowns that
 complete).  Both take one system and a constant per divisor D = sA: the
 routes build one system per family of divisors whose unknown terms agree
 and read every member off it.  Group A and the scripts of cases 20, 23
-and 36 are each one ``_refute_at`` call with their case data: the system
+and 36 end in one ``_refute_at`` call with their case data: the system
 of one divisor D = sA at one auxiliary index r' has no integral
-assignment.  Every domain size a certificate prints is read from the
-system, range or table that was exhausted, never restated as a literal.
+assignment.  Group A and cases 10, 23 and 35 open with the one step of
+``_forced_step``.  Every domain size a certificate prints is read from
+the system, range or table that was exhausted, never restated as a literal.
 
 All arithmetic is exact; each step lands in an EliminationCertificate.  A
 route is a body ``(c, cert)`` that ``@_route`` turns into the
@@ -261,21 +262,22 @@ def _forced(c: Candidate) -> CurveConfig:
     return cfg
 
 
-def _refute_at(c, cfg, r_prime, s, cert, claim=None, drop_curve_terms=True) -> None:
+def _refute_at(c, cfg, r_prime, s, cert, drop_curve_terms=True) -> None:
     """Contradiction when the residue system of D = sA alone, with
     auxiliary index ``r_prime``, has no integral assignment; the exhausted
-    domain is its size.  ``claim`` is a ``str.format`` template over
-    ``r_prime``, ``s``, ``constant`` and ``moduli``."""
+    domain is its size, and the step names what the system kept."""
     sys = residue_term_builder(c.q, c.rXc13, c.basket, [(cfg, s)], r_prime, drop_curve_terms)
     [constant] = sys.constants
     solvable, info = exists_integral_solution(sys, constant)
     _expect(not solvable, f"residue system is solvable; witness {info.get('witness')}")
-    claim = claim or (
-        "residue system (r'={r_prime}, D={s}A) with constant {constant} has no "
-        "integral assignment over moduli {moduli}"
-    )
     moduli = [t.modulus for t in sys.unknown_terms]
-    text = claim.format(r_prime=r_prime, s=s, constant=constant, moduli=moduli)
+    text = (
+        f"residue system (r'={r_prime}, D={s}A) with constant {constant} has no "
+        f"integral assignment over moduli {moduli}"
+        if moduli
+        else f"r'={r_prime} makes every curve and basket term of D={s}A vanish, "
+        f"leaving the non-integral constant {constant}"
+    )
     cert.mechanical(text, "contradiction", domain_size=info["exhausted"])
 
 
@@ -310,11 +312,9 @@ def _refute_budget(c, cfg, cert, context: str) -> None:
 # Group A
 # ---------------------------------------------------------------------------
 
-@_route
-def eliminate_group_a(c, cert) -> None:
-    """One unsolvable residue system kills the candidate: D = 2A with
-    auxiliary index r' = 2 r_X makes every basket term vanish, leaving the
-    curve-class residues; no assignment makes the total integral."""
+def _forced_step(c: Candidate, cert) -> CurveConfig:
+    """The curve configuration the budget forces, recorded as one step:
+    the step Group A and the Group B scripts of cases 10, 23 and 35 share."""
     cfg = _forced(c)
     curve_desc = ", ".join(f"A_{cc.j - 1} deg {cc.degree_rXKC}" for cc in cfg.curves)
     cert.mechanical(
@@ -322,7 +322,15 @@ def eliminate_group_a(c, cert) -> None:
         + ("; A_1 aggregate possible" if cfg.x_A1 is None else "; no A_1 curves"),
         "determined",
     )
-    _refute_at(c, cfg, 2 * c.r_x, 2, cert, drop_curve_terms=False)
+    return cfg
+
+
+@_route
+def eliminate_group_a(c, cert) -> None:
+    """One unsolvable residue system kills the candidate: D = 2A with
+    auxiliary index r' = 2 r_X makes every basket term vanish, leaving the
+    curve-class residues; no assignment makes the total integral."""
+    _refute_at(c, _forced_step(c, cert), 2 * c.r_x, 2, cert, drop_curve_terms=False)
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +368,6 @@ def _curve_orders(c: Candidate, cert, expected: tuple) -> dict:
     )
     _expect(allowed == expected, f"unexpected allowed orders {allowed}")
     return bounds
-
-
-def _forced_curves(c: Candidate, cert, curves: tuple, prose: str) -> CurveConfig:
-    """The forced configuration, once its curves are the ``(j, degree)``
-    pairs ``curves`` with the A_1 aggregate possible, as ``prose`` says."""
-    cfg = _forced(c)
-    found = tuple((cc.j, cc.degree_rXKC) for cc in cfg.curves)
-    _expect(
-        found == curves and cfg.x_A1 is None,
-        f"forced curves {found} (A_1 possible: {cfg.x_A1 is None}) differ from {curves}",
-    )
-    cert.mechanical(prose, "determined")
-    return cfg
 
 
 def _a2_degree_solutions(c: Candidate, lb3: int, s: int, ys) -> tuple:
@@ -430,16 +425,9 @@ def _case_20(c, cert) -> None:
 
 @_route
 def _case_23(c, cert) -> None:
-    cfg = _forced_curves(
-        c, cert, ((3, 14), (4, 14)),
-        "forced curves: A_2 and A_3, each of degree 14; A_1 aggregate possible",
-    )
-    # r' = r_X J_A = 336: every term vanishes
-    _refute_at(
-        c, cfg, c.r_x * c.j_a, 1, cert,
-        "r'={r_prime} makes every curve and basket term vanish, leaving the "
-        "non-integral constant {constant}",
-    )
+    # r' = r_X J_A makes every term vanish on row 23 (r' = 336); the system
+    # keeps whatever residues do not, so any forced configuration will do
+    _refute_at(c, _forced_step(c, cert), c.r_x * c.j_a, 1, cert)
 
 
 @_route
@@ -457,30 +445,22 @@ def _case_36(c, cert) -> None:
     )
     _expect(degrees == [lb7], "A_6 degree not pinned")
     r_prime = 120  # kills the A_4 terms (5 | 20 deg), the A_1 terms, and the basket
-    cfg = CurveConfig((CrepantCurve(7, lb7),), x_A1=None)
     cert.mechanical(
         f"r'={r_prime}: A_4 and A_1 corrections vanish for every degree "
         "(their scaled degrees are multiples of 5 and 4)",
         "narrowed",
     )
-    _refute_at(
-        c, cfg, r_prime, 1, cert,
-        "residue system (r'={r_prime}, D=A) with constant {constant} has no "
-        "integral assignment over the A_6 class residues",
-    )
+    _refute_at(c, CurveConfig((CrepantCurve(7, lb7),), x_A1=None), r_prime, 1, cert)
 
 
 @_route
 def _case_10(c, cert) -> None:
-    cfg = _forced_curves(
-        c, cert, ((5, 18),),
-        "forced curves: one A_4 of degree 18; at least one A_1 (the even part "
-        "of J_A forces one)",
-    )
+    cfg = _forced_step(c, cert)
+    # when 2 || J_A no forced curve has even order, so an A_1 curve covers the 2
+    _expect(c.j_a % 4 == 2, f"2 does not exactly divide J_A = {c.j_a}, so no A_1 curve is forced")
     x_a1 = _x_a1_floor(c, cfg, r_prime=40, s_values=(1, 3), cert=cert)
-    _refute_budget(
-        c, CurveConfig(cfg.curves, x_A1=x_a1), cert, f"x_A1 is positive, so x_A1 >= {x_a1}"
-    )
+    why = f"2 exactly divides J_A = {c.j_a}, so an A_1 curve is forced and x_A1 >= {x_a1}"
+    _refute_budget(c, CurveConfig(cfg.curves, x_A1=x_a1), cert, why)
 
 
 @_route
@@ -664,17 +644,23 @@ def _case_27(c, cert) -> None:
 
 @_route
 def _case_35(c, cert) -> None:
-    [a3] = _forced_curves(
-        c, cert, ((4, 35),), "forced curves: one A_3 of degree 35; A_1 aggregate possible"
-    ).curves
-    unit_curves = (CrepantCurve(a3.j, a3.degree_rXKC, 1),)
-    x_a1 = _x_a1_floor(c, CurveConfig(unit_curves, x_A1=None), 1, (1, 3, 5), cert)
-    fits, demand = _demand(c, CurveConfig(unit_curves, x_A1=x_a1))
-    _expect(not fits, f"x_A1 = {x_a1} fits the budget")
-    cert.mechanical(
-        f"a positive x_A1 is at least {x_a1}, which costs {demand} > {c.nabla}, so x_A1 = 0",
-        "narrowed",
+    forced = _forced_step(c, cert)
+    # the cited defect divisor lies over points only where 4A is Cartier
+    # along every curve; the forced curves are then A_3s, whose units +-1
+    # let unit 1 stand for each curve class
+    _expect(
+        4 % c.j_a == 0,
+        f"J_A = {c.j_a} does not divide 4, so 4A is not Cartier along every forced curve",
     )
+    unit_curves = tuple(CrepantCurve(cc.j, cc.degree_rXKC, 1) for cc in forced.curves)
+    if forced.x_A1 is None:  # J_A = 1 forces x_A1 = 0 already
+        x_a1 = _x_a1_floor(c, CurveConfig(unit_curves, x_A1=None), 1, (1, 3, 5), cert)
+        fits, demand = _demand(c, CurveConfig(unit_curves, x_A1=x_a1))
+        _expect(not fits, f"x_A1 = {x_a1} fits the budget")
+        cert.mechanical(
+            f"a positive x_A1 is at least {x_a1}, which costs {demand} > {c.nabla}, so x_A1 = 0",
+            "narrowed",
+        )
 
     # parities of the four half-point indices, s in {1, 4, 5}
     cfg = CurveConfig(unit_curves, x_A1=0)

@@ -187,9 +187,9 @@ def test_search_bytes_under_optimize():
 #: sha256 of the contract bytes, by command line and format
 CONTRACT_SHA256 = {
     ("eliminate", "--all"): {
-        "json": "d84164365ee53554324d1260b900db028c241e8ea590206f95579fdc3e2822a9",
-        "csv": "274a3f5ee57537555558ed7366994e4c7f48c00d54385e04e1e5c655105fd75c",
-        "md": "7bb6c74123086d04805e98f121ef41e8f2c0b4332e7ffa3861ad195c0e7af3c3",
+        "json": "243ba2de2eda24c0ce2e31fd4bf2962b703b0673f25916a175bca8070afceb9b",
+        "csv": "c017331d750f4de884645e8984f3e479fe57138bceec6da6c37e9075e2138fe0",
+        "md": "0e43efc93d5fd8e510025b937e0b8b43303b0e5260b7ac70db8e1656d0e10fda",
     },
     ("search", "--qmin", "66", "--mode", "equal"): {
         "json": "c422bc06a0da5ffdd345f0544f7cc276b1230a333729fed623e9a69ce7ba3596",
@@ -246,9 +246,9 @@ OUTPUT_SHA256 = {
         "md": "4e47c5f19430f71dfa2dba3554acdf79eaebee5a0f50c187d944ded372bb5fe0",
     },
     ("eliminate", "--case", "35"): {
-        "json": "29e01e6fb141143b20189510620564d5e7c421f0f1e02498ffa62f1e9f7ce335",
-        "csv": "e6c0aec6f6f3aa7fc0bf789bb3316a98778176ab289ed15778711350f7cb866d",
-        "md": "5a4d663d2b3ebe50918cd491b93229f7f350d8160047ecdac38fcc165aba6c6c",
+        "json": "0c5a8062c37a7ab13f9020bfa66c07d4378a2abf00267e0f066ae5acb36f3e0d",
+        "csv": "9b881e6adcc278ced832d1203ea122161f001b273450a68c729698a6b0f1d2bd",
+        "md": "ea2dd21b8eb05bc218f4e0dec5d343be835ae74379154d77b4e56f3327702252",
     },
     ("eliminate", "--case", "4"): {
         "json": "52e132c995baf7e8df01725dacdbd8748056c057aeba514673c93337a229dc55",

@@ -285,8 +285,9 @@ def test_each_row_killed_by_exactly_one_route():
 def test_group_b_scripts_kill_disjoint_candidates_off_the_table(candidates_q40):
     """No q_min 40 candidate (those of q = 50 and 60 among them) is killed
     by two Group B scripts, so their order changes no certificate.  Group A
-    and case 32/33's script both kill 13 of the 29 that one script kills,
-    so there the order A before B picks the certificate."""
+    also kills 35 of the 89 that one script kills (17 of case 23's, 13 of
+    case 32/33's and 5 of case 10's), so there the order A before B picks
+    the certificate."""
     killed, also_a = 0, []
     for c in candidates_q40:
         kills = [s.__name__ for s in eliminate._GROUP_B_SCRIPTS if s(-1, c).eliminated]
@@ -294,20 +295,42 @@ def test_group_b_scripts_kill_disjoint_candidates_off_the_table(candidates_q40):
         killed += len(kills)
         if kills and eliminate_group_a(-1, c).eliminated:
             also_a.append((c.basket.points, c.q, c.j_a, c.rXc13, kills[0]))
-    assert killed == 29
+    assert killed == 89
     assert sorted(also_a) == [
+        (((2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (9, 1)), 50, 10, 250, "_case_10"),
+        (((2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (4, 1), (4, 1)), 40, 40, 40, "_case_23"),
+        (((2, 1), (2, 1), (2, 1), (2, 1), (3, 1), (11, 1)), 50, 10, 500, "_case_10"),
+        (((2, 1), (2, 1), (2, 1), (2, 1), (7, 1)), 40, 40, 40, "_case_23"),
+        (((2, 1), (2, 1), (2, 1), (2, 1), (7, 1)), 48, 24, 96, "_case_23"),
         (((2, 1), (2, 1), (4, 1), (4, 1), (7, 1)), 54, 6, 486, "_case_32_33"),
         (((2, 1), (2, 1), (7, 3)), 54, 6, 486, "_case_32_33"),
         (((2, 1), (2, 1), (13, 2)), 54, 6, 486, "_case_32_33"),
         (((2, 1), (2, 1), (13, 3)), 42, 6, 294, "_case_32_33"),
+        (((2, 1), (3, 1), (3, 1), (3, 1), (4, 1), (4, 1), (5, 2)), 48, 12, 192, "_case_23"),
+        (((2, 1), (3, 1), (4, 1), (4, 1)), 40, 10, 320, "_case_10"),
         (((2, 1), (3, 1), (5, 1), (6, 1), (7, 1)), 48, 6, 768, "_case_32_33"),
         (((2, 1), (3, 1), (5, 2), (6, 1), (7, 2)), 54, 6, 972, "_case_32_33"),
+        (((2, 1), (4, 1), (4, 1), (7, 1)), 40, 20, 80, "_case_23"),
         (((2, 1), (4, 1), (4, 1), (7, 2)), 60, 6, 600, "_case_32_33"),
+        (((2, 1), (6, 1)), 40, 8, 200, "_case_23"),
+        (((2, 1), (6, 1), (7, 2)), 40, 8, 200, "_case_23"),
+        (((3, 1), (3, 1), (3, 1), (7, 2)), 60, 15, 240, "_case_23"),
         (((3, 1), (3, 1), (3, 1), (11, 5)), 54, 6, 486, "_case_32_33"),
         (((3, 1), (4, 1), (4, 1), (5, 1), (6, 1)), 42, 6, 588, "_case_32_33"),
+        (((3, 1), (5, 2)), 52, 13, 208, "_case_23"),
+        (((3, 1), (5, 2)), 56, 7, 448, "_case_23"),
         (((3, 1), (15, 1)), 42, 6, 294, "_case_32_33"),
         (((3, 1), (15, 4)), 42, 6, 294, "_case_32_33"),
+        (((4, 1), (4, 1), (10, 3)), 48, 12, 192, "_case_23"),
         (((5, 1),), 42, 6, 294, "_case_32_33"),
+        (((5, 1), (5, 2), (7, 1)), 60, 15, 240, "_case_23"),
+        (((7, 1), (9, 4)), 40, 5, 320, "_case_23"),
+        (((7, 2), (11, 5)), 40, 5, 320, "_case_23"),
+        (((7, 2), (11, 5)), 40, 10, 320, "_case_10"),
+        (((7, 3),), 40, 5, 320, "_case_23"),
+        (((7, 3),), 40, 10, 320, "_case_10"),
+        (((7, 3), (9, 4)), 50, 5, 500, "_case_23"),
+        (((11, 1),), 42, 7, 252, "_case_23"),
         (((11, 1),), 48, 6, 384, "_case_32_33"),
     ]
 
@@ -361,15 +384,56 @@ def test_case_32_33_prints_the_candidates_lb3():
             "_case_35", (((5, 1), (7, 1)), 44, 4, 968, 432), False,
             "no A_1 aggregate residue is admitted",
         ),
+        # r' = r_X J_A = 120 leaves no unknown: the forced A_3 of degree 30
+        # is not row 23's A_2 and A_3, and the refutation holds all the same
+        (
+            "_case_23", (((2, 1), (5, 1), (6, 1)), 56, 4, 784, 356), True,
+            "r'=120 makes every curve and basket term of D=1A vanish, leaving "
+            "the non-integral constant 1/2",
+        ),
+        # a forced A_6 and 2 || J_A: the A_1 floor 12 overshoots the budget
+        (
+            "_case_10", (((3, 1), (11, 1)), 56, 14, 448, 344), True,
+            "2 exactly divides J_A = 14, so an A_1 curve is forced and x_A1 >= 12: "
+            "total curve demand 1710/7 exceeds budget 1597/7",
+        ),
+        # 4 | J_A: row 35's A_3 covers the even part, so x_A1 may be 0
+        (
+            "_case_10", 35, False,
+            "2 does not exactly divide J_A = 4, so no A_1 curve is forced",
+        ),
+        # 4A is not Cartier along row 10's A_4
+        (
+            "_case_35", 10, False,
+            "J_A = 10 does not divide 4, so 4A is not Cartier along every forced curve",
+        ),
+        # along a forced A_2, f*A has coefficient 2/3 where 4A is not Cartier,
+        # and the defect of 5A against A + 4A covers the whole curve
+        (
+            "_case_35", (((2, 1), (2, 1), (2, 1), (2, 1), (11, 2)), 12, 12, 300, 156), False,
+            "J_A = 12 does not divide 4, so 4A is not Cartier along every forced curve",
+        ),
+        # J_A = 1 forces x_A1 = 0: no A_1 aggregate is priced
+        (
+            "_case_35", (((2, 1), (2, 1), (2, 1), (2, 1), (11, 3)), 20, 1, 400, 156), False,
+            "half-point parities: for D=A exactly two of the four indices are odd; "
+            "for D=4A and D=5A all four parities agree",
+        ),
     ],
-    ids=["row 35", "q12 (15,2)", "q12 (15,7)", "y-dependence", "no residue"],
+    ids=[
+        "row 35", "q12 (15,2)", "q12 (15,7)", "y-dependence", "no residue",
+        "case 23 off-table", "case 10 off-table", "case 10 on 4 | J_A", "case 35 on row 10",
+        "case 35 A_2 and A_3", "case 35 J_A 1",
+    ],
 )
 def test_group_b_prices_x_a1_at_the_residue_floor(script, spec, eliminated, text):
     """Cases 32/33 and 35 price x_A1 at the least positive degree the
     solved residues admit, and stall when no residue is admitted; case
     32/33 also stalls where its A_1 system at one y would not stand for
-    the whole y residue class.  Off-table candidates are built by
-    ``step3``, as ``candidate_for_case`` does."""
+    the whole y residue class.  Cases 10, 23 and 35 read the forced
+    configuration, whatever it is, and check only what their argument
+    needs.  Off-table candidates are built by ``step3``, as
+    ``candidate_for_case`` does."""
     if isinstance(spec, int):
         c = candidate_for_case(spec)
     else:
@@ -378,6 +442,19 @@ def test_group_b_prices_x_a1_at_the_residue_floor(script, spec, eliminated, text
     verdict = getattr(eliminate, script)(-1, c)
     assert verdict.eliminated is eliminated
     assert text in [s.description for s in verdict.certificate.steps]
+
+
+def test_forced_configuration_has_one_writer():
+    """On every table row whose configuration is forced, Group A and the
+    scripts of cases 10, 23 and 35 open with the same step."""
+    forced = [n for n in range(1, 37) if not isinstance(determine_curves(candidate_for_case(n)), Undetermined)]
+    assert {10, 23, 35} <= set(forced)
+    for n in forced:
+        c = candidate_for_case(n)
+        step = eliminate_group_a(n, c).certificate.steps[0]
+        assert step.description.startswith("forced curve configuration: "), n
+        for script in (eliminate._case_10, eliminate._case_23, eliminate._case_35):
+            assert script(n, c).certificate.steps[0] == step, (n, script.__name__)
 
 
 def test_candidate_for_case_matches_search(candidates_greater):
@@ -488,7 +565,7 @@ def test_group_a_all_eliminated_mechanically():
 
 # sha256 of the 36 certificates as compact JSON lines in case order, as
 # `fano3 eliminate --case N` serialises them
-CERTIFICATES_SHA256 = "332e6cc4676aacdb5d263ed0bc2b3adebef37f5e815765cc2f81d720564b6cf5"
+CERTIFICATES_SHA256 = "cb0815978aedbf46bfbff52e471ab4ee9ff4b114cec6a2010c65fe667f510785"
 
 
 def test_certificates_byte_identical():
