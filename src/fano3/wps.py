@@ -28,7 +28,7 @@ class WeightedP3(Frozen):
             triple = [w[i] for i in range(4) if i != skip]
             if gcd(gcd(triple[0], triple[1]), triple[2]) != 1:
                 warnings.warn(
-                    f"weights {w} are not well-formed; counting anyway", stacklevel=3
+                    f"weights {w} are not well-formed; counting anyway", stacklevel=2
                 )
                 break
 

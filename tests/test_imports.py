@@ -2,7 +2,8 @@
 re-exported, every exported name exists, every module-level private name
 is referenced, every public name, method and property is read, exported
 from ``fano3`` or allow-listed with a reason, no module holds an assert statement,
-`import fano3` loads no process-pool or dataclass machinery, `eliminate`
+`import fano3` loads no engine module, no module loads process-pool or
+dataclass machinery, importing a submodule loads only its own dependencies, `eliminate`
 and the CLI read LB and the budget through one kernel each, each
 Riemann-Roch term has one writer, and every domain size `eliminate`
 records is computed."""
@@ -198,10 +199,18 @@ def test_unused_import_detection():
     assert unused_imports(source) == ["gcd"]
 
 
+#: imports every module of the package except ``__main__``, which runs the CLI;
+#: ``import fano3`` alone loads none of them
+IMPORT_EVERY_MODULE = "import " + ", ".join(
+    f"fano3.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+    if path.stem not in ("__init__", "__main__")
+)
+
+
 def test_import_loads_no_process_machinery():
     # the process pool is imported only when run_search asks for workers
     code = (
-        "import fano3, sys; "
+        f"{IMPORT_EVERY_MODULE}, sys; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
         "if m in sys.modules))"
     )
@@ -210,10 +219,54 @@ def test_import_loads_no_process_machinery():
     assert done.stdout.strip() == "[]"
 
 
+def loaded_submodules(code: str) -> list:
+    """The sorted ``fano3.*`` modules a fresh interpreter holds after ``code``."""
+    listing = "print(*sorted(m for m in sys.modules if m.startswith('fano3.')))"
+    done = run_python("-c", f"{code}; import sys; {listing}")
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_import_loads_no_engine_module():
+    # each exported name loads its home module on first use
+    assert loaded_submodules("import fano3") == []
+
+
+@pytest.mark.parametrize(
+    "code, modules",
+    [
+        ("from fano3.search import run_search", ["arith", "basket", "lb", "rr", "search"]),
+        ("from fano3.wps import h0", ["arith", "wps"]),
+    ],
+)
+def test_submodule_import_loads_only_its_dependencies(code, modules):
+    assert loaded_submodules(code) == [f"fano3.{m}" for m in modules]
+
+
+def test_exported_names_are_their_home_objects():
+    names = [name for name in fano3.__all__ if name != "__version__"]
+    # the lazy namespace serves exactly the exported names
+    assert sorted(fano3._HOMES) == sorted(names)
+    objects = {name: getattr(fano3, name) for name in names}
+    assert [
+        name for name, obj in objects.items()
+        if obj is not getattr(importlib.import_module(obj.__module__), name)
+    ] == []
+
+
+def test_namespace_raises_attribute_error_for_other_names():
+    # a KeyError would break hasattr, `import *` and submodule imports
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fano3.no_such_name
+    from fano3 import eliminate
+
+    assert eliminate is importlib.import_module("fano3.eliminate")
+
+
 def test_import_loads_no_dataclass_machinery():
     # every dataclass exec-compiles its methods in each fresh process, and
     # dataclasses imports inspect
-    code = "import fano3, fano3.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = f"{IMPORT_EVERY_MODULE}, sys; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
     done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
