@@ -185,19 +185,24 @@ def _process_units(args):
 def run_search(q_min: int = 66, mode: str = GREATER, workers: int = 1):
     """The complete candidate list, canonically sorted.
 
-    Work units are the Step-1 pairs (R, r_Xc2c1), partitioned round-robin
-    over at most one process per unit and per CPU.  Each unit runs the
+    Work units are the Step-1 pairs (R, r_Xc2c1).  Each unit runs the
     Step-2 walk over the residue classes of R and sends every tuple it
-    yields through Step 3.  The merge sorts canonically, so the output does
-    not depend on ``workers``, which must be at least 1; every candidate
-    is then re-checked by ``verify_candidate``.
+    yields through Step 3.  With one worker the walk streams Step 1, one
+    unit at a time; the pool path builds the list of units and partitions
+    it round-robin over at most one process per unit and per CPU (serial
+    again when that is one).  The merge sorts canonically, so the output
+    does not depend on ``workers``, which must be at least 1; every
+    candidate is then re-checked by ``verify_candidate``.
     """
     if mode not in (GREATER, EQUAL):
         raise ValueError(f"mode must be {GREATER!r} or {EQUAL!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    units = list(step1(q_min))
-    workers = min(workers, len(units), os.cpu_count() or 1)
+    units = step1(q_min)
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        units = list(units)
+        workers = min(workers, len(units))
     if workers <= 1:
         results = _process_units((q_min, mode, units))
     else:

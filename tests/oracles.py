@@ -5,10 +5,11 @@ more direct route: Fractions instead of scaled integers (nabla, the
 search budget, step 1, the residue builder and its tables, the h^0
 s-part, the foliation index scan, the curve-configuration thresholds and
 allowed curve orders), brute force over the full residue product instead
-of the solver's greedy witness and completion readout, and the old triple-order Step 2
-(every (q, J_A, rXc13) triple tested against every basket, the baskets
-enumerated by brute force and classed in Fractions) instead of the
-residue-first walk.  Three elimination steps are recomputed one system
+of the solver's greedy witness and completion readout, and the old
+triple-order Step 2 (the (q, J_A, rXc13) triples, built cofactor first in
+the classes that R's brute-force baskets reach, classed in Fractions, and
+tested against every basket) instead of the residue-first walk.  Three
+elimination steps are recomputed one system
 or one tuple at a time instead of from shared tables: case 24's (x_A1, y4)
 grid, one residue system per (x_A1, y4, s), and case 27's A_2 degrees, one
 system per y, both under their own Fraction budget caps; and the Group C
@@ -18,6 +19,7 @@ published A / B / C- / C+ grouping of the 36 rows is here too, as the
 oracle for the engine's fixed route order.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -90,30 +92,34 @@ def q_range(q_min: int, rXc2c1: int, mode: str):
     return [q for q in qs if q * q + 2 * q - 4 <= 4 * q * rXc2c1]
 
 
-def step2_tuples(rXc2c1: int, q_min: int, mode: str):
-    """All (q, J_A, rXc13) triples passing the test inequality, sorted.
+def step2_tuples(rXc2c1: int, q_min: int, mode: str, modulus: int = 1, classes=(0,)):
+    """The (q, J_A, rXc13) triples passing the test inequality with rXc13
+    mod ``modulus`` in ``classes`` (by default all of them), sorted.
 
     Since J_A | q, the divisibility q^2 | J_A * rXc13 parameterizes as
-    rXc13 = m * q * d with d = q / J_A.  The cofactor d is bounded by
-    roughly 4 * rXc2c1 / q, so d runs outermost and q over its multiples.
+    rXc13 = q * k with d = q / J_A dividing both q and k.  For a cofactor k
+    the test inequality (q^2 + 2q - 4) k <= 4 q rXc2c1 is convex in q and
+    holds at q = 0, so it holds on an initial segment of the q range, and it
+    fails for every k once it fails at the least q.  So k runs outermost, d
+    over its divisors and q = d * u over that segment; q * k lies in class
+    c mod ``modulus`` for u in one residue class mod ``modulus`` / g when
+    g = gcd(d * k, modulus) divides c, and for no u otherwise.
     """
     qs = q_range(q_min, rXc2c1, mode)
     out = []
-    if not qs:
-        return ()
-    d = 1
-    while d * qs[0] * (qs[0] ** 2 + 2 * qs[0] - 4) <= 4 * qs[0] ** 2 * rXc2c1:
-        start = qs[0] + (-qs[0]) % d
-        for q in range(start, qs[-1] + 1, d):
-            stride = q * d
-            bound4q2 = 4 * q * q * rXc2c1
-            weight = q * q + 2 * q - 4
-            rXc13 = stride
-            while weight * rXc13 <= bound4q2:
-                if rXc13 >= q:
-                    out.append((q, q // d, rXc13))
-                rXc13 += stride
-        d += 1
+    k = 1
+    while qs and (qs[0] ** 2 + 2 * qs[0] - 4) * k <= 4 * qs[0] * rXc2c1:
+        end = bisect_right(qs, False, key=lambda q: (q * q + 2 * q - 4) * k > 4 * q * rXc2c1)
+        for d in (d for d in range(1, k + 1) if k % d == 0):
+            low, high = -(-qs[0] // d), qs[end - 1] // d  # u with q = d * u in the segment
+            g = gcd(d * k, modulus)
+            period = modulus // g
+            inverse = pow(d * k // g, -1, period)
+            for c in classes:
+                if c % g == 0:
+                    first = low + (c // g * inverse - low) % period
+                    out.extend((d * u, u, d * u * k) for u in range(first, high + 1, period))
+        k += 1
     out.sort()
     return tuple(out)
 
@@ -125,12 +131,9 @@ def baskets_brute_force(R):
     return [Basket(points) for points in sorted({tuple(sorted(pts)) for pts in product(*choices)})]
 
 
-def step2(R, triples):
-    """Every (basket, q, J_A, rXc13): each of ``triples`` (``step2_tuples``
-    of R's r_X c2c1) against each basket's Riemann-Roch class
-    2 r_X sum sigma_pair(b, r) mod 2 r_X, in Fractions.  Every basket over
-    R shares r_X = lcm(R), so one pass over the triples files them, in
-    order, under the baskets' classes, and each basket reads its own class."""
+def basket_classes(R):
+    """(basket, class) for every ``baskets_brute_force`` basket over R: its
+    Riemann-Roch class 2 r_X sum sigma_pair(b, r) mod 2 r_X, in Fractions."""
     r_x = lcm(*R)
     classes = []
     for basket in baskets_brute_force(R):
@@ -138,9 +141,20 @@ def step2(R, triples):
         if offset.denominator != 1:
             raise ValueError(f"2 r_X sigma sum of {basket} is not an integer")
         classes.append((basket, offset.numerator % (2 * r_x)))
+    return classes
+
+
+def step2(R, triples):
+    """Every (basket, q, J_A, rXc13): each of ``triples`` (``step2_tuples``
+    of R's r_X c2c1) against each basket's class from ``basket_classes``.
+    Every basket over R shares r_X = lcm(R), so one pass over the triples
+    files them, in order, under the baskets' classes, and each basket reads
+    its own class."""
+    modulus = 2 * lcm(*R)
+    classes = basket_classes(R)
     by_class = {k: [] for _, k in classes}
     for triple in triples:
-        k = triple[2] % (2 * r_x)
+        k = triple[2] % modulus
         if k in by_class:
             by_class[k].append(triple)
     for basket, k in classes:
@@ -155,22 +169,19 @@ def nabla_fraction(q: int, rXc13: int, rXc2c1: int) -> Fraction:
 
 def run_search(q_min: int, mode: str):
     """The candidate list in triple order with the Fraction budget test.
-    The triples depend on R only through r_X c2c1, so the R of Step 1 are
-    grouped by it and each group's triples are built once."""
-    groups = {}
-    for R, c2c1 in step1(q_min):
-        groups.setdefault(c2c1, []).append(R)
+    Each R of Step 1 builds only the triples in the classes its baskets
+    reach, so no triple is built that no basket over R can take."""
     found = []
-    for c2c1, group in groups.items():
-        triples = step2_tuples(c2c1, q_min, mode)
-        for R in group:
-            ctx = LBContext(R)
-            for basket, q, j_a, rXc13 in step2(R, triples):
-                pas = prime_powers(j_a)
-                lbs = tuple(lb(ctx, pa) for pa in pas)
-                nab = nabla_fraction(q, rXc13, c2c1)
-                if nab >= sum(curve_cost(pa, val) for pa, val in zip(pas, lbs)):
-                    found.append(Candidate(basket, q, j_a, rXc13, c2c1, pas, lbs, nab))
+    for R, c2c1 in step1(q_min):
+        ctx = LBContext(R)
+        classes = {k for _, k in basket_classes(R)}
+        triples = step2_tuples(c2c1, q_min, mode, 2 * lcm(*R), classes)
+        for basket, q, j_a, rXc13 in step2(R, triples):
+            pas = prime_powers(j_a)
+            lbs = tuple(lb(ctx, pa) for pa in pas)
+            nab = nabla_fraction(q, rXc13, c2c1)
+            if nab >= sum(curve_cost(pa, val) for pa, val in zip(pas, lbs)):
+                found.append(Candidate(basket, q, j_a, rXc13, c2c1, pas, lbs, nab))
     return sorted(found, key=lambda c: c.key)
 
 

@@ -160,6 +160,19 @@ def test_prefix_reach_matches_point_class_sumset():
         reach.cache_clear()
 
 
+def test_reach_offsets_share_the_all_ones_class():
+    """Every offset in ``reach(R)`` is congruent mod gcd(6, 2 r_X) to
+    sum (r - 1) r_X/r, the offset of the basket whose points all have
+    b = 1.  For every point (r, b), b(r - b) = r - 1 mod 2 (both odd for
+    even r, both even for odd r), and mod 3 when 3 | r (both are 2, as b
+    is prime to 3); when 3 divides r_X but not r, r_X/r is a multiple of 3."""
+    for R, _ in enumerate_R_c2c1():
+        r_x, offsets = reach(R)
+        modulus = gcd(6, 2 * r_x)
+        ones = sum((r - 1) * (r_x // r) for r in R)
+        assert {offset % modulus for offset in offsets} == {ones % modulus}, R
+
+
 def test_basket_budget_enforced():
     with pytest.raises(ValueError):
         Basket([(16, 1), (9, 1)])

@@ -202,11 +202,15 @@ class _SerialPool:
 
 @pytest.mark.parametrize(
     "q_min, cpus, expected",
-    [(66, 3, 3), (5000, 10**6, len(list(step1(5000)))), (66, None, None), (66, 1, None)],
+    [
+        (66, 3, 3), (5000, 10**6, len(list(step1(5000)))), (66, None, None), (66, 1, None),
+        (9956, 4, None), (9955, 4, None),
+    ],
 )
 def test_pool_size_is_clamped(monkeypatch, candidates_equal, q_min, cpus, expected):
     """`--jobs 5000` asks for at most one process per work unit and per CPU
-    (serial, with no pool, when that is one)."""
+    (serial, with no pool, when that is one or none).  The largest r_X c2c1
+    is 2489, so Step 1 is empty at q_min 9956 and has one unit at 9955."""
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
@@ -216,6 +220,28 @@ def test_pool_size_is_clamped(monkeypatch, candidates_equal, q_min, cpus, expect
     assert _SerialPool.sizes == ([] if expected is None else [expected])
     if q_min == 66:
         assert found == candidates_equal
+
+
+def test_serial_search_streams_step1(monkeypatch, candidates_equal):
+    """With one worker, Step 2 runs on each Step-1 unit before Step 1
+    yields the next: no list of units is built."""
+    yielded, at_step2 = [0], []
+    step1, step2 = search.step1, search.step2
+
+    def counting_step1(q_min):
+        for unit in step1(q_min):
+            yielded[0] += 1
+            yield unit
+
+    def recording_step2(*args):
+        at_step2.append(yielded[0])
+        return step2(*args)
+
+    monkeypatch.setattr(search, "step1", counting_step1)
+    monkeypatch.setattr(search, "step2", recording_step2)
+    assert run_search(66, "equal") == candidates_equal
+    assert at_step2 == list(range(1, yielded[0] + 1))
+    assert yielded[0] == len(list(step1(66)))
 
 
 def test_verify_candidate_rejects_tampering(candidates_greater):
