@@ -15,15 +15,18 @@ Every candidate that survives the search is killed by one of four routes:
 
 The routes run in a fixed order.  A candidate on the Group C list (the
 rows whose h^0 is that of P(5,6,22,33)) tries C- and then C+; any other
-tries Group A and then the Group B scripts of cases 10, 23, 24, 27,
-32/33, 35, 36 and 20, in that order.  The first contradiction wins, so the
+tries Group A and then the Group B scripts of cases 35, 10, 23, 24, 27,
+32/33, 36 and 20, in that order.  The first contradiction wins, so the
 group a candidate falls in is found, not looked up.  No table row, and
 no candidate of the searches at q_min 40, 50 or 60, is killed by two Group
-B scripts, so their order only sets the cost of the stalls: case 20's
-script stalls on an open curve configuration after a full residue solve,
-so it runs last.  Off the table, Group A also kills 35 of the 89 q_min 40
-candidates that one script kills (of cases 10, 23 and 32/33): there the
-order A before B decides which certificate is issued.
+B scripts, so their order only sets the cost of the stalls.  Case 35's
+script runs first: the other table rows stall at its J_A | 4 guard or
+before it, and row 35 skips five stalls, case 23's residue solve among
+them.  Case 20's script stalls on an open curve configuration after a
+full residue solve, so it runs last.  Off the table, Group A also kills
+35 of the 89 q_min 40 candidates that one script kills (of cases 10, 23
+and 32/33): there the order A before B decides which certificate is
+issued.
 
 Every residue question goes to one of two primitives over the integer
 tables of ``residue_term_builder``: ``exists_integral_solution`` (a greedy
@@ -55,7 +58,7 @@ from math import prod
 from typing import NamedTuple
 
 from .arith import InvariantViolation, factorize
-from .basket import Basket
+from .basket import Basket, rX_c2c1
 from .certificates import CITED_LEMMA, MECHANICAL, EliminationCertificate, Verdict
 from .lb import lb_of
 from .rr import (
@@ -210,9 +213,11 @@ def determine_curves(c: Candidate):
 # ---------------------------------------------------------------------------
 
 def candidate_for_case(case_id: int) -> Candidate:
-    """Rebuild the search candidate from the frozen table row."""
+    """Rebuild the search candidate from the key of the case's table row,
+    with r_X c2c1 derived from R as step 1 derives it."""
     r = row(case_id)
-    cand = step3(Basket(r.basket), r.q, r.j_a, r.rXc13, r.rXc2c1)
+    basket = Basket(r.basket)
+    cand = step3(basket, r.q, r.j_a, r.rXc13, rX_c2c1(basket.R))
     if not within_budget(cand.nabla, cand.q, demand_units(cand.q, cand.prime_powers, cand.lb_values)):
         raise InvariantViolation(f"table row {case_id} fails the budget inequality")
     return cand
@@ -707,7 +712,7 @@ def _case_35(c, cert) -> None:
 
 
 _GROUP_B_SCRIPTS = (
-    _case_10, _case_23, _case_24, _case_27, _case_32_33, _case_35, _case_36, _case_20
+    _case_35, _case_10, _case_23, _case_24, _case_27, _case_32_33, _case_36, _case_20
 )
 
 

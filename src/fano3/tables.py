@@ -1,12 +1,16 @@
-"""Frozen candidate tables and the Group C list.
+"""The paper's case numbering, the candidate keys, and the Group C list.
 
-The 36-row q > 66 table and the 7-row q = 66 table are stored verbatim:
-the regression suite compares the search output against these rows as a
-keyed set, and row numbers label the certificates.  The proof's grouping
-(A / B / C- / C+) is not stored: the elimination routes run in a fixed
-order and the first contradiction names the group.  The one group fact
-kept here is ``GROUP_C_KEYS``, the rows whose h^0 is taken from
-P(5,6,22,33); no route can derive that.
+Each row of the 36-row q > 66 table and of the 7-row q = 66 table keeps
+only its published number and its candidate key (basket, q, J_A,
+r_Xc1^3).  No search can give the numbers, which label the
+certificates; ``eliminate.candidate_for_case`` rebuilds a case's
+candidate from its key.  The columns the paper prints besides the key
+(r_X, r_X c2c1, the prime powers of J_A, their LB and nabla) are the
+engine's output, not its input: they are the tests' reference, in
+``tests/data``.  The proof's grouping (A / B / C- / C+) is not stored:
+the elimination routes run in a fixed order and the first contradiction
+names the group.  The one group fact kept here is ``GROUP_C_KEYS``, the
+rows whose h^0 is taken from P(5,6,22,33); no route can derive that.
 """
 
 from __future__ import annotations
@@ -28,76 +32,65 @@ class TableRow(NamedTuple):
     no: int
     basket: tuple  # sorted ((r, b), ...)
     q: int
-    r_x: int
+    j_a: int
     rXc13: int
-    rXc2c1: int
-    prime_powers: tuple
-    lb_values: tuple
-    nabla_display: str
-
-    @property
-    def j_a(self) -> int:
-        prod = 1
-        for p in self.prime_powers:
-            prod *= p
-        return prod
 
     @property
     def key(self):
         return (self.basket, self.q, self.j_a, self.rXc13)
 
 
-def _r(no, basket, q, r_x, c13, c2c1, pas, lbs, nab):
-    return TableRow(no, tuple(sorted(basket)), q, r_x, c13, c2c1, tuple(pas), tuple(lbs), nab)
+def _r(no, basket, q, j_a, c13):
+    return TableRow(no, tuple(sorted(basket)), q, j_a, c13)
 
 
 TABLE_MAIN = (
-    _r(1, [(5, 1)], 84, 5, 84, 96, (3, 4, 7), (5, 5, 5), "74.52"),
-    _r(2, [(3, 1), (3, 1)], 70, 3, 70, 56, (2, 5, 7), (1, 3, 3), "38.02"),
-    _r(3, [(3, 1), (11, 3)], 70, 33, 490, 344, (2, 5), (1, 33), "218.1"),
-    _r(4, [(3, 1), (11, 5)], 80, 33, 640, 344, (2, 5), (1, 33), "180.1"),
-    _r(5, [(5, 1), (7, 2)], 72, 35, 288, 432, (2, 9), (1, 35), "358.06"),
-    _r(6, [(5, 1), (11, 1)], 72, 55, 864, 456, (2, 3), (1, 55), "234.17"),
-    _r(7, [(5, 1), (11, 2)], 78, 55, 1014, 456, (2, 3), (1, 55), "196.17"),
-    _r(8, [(5, 2), (11, 3)], 84, 55, 1176, 456, (2, 3), (1, 55), "155.17"),
-    _r(9, [(2, 1), (2, 1), (3, 1)], 70, 6, 70, 110, (2, 5, 7), (1, 6, 6), "92.02"),
-    _r(10, [(2, 1), (2, 1), (9, 4)], 70, 18, 490, 218, (2, 5), (1, 18), "92.1"),
-    _r(11, [(2, 1), (5, 2), (11, 5)], 69, 110, 1587, 747, (3,), (110,), "339.09"),
-    _r(12, [(3, 1), (5, 1), (11, 1)], 82, 165, 3362, 928, (2,), (1,), "67.5"),
-    _r(13, [(3, 1), (5, 1), (11, 4)], 68, 165, 2312, 928, (2,), (1,), "333.5"),
-    _r(14, [(3, 1), (5, 2), (11, 2)], 76, 165, 2888, 928, (2,), (1,), "187.5"),
-    _r(15, [(3, 1), (5, 2), (11, 5)], 74, 165, 2738, 928, (2,), (1,), "225.5"),
-    _r(16, [(3, 1), (6, 1), (7, 2)], 75, 42, 375, 363, (3, 5), (14, 42), "266.82"),
-    _r(17, [(4, 1), (5, 1), (5, 2)], 75, 20, 375, 213, (3, 5), (4, 20), "116.82"),
-    _r(18, [(5, 1), (5, 2), (7, 3)], 90, 35, 270, 264, (2, 3, 5), (1, 7, 35), "195.04"),
-    _r(19, [(2, 1), (2, 1), (3, 1), (5, 2)], 98, 30, 686, 406, (2, 7), (1, 30), "231.08"),
-    _r(20, [(2, 1), (3, 1), (5, 1), (6, 1)], 72, 30, 864, 276, (2, 3), (1, 10), "54.17"),
-    _r(21, [(2, 1), (3, 1), (5, 1), (11, 2)], 67, 330, 4489, 1361, (), (), "206.25"),
-    _r(22, [(2, 1), (3, 1), (5, 2), (11, 1)], 71, 330, 5041, 1361, (), (), "66.25"),
-    _r(23, [(2, 1), (4, 1), (4, 1), (7, 2)], 72, 28, 432, 228, (3, 4), (14, 14), "117.09"),
-    _r(24, [(3, 1), (3, 1), (3, 1), (5, 1)], 72, 15, 432, 168, (3, 4), (5, 5), "57.09"),
-    _r(25, [(3, 1), (3, 1), (3, 1), (5, 2)], 84, 15, 168, 168, (2, 3, 7), (1, 5, 15), "125.03"),
-    _r(26, [(3, 1), (3, 1), (3, 1), (7, 1)], 90, 21, 270, 192, (2, 3, 5), (1, 7, 21), "123.04"),
-    _r(27, [(3, 1), (5, 2), (6, 1), (7, 1)], 69, 210, 1587, 807, (3,), (70,), "399.09"),
-    _r(28, [(3, 1), (5, 2), (6, 1), (7, 3)], 81, 210, 2187, 807, (3,), (70,), "247.09"),
-    _r(29, [(2, 1), (2, 1), (2, 1), (2, 1), (5, 1)], 84, 10, 168, 132, (2, 3, 7), (1, 5, 10), "89.03"),
-    _r(30, [(2, 1), (2, 1), (2, 1), (2, 1), (7, 1)], 72, 14, 432, 156, (3, 4), (7, 7), "45.09"),
-    _r(31, [(2, 1), (2, 1), (2, 1), (2, 1), (7, 1)], 80, 14, 320, 156, (4, 5), (7, 7), "74.05"),
-    _r(32, [(3, 1), (3, 1), (3, 1), (5, 1), (7, 1)], 78, 105, 1014, 456, (2, 3), (1, 35), "196.17"),
-    _r(33, [(3, 1), (3, 1), (3, 1), (5, 1), (7, 2)], 72, 105, 864, 456, (2, 3), (1, 35), "234.17"),
-    _r(34, [(3, 1), (3, 1), (3, 1), (5, 1), (7, 2)], 72, 105, 864, 456, (3, 4), (35, 35), "234.17"),
-    _r(35, [(2, 1), (2, 1), (2, 1), (2, 1), (5, 1), (7, 3)], 68, 70, 1156, 444, (4,), (35,), "146.75"),
-    _r(36, [(2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (3, 1)], 70, 6, 70, 74, (2, 5, 7), (1, 3, 3), "56.02"),
+    _r(1, [(5, 1)], 84, 84, 84),
+    _r(2, [(3, 1), (3, 1)], 70, 70, 70),
+    _r(3, [(3, 1), (11, 3)], 70, 10, 490),
+    _r(4, [(3, 1), (11, 5)], 80, 10, 640),
+    _r(5, [(5, 1), (7, 2)], 72, 18, 288),
+    _r(6, [(5, 1), (11, 1)], 72, 6, 864),
+    _r(7, [(5, 1), (11, 2)], 78, 6, 1014),
+    _r(8, [(5, 2), (11, 3)], 84, 6, 1176),
+    _r(9, [(2, 1), (2, 1), (3, 1)], 70, 70, 70),
+    _r(10, [(2, 1), (2, 1), (9, 4)], 70, 10, 490),
+    _r(11, [(2, 1), (5, 2), (11, 5)], 69, 3, 1587),
+    _r(12, [(3, 1), (5, 1), (11, 1)], 82, 2, 3362),
+    _r(13, [(3, 1), (5, 1), (11, 4)], 68, 2, 2312),
+    _r(14, [(3, 1), (5, 2), (11, 2)], 76, 2, 2888),
+    _r(15, [(3, 1), (5, 2), (11, 5)], 74, 2, 2738),
+    _r(16, [(3, 1), (6, 1), (7, 2)], 75, 15, 375),
+    _r(17, [(4, 1), (5, 1), (5, 2)], 75, 15, 375),
+    _r(18, [(5, 1), (5, 2), (7, 3)], 90, 30, 270),
+    _r(19, [(2, 1), (2, 1), (3, 1), (5, 2)], 98, 14, 686),
+    _r(20, [(2, 1), (3, 1), (5, 1), (6, 1)], 72, 6, 864),
+    _r(21, [(2, 1), (3, 1), (5, 1), (11, 2)], 67, 1, 4489),
+    _r(22, [(2, 1), (3, 1), (5, 2), (11, 1)], 71, 1, 5041),
+    _r(23, [(2, 1), (4, 1), (4, 1), (7, 2)], 72, 12, 432),
+    _r(24, [(3, 1), (3, 1), (3, 1), (5, 1)], 72, 12, 432),
+    _r(25, [(3, 1), (3, 1), (3, 1), (5, 2)], 84, 42, 168),
+    _r(26, [(3, 1), (3, 1), (3, 1), (7, 1)], 90, 30, 270),
+    _r(27, [(3, 1), (5, 2), (6, 1), (7, 1)], 69, 3, 1587),
+    _r(28, [(3, 1), (5, 2), (6, 1), (7, 3)], 81, 3, 2187),
+    _r(29, [(2, 1), (2, 1), (2, 1), (2, 1), (5, 1)], 84, 42, 168),
+    _r(30, [(2, 1), (2, 1), (2, 1), (2, 1), (7, 1)], 72, 12, 432),
+    _r(31, [(2, 1), (2, 1), (2, 1), (2, 1), (7, 1)], 80, 20, 320),
+    _r(32, [(3, 1), (3, 1), (3, 1), (5, 1), (7, 1)], 78, 6, 1014),
+    _r(33, [(3, 1), (3, 1), (3, 1), (5, 1), (7, 2)], 72, 6, 864),
+    _r(34, [(3, 1), (3, 1), (3, 1), (5, 1), (7, 2)], 72, 12, 864),
+    _r(35, [(2, 1), (2, 1), (2, 1), (2, 1), (5, 1), (7, 3)], 68, 4, 1156),
+    _r(36, [(2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (3, 1)], 70, 70, 70),
 )
 
 TABLE_EQ66 = (
-    _r(1, [(5, 2)], 66, 5, 66, 96, (2, 3, 11), (1, 5, 5), "79.02"),
-    _r(2, [(7, 2)], 66, 7, 66, 120, (2, 3, 11), (1, 7, 7), "103.02"),
-    _r(3, [(2, 1), (2, 1), (5, 1)], 66, 10, 198, 162, (2, 11), (1, 10), "111.05"),
-    _r(4, [(4, 1), (4, 1), (5, 1)], 66, 20, 726, 234, (2, 3), (1, 10), "47.17"),
-    _r(5, [(4, 1), (4, 1), (5, 2), (7, 1)], 66, 140, 2178, 678, (2,), (1,), "117.5"),
-    _r(6, [(3, 1), (3, 1), (3, 1), (5, 2), (7, 3)], 66, 105, 726, 456, (2, 3), (1, 35), "269.17"),
-    _r(7, [(2, 1), (2, 1), (3, 1), (3, 1), (3, 1), (5, 2)], 66, 30, 726, 246, (2, 3), (1, 10), "59.17"),
+    _r(1, [(5, 2)], 66, 66, 66),
+    _r(2, [(7, 2)], 66, 66, 66),
+    _r(3, [(2, 1), (2, 1), (5, 1)], 66, 22, 198),
+    _r(4, [(4, 1), (4, 1), (5, 1)], 66, 6, 726),
+    _r(5, [(4, 1), (4, 1), (5, 2), (7, 1)], 66, 2, 2178),
+    _r(6, [(3, 1), (3, 1), (3, 1), (5, 2), (7, 3)], 66, 6, 726),
+    _r(7, [(2, 1), (2, 1), (3, 1), (3, 1), (3, 1), (5, 2)], 66, 6, 726),
 )
 
 

@@ -16,13 +16,18 @@ system per y, both under their own Fraction budget caps; and the Group C
 residues from Fraction h^0 (``h0_fraction``, the s-part minus one
 sigma_pair(i b, r) per point) over the full local-index product.  The
 published A / B / C- / C+ grouping of the 36 rows is here too, as the
-oracle for the engine's fixed route order.
+oracle for the engine's fixed route order, and so are the paper's two
+candidate tables with every printed column (``data/paper_tables.json``),
+the reference the search output is compared with field by field.
 """
 
+import json
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from pathlib import Path
+from typing import NamedTuple
 
 from fano3.arith import factorize, prime_powers, sigma_pair
 from fano3.basket import BUDGET, Basket
@@ -418,6 +423,37 @@ def group_c_residues():
     even, odd = ({r: sorted(v) for r, v in found.items()} for found in (even, odd))
     return even, odd, h0((0, 1, 1, 1), 1)
 
+
+class PaperRow(NamedTuple):
+    """One row of the paper's candidate tables, as printed."""
+
+    no: int
+    basket: tuple  # sorted ((r, b), ...)
+    q: int
+    r_x: int
+    rXc13: int
+    rXc2c1: int
+    prime_powers: tuple
+    lb_values: tuple
+    nabla_display: str
+
+    @property
+    def key(self):
+        """(basket, q, J_A, rXc13), J_A the product of the printed prime powers."""
+        return (self.basket, self.q, prod(self.prime_powers), self.rXc13)
+
+
+def _paper_table(name: str) -> tuple:
+    tables = json.loads((Path(__file__).parent / "data" / "paper_tables.json").read_text())
+    return tuple(
+        PaperRow(no, tuple(map(tuple, basket)), q, r_x, c13, c2c1, tuple(pas), tuple(lbs), nab)
+        for no, basket, q, r_x, c13, c2c1, pas, lbs, nab in tables[name]
+    )
+
+
+#: The paper's 36-row q > 66 table and 7-row q = 66 table.
+PAPER_MAIN = _paper_table("main")
+PAPER_EQ66 = _paper_table("eq66")
 
 #: The published grouping of the 36 q > 66 rows, by row number.
 GROUP_A = frozenset({1, 2, 5, 9, 16, 17, 18, 19, 25, 26, 28, 29, 30, 31, 34})

@@ -17,10 +17,10 @@ from fano3.eliminate import (
     run_group_b_script,
 )
 from fano3.lb import LBContext, lb
-from fano3.tables import TABLE_EQ66, TABLE_MAIN
+from fano3.tables import TABLE_EQ66
 from fano3.wps import WeightedP3, anticanonical_degree, anticanonical_volume, h0 as wps_h0
 
-from oracles import GROUP_A, GROUP_C_PLUS, c_orbifold
+from oracles import GROUP_A, GROUP_C_PLUS, PAPER_MAIN, c_orbifold
 from test_eliminate import GROUP_A_DOMAINS, H0_TABLE_1_TO_34
 
 GOLDEN = Path(__file__).parent / "data" / "cited_lemma_steps.json"
@@ -36,7 +36,7 @@ def test_criterion_1_main_table(candidates_greater, candidates_greater_w8):
     assert len(candidates_greater) == 36
     expected = {
         row.key: (row.r_x, row.rXc13, row.rXc2c1, row.prime_powers, row.lb_values, row.nabla_display)
-        for row in TABLE_MAIN
+        for row in PAPER_MAIN
     }
     got = {
         c.key: (c.r_x, c.rXc13, c.rXc2c1, c.prime_powers, c.lb_values, c.nabla_display)
@@ -61,7 +61,7 @@ def test_criterion_2_threshold_table(candidates_equal):
 
 
 def test_criterion_3_lb_regression():
-    for row in TABLE_MAIN:
+    for row in PAPER_MAIN:
         ctx = LBContext(tuple(r for r, _ in row.basket))
         assert tuple(lb(ctx, pa) for pa in row.prime_powers) == row.lb_values, row.no
     # Remark-style properties are covered in depth by test_lb; spot-check here

@@ -282,6 +282,24 @@ def test_each_row_killed_by_exactly_one_route():
         assert sum(v.eliminated for v in verdicts) == 1, r.no
 
 
+def test_group_b_order_sets_no_verdict(monkeypatch, candidates_q40):
+    """The Group B order only sets the cost of the stalls: with the first
+    seven scripts reversed and case 20's still last, every verdict and
+    certificate on the 36 rows and the q_min 40 candidates is the same."""
+    cases = [(r.no, candidate_for_case(r.no)) for r in TABLE_MAIN]
+    cases += [(-1, c) for c in candidates_q40]
+
+    def outcomes():
+        verdicts = (eliminate_candidate(n, c) for n, c in cases)
+        return [(v.eliminated, certificate_to_dict(v.certificate)) for v in verdicts]
+
+    before = outcomes()
+    *scripts, last = eliminate._GROUP_B_SCRIPTS
+    assert last is eliminate._case_20 and len(scripts) == 7
+    monkeypatch.setattr(eliminate, "_GROUP_B_SCRIPTS", (*reversed(scripts), last))
+    assert outcomes() == before
+
+
 def test_group_b_scripts_kill_disjoint_candidates_off_the_table(candidates_q40):
     """No q_min 40 candidate (those of q = 50 and 60 among them) is killed
     by two Group B scripts, so their order changes no certificate.  Group A
@@ -741,16 +759,26 @@ def test_row_checks_its_stored_position(monkeypatch):
         row(1)
 
 
+def test_candidate_for_case_is_the_search_candidate(candidates_greater):
+    """A row's key alone rebuilds the greater search's candidate: r_X c2c1
+    comes from R and every other field from step 3."""
+    found = {c.key: c for c in candidates_greater}
+    for r in TABLE_MAIN:
+        assert candidate_for_case(r.no) == found[r.key], r.no
+
+
 def test_candidate_for_case_charges_its_row(monkeypatch):
     """Step 3 filters nothing, so ``candidate_for_case`` charges the row's
-    budget itself: at the least r_X c2c1 the budget allows the row is
-    rebuilt, and one below it is refused."""
+    budget itself.  The demand does not depend on r_Xc1^3 and nabla falls
+    as it grows: a row with the largest r_Xc1^3 the budget allows is
+    rebuilt, and one with the next value is refused."""
     r = row(1)
     c = candidate_for_case(1)
     demand = sum(map(curve_cost, c.prime_powers, c.lb_values))
-    least = math.ceil(demand + c.rXc2c1 - c.nabla)
-    for rXc2c1, holds in ((least, True), (least - 1, False)):
-        monkeypatch.setattr(eliminate, "row", lambda n: r._replace(rXc2c1=rXc2c1))
+    largest = math.floor((c.rXc2c1 - demand) / Fraction(c.q * c.q + 2 * c.q - 4, 4 * c.q * c.q))
+    assert largest >= r.rXc13
+    for rXc13, holds in ((largest, True), (largest + 1, False)):
+        monkeypatch.setattr(eliminate, "row", lambda n: r._replace(rXc13=rXc13))
         if holds:
             assert candidate_for_case(1).nabla >= demand
         else:

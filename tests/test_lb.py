@@ -5,9 +5,8 @@ import pytest
 
 from fano3.basket import enumerate_R_c2c1
 from fano3.lb import SMALL_PRIMES, LBContext, f_p, lb, lb_of
-from fano3.tables import TABLE_MAIN
 
-from oracles import admissible_R
+from oracles import PAPER_MAIN, admissible_R
 
 #: every sorted R with sum(r - 1/r) < 24, summed in Fractions
 ADMISSIBLE = {R for R, _ in admissible_R()}
@@ -103,8 +102,8 @@ def test_f2_clause_c_needs_index_four_itself(R, f2_values, lb_values):
 
 
 def test_lb_table_regression():
-    # every frozen table row's LB column is reproduced from its R alone
-    for row in TABLE_MAIN:
+    # every printed row's LB column is reproduced from its R alone
+    for row in PAPER_MAIN:
         ctx = LBContext(tuple(r for r, _ in row.basket))
         computed = tuple(lb(ctx, pa) for pa in row.prime_powers)
         assert computed == row.lb_values, f"row {row.no}"

@@ -123,18 +123,25 @@ def test_step3_attaches_budget():
         step3(Basket([(5, 1)]), 84, 5, 84, 96)  # J_A must divide q
 
 
-def test_table_main_regression(candidates_greater):
-    assert len(candidates_greater) == 36
-    table = {row.key: row for row in TABLE_MAIN}
-    assert len(table) == 36
-    for cand in candidates_greater:
-        row = table.get(cand.key)
+def _matches_paper(candidates, table, paper):
+    """The search against the paper's printed table, field by field; the
+    engine's table keeps the paper's numbers and keys."""
+    assert [(r.no, r.key) for r in table] == [(r.no, r.key) for r in paper]
+    printed = {row.key: row for row in paper}
+    assert len(candidates) == len(printed) == len(paper)
+    for cand in candidates:
+        row = printed.get(cand.key)
         assert row is not None, f"unexpected candidate {cand}"
         assert cand.r_x == row.r_x
         assert cand.rXc2c1 == row.rXc2c1
         assert cand.prime_powers == row.prime_powers
         assert cand.lb_values == row.lb_values
         assert cand.nabla_display == row.nabla_display
+
+
+def test_table_main_regression(candidates_greater):
+    assert len(candidates_greater) == 36
+    _matches_paper(candidates_greater, TABLE_MAIN, oracles.PAPER_MAIN)
 
 
 def test_rows_33_34_share_numerics_but_not_j_a(candidates_greater):
@@ -150,11 +157,17 @@ def test_rows_33_34_share_numerics_but_not_j_a(candidates_greater):
 
 def test_table_eq66_regression(candidates_equal):
     assert len(candidates_equal) == 7
-    table = {row.key: row for row in TABLE_EQ66}
-    for cand in candidates_equal:
-        row = table.get(cand.key)
-        assert row is not None, f"unexpected candidate {cand}"
-        assert cand.nabla_display == row.nabla_display
+    _matches_paper(candidates_equal, TABLE_EQ66, oracles.PAPER_EQ66)
+
+
+def test_greater_search_is_the_disjoint_union_of_equal_searches(candidates_q40, candidates_greater):
+    """The two walk forms of step 2 agree on the (40, 66] window: the q > 40
+    candidates are those of q > 66 plus those of each equal search at
+    q = 41..66, with no key counted twice."""
+    above_40 = [c for c in candidates_q40 if c.q > 40]
+    union = candidates_greater + [c for q in range(41, 67) for c in run_search(q, "equal")]
+    assert len({c.key for c in union}) == len(union) == 453
+    assert sorted(union, key=lambda c: c.key) == above_40
 
 
 #: (count, sha256 of repr of the key list) of run_search(q_min, mode);

@@ -57,7 +57,7 @@ VALUES = {
     ),
     EliminationCertificate: ({"case_id": 1}, {"case_id": 2}, []),
     Candidate: (candidate_for_case(1)._asdict(), {"q": 85}, []),
-    TableRow: (TABLE_MAIN[0]._asdict(), {"nabla_display": "74.53"}, []),
+    TableRow: (TABLE_MAIN[0]._asdict(), {"j_a": 42}, []),
     UnknownTerm: ({"coeff": Fraction(1, 3), "modulus": 3}, {"shape": "linear"}, []),
     Undetermined: ({"reason": "open"}, {"reason": "closed"}, []),
     PipelineReport: (
